@@ -322,6 +322,8 @@ def cmd_infer(args) -> int:
 
 def cmd_eval(args) -> int:
     started = time.monotonic()
+    if not args.collar > 0:
+        raise InputError(f"--collar must be positive, got {args.collar!r}")
     out = _ensure_out_dir(args.out)
     refs = read_annotations(args.ref)
     dets = read_annotations(args.det)

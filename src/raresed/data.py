@@ -17,7 +17,6 @@ log with a 1e-10 floor.
 
 from __future__ import annotations
 
-import io
 import json
 import struct
 from dataclasses import dataclass, field as dc_field
@@ -371,21 +370,21 @@ def read_wav(path) -> tuple[int, np.ndarray]:
 # shortest-repr encoding.
 
 def save_dataset(path, utterances: list[Utterance]) -> None:
-    buf = io.BytesIO()
-    buf.write(DATASET_MAGIC)
-    buf.write(struct.pack("<IQ", DATASET_VERSION, len(utterances)))
-    for utt in utterances:
-        id_bytes = utt.id.encode("utf-8")
-        meta_bytes = json.dumps(utt.meta, sort_keys=True).encode("utf-8")
-        buf.write(struct.pack("<I", len(id_bytes)))
-        buf.write(id_bytes)
-        buf.write(struct.pack("<BII", utt.y, utt.dim, utt.n_frames))
-        buf.write(struct.pack("<II", utt.onset or 0, utt.offset or 0))
-        buf.write(struct.pack("<I", len(meta_bytes)))
-        buf.write(meta_bytes)
-        buf.write(np.ascontiguousarray(utt.features, dtype="<f8").tobytes())
+    """Write records one at a time to the file, so no copy of the whole
+    set is held in memory."""
     with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+        fh.write(DATASET_MAGIC)
+        fh.write(struct.pack("<IQ", DATASET_VERSION, len(utterances)))
+        for utt in utterances:
+            id_bytes = utt.id.encode("utf-8")
+            meta_bytes = json.dumps(utt.meta, sort_keys=True).encode("utf-8")
+            fh.write(struct.pack("<I", len(id_bytes)))
+            fh.write(id_bytes)
+            fh.write(struct.pack("<BII", utt.y, utt.dim, utt.n_frames))
+            fh.write(struct.pack("<II", utt.onset or 0, utt.offset or 0))
+            fh.write(struct.pack("<I", len(meta_bytes)))
+            fh.write(meta_bytes)
+            fh.write(np.ascontiguousarray(utt.features, dtype="<f8").tobytes())
 
 
 def _read_exact(fh: BinaryIO, n: int, record: str) -> bytes:

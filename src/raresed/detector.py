@@ -166,7 +166,13 @@ def frame_posteriors(model: EventModel, features: np.ndarray) -> tuple[np.ndarra
             f"features have shape {features.shape}, model expects "
             f"({model.config.input_dim}, T)"
         )
-    hs, enc_trace = encoder_forward(model.config, model.layers, features.T)
+    hs, enc_trace = encoder_forward(model.config, model.layers,
+                                    features.T[:, None, :])
+    return _frame_head(model, hs[:, 0], enc_trace)
+
+
+def _frame_head(model: EventModel, hs: np.ndarray,
+                enc_trace: EncoderTrace) -> tuple[np.ndarray, ForwardTrace]:
     p = sigmoid(hs @ model.w)
     return p, ForwardTrace(encoder=enc_trace, hidden=hs, frame_posteriors=p)
 
@@ -252,17 +258,23 @@ def total_loss(model: EventModel, utt: "Utterance", alpha: float,
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     trace = forward(model, utt.features)
+    return _trace_loss(trace, utt, alpha, margin), trace
+
+
+def _trace_loss(trace: ForwardTrace, utt: "Utterance", alpha: float,
+                margin: int) -> float:
     loss = utterance_loss(trace.utterance_posterior, utt.y)
     if utt.y == 1:
         window = frame_window(utt.onset, utt.offset, margin,
                               trace.frame_posteriors.shape[0])
         loss += alpha * frame_loss(trace, utt, window)
-    return loss, trace
+    return loss
 
 
-def _backward(model: EventModel, trace: ForwardTrace, utt: "Utterance",
-              alpha: float, margin: int) -> np.ndarray:
-    """Exact gradient of the total loss for one utterance, flattened."""
+def _head_backward(model: EventModel, trace: ForwardTrace, utt: "Utterance",
+                   alpha: float, margin: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact gradient of one utterance's total loss on its encoder output
+    (T, h) and on the classifier w."""
     hs = trace.hidden
     p = trace.frame_posteriors
     a = trace.attention
@@ -292,29 +304,79 @@ def _backward(model: EventModel, trace: ForwardTrace, utt: "Utterance",
 
     grad_w = grad_w + hs.T @ d_s
     d_hs += np.outer(d_s, model.w)
+    return d_hs, grad_w
 
-    layer_grads = encoder_backward(model.config, model.layers, trace.encoder, d_hs)
-    arrays: list[np.ndarray] = []
-    for g in layer_grads:
-        arrays.extend(g.fwd.arrays())
-        if g.bwd is not None:
-            arrays.extend(g.bwd.arrays())
-    arrays.append(grad_w)
-    return flatten_arrays(arrays)
+
+def _length_groups(batch: Sequence["Utterance"]) -> list[list["Utterance"]]:
+    """Split a batch into groups of equal frame count, in the order their
+    lengths first appear; utterances keep their batch order."""
+    if not batch:
+        raise ValueError("batch must be nonempty")
+    groups: dict[int, list["Utterance"]] = {}
+    for utt in batch:
+        groups.setdefault(utt.n_frames, []).append(utt)
+    return list(groups.values())
+
+
+def _group_heads(model: EventModel, group: Sequence["Utterance"], alpha: float,
+                 margin: int, need_grad: bool):
+    """One recurrence over equal-length utterances, then each utterance's
+    head. Returns the group's summed loss, the encoder trace and, when
+    ``need_grad``, d(loss)/d(encoder output) (T, B, h) and d(loss)/dw.
+
+    Each head reads a contiguous copy of its (T, h) slice: that gives it
+    the memory layout of a batch of one, so its sums do not depend on its
+    batch.
+    """
+    if alpha < 0:
+        raise ValueError("alpha must be nonnegative")
+    xs = np.stack([utt.features.T for utt in group], axis=1)
+    hs, enc_trace = encoder_forward(model.config, model.layers, xs)
+    d_hs = np.empty_like(hs) if need_grad else None
+    grad_w = np.zeros_like(model.w)
+    loss = 0.0
+    for b, utt in enumerate(group):
+        _, trace = _frame_head(model, np.ascontiguousarray(hs[:, b]), enc_trace)
+        utterance_posterior(model, trace)
+        loss += _trace_loss(trace, utt, alpha, margin)
+        if need_grad:
+            d_hs[:, b], d_w = _head_backward(model, trace, utt, alpha, margin)
+            grad_w += d_w
+    return loss, enc_trace, d_hs, grad_w
+
+
+def batch_loss(model: EventModel, batch: Sequence["Utterance"], alpha: float,
+               margin: int = DEFAULT_WINDOW_MARGIN) -> float:
+    """Mean total loss over the batch, forward only: the same value as
+    batch_loss_and_gradients, with no BPTT."""
+    total = 0.0
+    for group in _length_groups(batch):
+        total += _group_heads(model, group, alpha, margin, need_grad=False)[0]
+    return total / len(batch)
 
 
 def batch_loss_and_gradients(model: EventModel, batch: Sequence["Utterance"],
                              alpha: float,
                              margin: int = DEFAULT_WINDOW_MARGIN) -> tuple[float, np.ndarray]:
-    """Mean total loss over the batch and its gradient, in flatten() order."""
-    if not batch:
-        raise ValueError("batch must be nonempty")
+    """Mean total loss over the batch and its gradient, in flatten() order.
+
+    Each group of equal-length utterances runs one batched recurrence
+    forward and one BPTT; group gradients are added in group order.
+    """
     total = 0.0
     grad = np.zeros(model.param_count)
-    for utt in batch:
-        loss, trace = total_loss(model, utt, alpha, margin)
+    for group in _length_groups(batch):
+        loss, enc_trace, d_hs, grad_w = _group_heads(model, group, alpha, margin,
+                                                     need_grad=True)
         total += loss
-        grad += _backward(model, trace, utt, alpha, margin)
+        layer_grads = encoder_backward(model.config, model.layers, enc_trace, d_hs)
+        arrays: list[np.ndarray] = []
+        for g in layer_grads:
+            arrays.extend(g.fwd.arrays())
+            if g.bwd is not None:
+                arrays.extend(g.bwd.arrays())
+        arrays.append(grad_w)
+        grad += flatten_arrays(arrays)
     n = len(batch)
     return total / n, grad / n
 

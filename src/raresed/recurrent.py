@@ -17,9 +17,12 @@ Cell convention (fixed here for reproducibility):
     c_t = tanh(W_h x_t + U_h (r_t * h_{t-1}) + b_h)
     h_t = (1 - z_t) * h_{t-1} + z_t * c_t
 
-Forward passes cache every activation needed for exact
-backpropagation through time; the backward functions return parameter
-gradients in the same shapes as the parameters.
+Sequences run time-major in batches: the encoder takes (T, B, d) arrays
+of B equal-length sequences and runs one recurrence per layer and
+direction over a (B, H) state. Forward passes cache every activation
+needed for exact backpropagation through time; the backward functions
+return parameter gradients in the same shapes as the parameters, summed
+over the batch.
 """
 
 from __future__ import annotations
@@ -184,7 +187,7 @@ def zero_encoder_layers(config: EncoderConfig) -> list[EncoderLayer]:
 
 
 # ---------------------------------------------------------------------------
-# Single cell step and sequence runs
+# Single cell step and batched sequence runs
 # ---------------------------------------------------------------------------
 
 def gru_cell_step(params: GruLayerParams, x_t: np.ndarray,
@@ -205,54 +208,122 @@ def gru_cell_step(params: GruLayerParams, x_t: np.ndarray,
 
 @dataclass
 class GruRunTrace:
-    """Activations of one directional run, in the run's own time order."""
+    """Activations of one directional run over a batch, time-major and in
+    the run's own time order."""
 
-    inputs: np.ndarray  # (T, D_in)
-    hs: np.ndarray      # (T, H)
-    zs: np.ndarray
-    rs: np.ndarray
-    cs: np.ndarray
+    inputs: np.ndarray  # (T, B, D_in)
+    hs: np.ndarray      # (T, B, H)
+    gates: np.ndarray   # (T, B, 3H): update gate, reset gate, candidate
 
 
-def _run_gru(params: GruLayerParams, xs: np.ndarray) -> GruRunTrace:
-    """Run the cell over a (T, D_in) sequence from a zero initial state.
+def _gru_forward(params: GruLayerParams, xs: np.ndarray) -> GruRunTrace:
+    """Run the cell over a (T, B, D_in) batch of equal-length float64
+    sequences, each from a zero initial state.
 
-    Input projections for all steps are batched into one matmul; the
-    time loop only carries the recurrent part.
+    The input projections of every step and sequence are one matmul;
+    each step then does one (B, 2H) gate product and one (B, H)
+    candidate product. The stable sigmoid of numerics.sigmoid is inlined
+    as where(a >= 0, 1, e) / (1 + e) with e = exp(-|a|).
     """
+    t_len, batch, d_in = xs.shape
+    h_dim = params.hidden
+    w_all = np.concatenate([params.w_z, params.w_r, params.w_h])  # (3H, D_in)
+    b_all = np.concatenate([params.b_z, params.b_r, params.b_h])
+    # Input projections of the gates; step t overwrites its row with the
+    # gate activations, which the trace keeps.
+    gates = (xs.reshape(t_len * batch, d_in) @ w_all.T + b_all).reshape(
+        t_len, batch, 3 * h_dim)
+    u_zr_t = np.concatenate([params.u_z, params.u_r]).T  # (H, 2H)
+    u_h_t = params.u_h.T
+
+    hs = np.empty((t_len, batch, h_dim))
+    # Per-step views, sliced once.
+    zr, zs = gates[:, :, :2 * h_dim], gates[:, :, :h_dim]
+    rs, cs = gates[:, :, h_dim:2 * h_dim], gates[:, :, 2 * h_dim:]
+    h = np.zeros((batch, h_dim))
+    for t in range(t_len):
+        a = zr[t] + h @ u_zr_t
+        e = np.exp(-np.abs(a))
+        np.divide(np.where(a >= 0.0, 1.0, e), 1.0 + e, out=zr[t])
+        z = zs[t]
+        c = np.tanh(cs[t] + (rs[t] * h) @ u_h_t, out=cs[t])
+        h = np.add((1.0 - z) * h, z * c, out=hs[t])
+    return GruRunTrace(inputs=xs, hs=hs, gates=gates)
+
+
+def _gru_bptt(params: GruLayerParams, trace: GruRunTrace, d_out: np.ndarray,
+              need_dx: bool) -> tuple[GruLayerParams, Optional[np.ndarray]]:
+    """BPTT through one directional run over a batch.
+
+    ``d_out`` is the loss gradient on every hidden output (T, B, H).
+    Returns gradients shaped like the parameters and summed over the
+    batch, plus the gradient on the input sequences when requested.
+    """
+    t_len, batch, h_dim = trace.hs.shape
+    u_zr = np.concatenate([params.u_z, params.u_r])  # (2H, H)
+    hs = trace.hs
+    zero_h = np.zeros((batch, h_dim))
+
+    # Gradients on the gate pre-activations: update, reset, candidate.
+    d_a = np.empty((t_len, batch, 3 * h_dim))
+    d_az, d_ar = d_a[:, :, :h_dim], d_a[:, :, h_dim:2 * h_dim]
+    d_azr, d_ac = d_a[:, :, :2 * h_dim], d_a[:, :, 2 * h_dim:]
+    zs = trace.gates[:, :, :h_dim]
+    rs = trace.gates[:, :, h_dim:2 * h_dim]
+    cs = trace.gates[:, :, 2 * h_dim:]
+    carry = np.zeros((batch, h_dim))
+    for t in range(t_len - 1, -1, -1):
+        h_prev = hs[t - 1] if t > 0 else zero_h
+        z = zs[t]
+        r = rs[t]
+        c = cs[t]
+        dh = d_out[t] + carry
+        dac = np.multiply(dh * z, 1.0 - c * c, out=d_ac[t])
+        drh = dac @ params.u_h
+        np.multiply(dh * (c - h_prev), z * (1.0 - z), out=d_az[t])
+        np.multiply(drh * h_prev, r * (1.0 - r), out=d_ar[t])
+        carry = dh * (1.0 - z) + drh * r + d_azr[t] @ u_zr
+
+    # Each weight gradient is one matmul over all T*B rows, stacked by
+    # sequence and then summed over the batch, so a sequence's share does
+    # not depend on which others share its batch. The recurrent maps skip
+    # step 0, whose previous state is zero.
+    d_seq = d_a.transpose(1, 2, 0)  # (B, 3H, T)
+    h_prev_seq = hs[:-1].transpose(1, 0, 2)  # (B, T-1, H)
+    # The backward direction's inputs are a time-reversed view; BLAS needs
+    # positive strides.
+    inputs = np.ascontiguousarray(trace.inputs)
+    d_w = (d_seq @ inputs.transpose(1, 0, 2)).sum(axis=0)
+    d_u_zr = (d_seq[:, :2 * h_dim, 1:] @ h_prev_seq).sum(axis=0)
+    d_u_h = (d_seq[:, 2 * h_dim:, 1:]
+             @ (rs[1:] * hs[:-1]).transpose(1, 0, 2)).sum(axis=0)
+    d_b = d_a.sum(axis=0).sum(axis=0)
+    grads = GruLayerParams(
+        w_z=d_w[:h_dim], w_r=d_w[h_dim:2 * h_dim], w_h=d_w[2 * h_dim:],
+        u_z=d_u_zr[:h_dim], u_r=d_u_zr[h_dim:], u_h=d_u_h,
+        b_z=d_b[:h_dim], b_r=d_b[h_dim:2 * h_dim], b_h=d_b[2 * h_dim:],
+    )
+    dxs = None
+    if need_dx:
+        w_all = np.concatenate([params.w_z, params.w_r, params.w_h])
+        dxs = (d_a.reshape(t_len * batch, 3 * h_dim) @ w_all).reshape(
+            t_len, batch, -1)
+    return grads, dxs
+
+
+def _as_sequence(xs: np.ndarray, params: GruLayerParams) -> np.ndarray:
     xs = as_f64(xs)
     if xs.ndim != 2 or xs.shape[1] != params.input_dim:
         raise ValueError(
             f"sequence has shape {xs.shape}, layer expects (*, {params.input_dim})"
         )
-    t_len = xs.shape[0]
-    h_dim = params.hidden
-    w_all = np.concatenate([params.w_z, params.w_r, params.w_h], axis=0)
-    b_all = np.concatenate([params.b_z, params.b_r, params.b_h])
-    pre = xs @ w_all.T + b_all  # (T, 3H)
-    u_zr = np.concatenate([params.u_z, params.u_r], axis=0)  # (2H, H)
-
-    hs = np.empty((t_len, h_dim))
-    zs = np.empty((t_len, h_dim))
-    rs = np.empty((t_len, h_dim))
-    cs = np.empty((t_len, h_dim))
-    h = np.zeros(h_dim)
-    for t in range(t_len):
-        zr = sigmoid(pre[t, : 2 * h_dim] + u_zr @ h)
-        z = zr[:h_dim]
-        r = zr[h_dim:]
-        c = np.tanh(pre[t, 2 * h_dim:] + params.u_h @ (r * h))
-        h = (1.0 - z) * h + z * c
-        zs[t] = z
-        rs[t] = r
-        cs[t] = c
-        hs[t] = h
-    return GruRunTrace(inputs=xs, hs=hs, zs=zs, rs=rs, cs=cs)
+    return xs
 
 
 def run_unidirectional(params: GruLayerParams, xs: np.ndarray) -> np.ndarray:
-    """Hidden sequence of a forward run over ``xs`` (zero initial state)."""
-    return _run_gru(params, xs).hs
+    """Hidden sequence of a forward run over a (T, D_in) sequence (zero
+    initial state)."""
+    return _gru_forward(params, _as_sequence(xs, params)[:, None, :]).hs[:, 0]
 
 
 def run_bidirectional(fwd: GruLayerParams, bwd: GruLayerParams,
@@ -264,62 +335,8 @@ def run_bidirectional(fwd: GruLayerParams, bwd: GruLayerParams,
     """
     if fwd.input_dim != bwd.input_dim or fwd.hidden != bwd.hidden:
         raise ValueError("forward/backward cells must share dimensions")
-    f = _run_gru(fwd, xs)
-    b = _run_gru(bwd, as_f64(xs)[::-1])
-    return np.concatenate([f.hs, b.hs[::-1]], axis=1)
-
-
-def _gru_backward(params: GruLayerParams, trace: GruRunTrace,
-                  d_out: np.ndarray, need_dx: bool) -> tuple[GruLayerParams, Optional[np.ndarray]]:
-    """BPTT through one directional run.
-
-    ``d_out`` is the loss gradient on every hidden output (T, H).
-    Returns gradients shaped like the parameters, plus the gradient on
-    the input sequence when requested.
-    """
-    t_len, h_dim = trace.hs.shape
-    u_zr_t = np.concatenate([params.u_z, params.u_r], axis=0).T  # (H, 2H)
-    u_h_t = params.u_h.T
-
-    d_az = np.empty((t_len, h_dim))
-    d_ar = np.empty((t_len, h_dim))
-    d_ac = np.empty((t_len, h_dim))
-    carry = np.zeros(h_dim)
-    zero_h = np.zeros(h_dim)
-    for t in range(t_len - 1, -1, -1):
-        h_prev = trace.hs[t - 1] if t > 0 else zero_h
-        z = trace.zs[t]
-        r = trace.rs[t]
-        c = trace.cs[t]
-        dh = d_out[t] + carry
-        dz = dh * (c - h_prev)
-        dac = (dh * z) * (1.0 - c * c)
-        carry = dh * (1.0 - z)
-        drh = u_h_t @ dac
-        carry = carry + drh * r
-        dar = (drh * h_prev) * (r * (1.0 - r))
-        daz = dz * (z * (1.0 - z))
-        carry = carry + u_zr_t @ np.concatenate([daz, dar])
-        d_az[t] = daz
-        d_ar[t] = dar
-        d_ac[t] = dac
-
-    h_prev_seq = np.vstack([zero_h[None, :], trace.hs[:-1]])
-    grads = GruLayerParams(
-        w_z=d_az.T @ trace.inputs,
-        w_r=d_ar.T @ trace.inputs,
-        w_h=d_ac.T @ trace.inputs,
-        u_z=d_az.T @ h_prev_seq,
-        u_r=d_ar.T @ h_prev_seq,
-        u_h=d_ac.T @ (trace.rs * h_prev_seq),
-        b_z=d_az.sum(axis=0),
-        b_r=d_ar.sum(axis=0),
-        b_h=d_ac.sum(axis=0),
-    )
-    dxs = None
-    if need_dx:
-        dxs = d_az @ params.w_z + d_ar @ params.w_r + d_ac @ params.w_h
-    return grads, dxs
+    xs = _as_sequence(xs, fwd)[:, None, :]
+    return _run_layer(EncoderLayer(fwd=fwd, bwd=bwd), xs)[1][:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -403,38 +420,41 @@ class EncoderTrace:
 
 
 def _run_layer(layer: EncoderLayer, xs: np.ndarray) -> tuple[LayerTrace, np.ndarray]:
-    f = _run_gru(layer.fwd, xs)
+    f = _gru_forward(layer.fwd, xs)
     if layer.bwd is None:
         return LayerTrace(fwd=f), f.hs
-    b = _run_gru(layer.bwd, xs[::-1])
-    return LayerTrace(fwd=f, bwd=b), np.concatenate([f.hs, b.hs[::-1]], axis=1)
+    b = _gru_forward(layer.bwd, xs[::-1])
+    return LayerTrace(fwd=f, bwd=b), np.concatenate([f.hs, b.hs[::-1]], axis=-1)
 
 
 def _layer_backward(layer: EncoderLayer, trace: LayerTrace, d_out: np.ndarray,
                     need_dx: bool) -> tuple[EncoderLayer, Optional[np.ndarray]]:
     if layer.bwd is None:
-        gf, dx = _gru_backward(layer.fwd, trace.fwd, d_out, need_dx)
+        gf, dx = _gru_bptt(layer.fwd, trace.fwd, d_out, need_dx)
         return EncoderLayer(fwd=gf), dx
     h_dim = layer.fwd.hidden
-    gf, dxf = _gru_backward(layer.fwd, trace.fwd, d_out[:, :h_dim], need_dx)
-    gb, dxb = _gru_backward(layer.bwd, trace.bwd, d_out[::-1, h_dim:], need_dx)
-    dx = dxf + dxb[::-1] if need_dx else None
-    return EncoderLayer(fwd=gf, bwd=gb), dx
+    gf, dxf = _gru_bptt(layer.fwd, trace.fwd, d_out[:, :, :h_dim], need_dx)
+    gb, dxb = _gru_bptt(layer.bwd, trace.bwd, d_out[::-1, :, h_dim:], need_dx)
+    if need_dx:
+        dxf += dxb[::-1]
+    return EncoderLayer(fwd=gf, bwd=gb), dxf
 
 
 def encoder_forward(config: EncoderConfig, layers: list[EncoderLayer],
                     xs: np.ndarray) -> tuple[np.ndarray, EncoderTrace]:
-    """Encode a (T, d) sequence into (T, output_dim) frame features."""
+    """Encode a time-major (T, B, d) batch of equal-length sequences into
+    (T, B, output_dim) frame features with one recurrence per layer and
+    direction."""
     xs = as_f64(xs)
     if len(layers) != config.layers:
         raise ValueError(f"expected {config.layers} layers, got {len(layers)}")
-    if xs.ndim != 2 or xs.shape[1] != config.input_dim:
+    if xs.ndim != 3 or xs.shape[2] != config.input_dim:
         raise ValueError(
-            f"input has shape {xs.shape}, encoder expects (*, {config.input_dim})"
+            f"input has shape {xs.shape}, encoder expects (T, B, {config.input_dim})"
         )
     t_len = xs.shape[0]
-    if t_len < 1:
-        raise ValueError("need at least one frame")
+    if t_len < 1 or xs.shape[1] < 1:
+        raise ValueError("need at least one frame and one sequence")
     trace = EncoderTrace(input_length=t_len)
 
     if config.kind == "multiresolution":
@@ -457,10 +477,10 @@ def multires_forward(config: EncoderConfig, layers: list[EncoderLayer],
 
 def _multires_forward(config: EncoderConfig, layers: list[EncoderLayer],
                       xs: np.ndarray, trace: EncoderTrace) -> tuple[np.ndarray, EncoderTrace]:
-    t_len = xs.shape[0]
+    t_len, batch = xs.shape[:2]
     trace.sub_outputs = []
     seq = xs
-    total = np.zeros((t_len, config.output_dim))
+    total = np.zeros((t_len, batch, config.output_dim))
     for depth, layer in enumerate(layers):
         ltr, out = _run_layer(layer, seq)
         trace.layer_traces.append(ltr)
@@ -474,16 +494,20 @@ def _multires_forward(config: EncoderConfig, layers: list[EncoderLayer],
 
 def encoder_backward(config: EncoderConfig, layers: list[EncoderLayer],
                      trace: EncoderTrace, d_hs: np.ndarray) -> list[EncoderLayer]:
-    """Gradients of all layer parameters given d(loss)/d(encoder output).
+    """Gradients of all layer parameters given d(loss)/d(encoder output)
+    of shape (T, B, output_dim).
 
-    Returns one EncoderLayer of gradient arrays per parameter layer.
+    Returns one EncoderLayer of gradient arrays per parameter layer,
+    summed over the batch. Consumes the trace: each layer's activations
+    are released as soon as its BPTT is done, so a batch never holds the
+    deeper layers' activations while the first layer runs.
     """
     if config.kind == "multiresolution":
         return _multires_backward(config, layers, trace, d_hs)
     grads: list[Optional[EncoderLayer]] = [None] * len(layers)
     d = d_hs
     for i in range(len(layers) - 1, -1, -1):
-        grads[i], d = _layer_backward(layers[i], trace.layer_traces[i], d,
+        grads[i], d = _layer_backward(layers[i], trace.layer_traces.pop(), d,
                                       need_dx=i > 0)
     return grads  # type: ignore[return-value]
 
@@ -494,12 +518,12 @@ def _multires_backward(config: EncoderConfig, layers: list[EncoderLayer],
     grads: list[Optional[EncoderLayer]] = [None] * len(layers)
     d_next_input: Optional[np.ndarray] = None
     for i in range(len(layers) - 1, -1, -1):
-        sub = trace.sub_outputs[i]
+        ltr = trace.layer_traces.pop()
+        sub = trace.sub_outputs.pop()
         d_sub = _upsample_k_backward(d_hs, sub.shape[0], i + 1)
         if d_next_input is not None:
-            d_sub = d_sub + d_next_input
-        out_len = trace.layer_traces[i].fwd.hs.shape[0]
-        d_out = _subsample2_backward(d_sub, out_len)
-        grads[i], d_next_input = _layer_backward(layers[i], trace.layer_traces[i],
-                                                 d_out, need_dx=i > 0)
+            d_sub += d_next_input
+        d_out = _subsample2_backward(d_sub, ltr.fwd.hs.shape[0])
+        grads[i], d_next_input = _layer_backward(layers[i], ltr, d_out,
+                                                 need_dx=i > 0)
     return grads  # type: ignore[return-value]

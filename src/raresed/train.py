@@ -56,6 +56,11 @@ class TrainConfig:
             raise InputError("frame-window margin must be nonnegative")
         if self.epochs < 0:
             raise InputError("epoch budget must be nonnegative")
+        if not (0.0 < self.thres0 < 1.0 and 0.0 < self.thres1 < 1.0):
+            raise InputError("thresholds thres0 and thres1 must lie strictly "
+                             "inside (0, 1)")
+        if not self.collar_s > 0:
+            raise InputError("collar must be positive")
 
 
 @dataclass(frozen=True)
@@ -244,22 +249,34 @@ def load_model(path) -> tuple[EventModel, dict]:
         blob = fh.read()
     if blob[:4] != MODEL_MAGIC:
         raise ParseError(f"{path}: not a model snapshot")
-    version, header_len = struct.unpack("<II", blob[4:12])
+    if len(blob) < 12:
+        raise ParseError(f"{path}: file ends at byte {len(blob)}, inside the "
+                         f"version and header-length words (bytes 4-11)")
+    version, header_len = struct.unpack_from("<II", blob, 4)
     if version != MODEL_VERSION:
         raise ParseError(f"{path}: unsupported model version {version}")
+    pos = 12 + header_len
+    if len(blob) < pos + 8:
+        raise ParseError(f"{path}: file ends at byte {len(blob)}, inside the "
+                         f"header or parameter count (bytes 12-{pos + 7})")
     try:
-        header = json.loads(blob[12:12 + header_len].decode("utf-8"))
+        header = json.loads(blob[12:pos].decode("utf-8"))
+        if not isinstance(header, dict):
+            raise ValueError("header is not a JSON object")
         enc = header["encoder"]
         config = EncoderConfig(kind=enc["kind"], layers=enc["layers"],
                                hidden=enc["hidden"], input_dim=enc["input_dim"],
                                multires_bidirectional=enc["multires_bidirectional"])
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: bad model header: {exc}")
-    pos = 12 + header_len
-    (count,) = struct.unpack("<Q", blob[pos:pos + 8])
-    raw = blob[pos + 8:pos + 8 + count * 8]
-    if len(raw) != count * 8:
-        raise ParseError(f"{path}: truncated parameter block")
+    (count,) = struct.unpack_from("<Q", blob, pos)
+    raw = blob[pos + 8:]
+    if len(raw) < count * 8:
+        raise ParseError(f"{path}: truncated parameter block: {count} "
+                         f"parameters promised, {len(raw) // 8} present")
+    if len(raw) > count * 8:
+        raise ParseError(f"{path}: trailing bytes after the parameter block "
+                         f"(from byte {pos + 8 + count * 8})")
     flat = np.frombuffer(raw, dtype="<f8").copy()
     shell = EventModel.initialize(config, seed=0)
     if flat.size != shell.param_count:

@@ -122,6 +122,17 @@ class TestTrainCommand:
         assert (outs[0] / "report.tsv").read_bytes() == (outs[1] / "report.tsv").read_bytes()
         assert (outs[0] / "model.sem").read_bytes() == (outs[1] / "model.sem").read_bytes()
 
+    def test_bad_threshold_exits_2_before_training(self, tmp_path, capsys):
+        config, data = synth_tiny(tmp_path)
+        out = tmp_path / "run"
+        code = main(["train", "--config", config,
+                     "--train-data", str(data / "train.sed"),
+                     "--dev-data", str(data / "dev.sed"), "--out", str(out),
+                     "--thres0", "1.5"])
+        assert code == 2
+        assert "thres0" in capsys.readouterr().err
+        assert not (out / "model.sem").exists()
+
     def test_dim_mismatch_between_splits_exits_3(self, tmp_path):
         config, data = synth_tiny(tmp_path)
         other = synth_dataset(SynthConfig(count=4, positive_fraction=0.5,
@@ -227,6 +238,18 @@ class TestEvalCommand:
         table = {r["metric"]: r["value"] for r in read_table(out / "eval.tsv")}
         assert float(table["er"]) == 1.0
         assert float(table["f1"]) == 50.0
+
+    def test_nonpositive_collar_exits_2(self, tmp_path, capsys):
+        records = {"u0": EventAnnotation(1.0, 2.0)}
+        write_annotations(tmp_path / "ref.tsv", records)
+        write_annotations(tmp_path / "det.tsv", records)
+        for collar in ("0", "-1"):
+            out = tmp_path / f"ev{collar}"
+            assert main(["eval", "--ref", str(tmp_path / "ref.tsv"),
+                         "--det", str(tmp_path / "det.tsv"), "--out", str(out),
+                         "--collar", collar]) == 2
+            assert "--collar must be positive" in capsys.readouterr().err
+            assert not (out / "eval.tsv").exists()
 
     def test_collar_flag_flips_marginal_match(self, tmp_path):
         write_annotations(tmp_path / "ref.tsv", {"u0": EventAnnotation(3.0, 4.0)})

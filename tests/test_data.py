@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -226,6 +227,21 @@ class TestDatasetIO:
             assert np.array_equal(ua.features, ub.features)
             if ua.y:
                 assert (ua.onset, ua.offset) == (ub.onset, ub.offset)
+
+    def test_bytes_match_frozen_layout(self, tmp_path):
+        # Digest of the same two records as written by the earlier
+        # writer, which buffered the whole file in memory before writing.
+        data = [
+            Utterance.positive("pos-\u00e9", np.arange(12.0).reshape(3, 4) / 7.0,
+                               onset=2, offset=3,
+                               meta={"ebr_db": 12.0, "note": "x"}),
+            Utterance.negative("neg", -np.arange(6.0).reshape(3, 2) * 0.1, meta={}),
+        ]
+        path = tmp_path / "d.sed"
+        save_dataset(path, data)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == ("3905944f3bc753243a80102c5a09e8a3"
+                          "6c052af62293683902a41973762a3d59")
 
     def test_empty_dataset(self, tmp_path):
         path = tmp_path / "empty.sed"

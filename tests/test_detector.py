@@ -10,6 +10,7 @@ from raresed.detector import (
     EventModel,
     ForwardTrace,
     attention_weights,
+    batch_loss,
     batch_loss_and_gradients,
     decide_detection,
     forward,
@@ -233,6 +234,10 @@ class TestTotalLoss:
             total_loss(model, utt, alpha=-0.1)
 
 
+BATCHED_KINDS = [("unidirectional", False), ("bidirectional", False),
+                 ("multiresolution", False), ("multiresolution", True)]
+
+
 class TestGradients:
     def test_perfect_fit_is_stationary(self):
         # Saturate the classifier so p_1 = 1.0 exactly in f64 with
@@ -262,6 +267,33 @@ class TestGradients:
             batch = [random_utterance(rng, 4, int(rng.integers(2, 8)),
                                       positive=seed % 2 == 0)]
             assert_gradients_match(model, batch, alpha=1.0, margin=2)
+
+    @pytest.mark.parametrize("kind,mr_bidir", BATCHED_KINDS)
+    def test_mixed_length_batch_matches_single_calls(self, kind, mr_bidir):
+        # Odd lengths give the multiresolution pooling a trailing frame;
+        # the two T=7 utterances share one recurrence.
+        rng = np.random.default_rng(21)
+        model = small_model(kind=kind, layers=2, hidden=3, input_dim=4,
+                            seed=22, mr_bidir=mr_bidir)
+        batch = [random_utterance(rng, 4, t_len, positive=i != 2, id=f"u{i}")
+                 for i, t_len in enumerate((7, 16, 7, 9))]
+        loss, grad = batch_loss_and_gradients(model, batch, alpha=1.0, margin=2)
+        singles = [batch_loss_and_gradients(model, [u], alpha=1.0, margin=2)
+                   for u in batch]
+        want_loss = np.mean([s_loss for s_loss, _ in singles])
+        want_grad = np.mean([s_grad for _, s_grad in singles], axis=0)
+        assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+        assert np.max(np.abs(grad - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
+        assert batch_loss(model, batch, alpha=1.0, margin=2) == loss
+
+    @pytest.mark.parametrize("kind,mr_bidir", BATCHED_KINDS)
+    def test_mixed_length_batch_matches_finite_differences(self, kind, mr_bidir):
+        rng = np.random.default_rng(23)
+        model = small_model(kind=kind, layers=2, hidden=3, input_dim=4,
+                            seed=24, mr_bidir=mr_bidir)
+        batch = [random_utterance(rng, 4, t_len, positive=i != 1, id=f"u{i}")
+                 for i, t_len in enumerate((7, 5, 7))]
+        assert_gradients_match(model, batch, alpha=1.0, margin=2)
 
     def test_duplicated_utterance_matches_single(self):
         model = small_model(seed=13)

@@ -201,25 +201,26 @@ class TestMultiresForward:
         cfg = multires_config(1, 4, 3)
         layers = init_encoder_layers(cfg, rng)
         xs = rng.standard_normal((6, 3))
-        out, _ = multires_forward(cfg, layers, xs)
+        out, _ = multires_forward(cfg, layers, xs[:, None, :])
         direct = upsample_replicate(subsample2(run_unidirectional(layers[0].fwd, xs)), 6)
-        assert np.array_equal(out, direct)
+        assert np.array_equal(out[:, 0], direct)
 
     def test_zero_params(self):
         cfg = multires_config(3, 4, 2)
-        out, _ = multires_forward(cfg, zero_encoder_layers(cfg), np.ones((5, 2)))
-        assert np.array_equal(out, np.zeros((5, 4)))
+        out, _ = multires_forward(cfg, zero_encoder_layers(cfg), np.ones((5, 1, 2)))
+        assert np.array_equal(out, np.zeros((5, 1, 4)))
 
     def test_two_layer_scalar_hand_value(self):
         cfg = multires_config(2, 1, 1)
         l1 = scalar_cell(w_z=0.3, u_z=-0.2, b_z=0.1, w_h=1.0, u_h=0.5)
         l2 = scalar_cell(w_r=0.2, u_z=0.1, w_h=0.8, u_h=-0.3, b_h=0.1)
         xs = np.array([[0.5], [-0.5], [1.0], [-1.0]])
-        out, _ = multires_forward(cfg, [EncoderLayer(fwd=l1), EncoderLayer(fwd=l2)], xs)
+        out, _ = multires_forward(cfg, [EncoderLayer(fwd=l1), EncoderLayer(fwd=l2)],
+                                  xs[:, None, :])
         # Frozen from composing the cell/subsample/upsample oracles.
         expected = [0.22593802257581586, 0.22593802257581586,
                     0.3109909397435989, 0.3109909397435989]
-        assert np.allclose(out[:, 0], expected, atol=1e-14, rtol=0)
+        assert np.allclose(out[:, 0, 0], expected, atol=1e-14, rtol=0)
 
     def test_oracle_composition_random(self):
         # The stack must equal the explicit run/pool/replicate pipeline.
@@ -227,7 +228,8 @@ class TestMultiresForward:
         cfg = multires_config(3, 4, 2)
         layers = init_encoder_layers(cfg, rng)
         xs = rng.standard_normal((13, 2))
-        out, _ = multires_forward(cfg, layers, xs)
+        out, _ = multires_forward(cfg, layers, xs[:, None, :])
+        out = out[:, 0]
         total = np.zeros((13, 4))
         seq = xs
         for depth, layer in enumerate(layers):
@@ -239,7 +241,7 @@ class TestMultiresForward:
     def test_requires_multires_kind(self):
         cfg = EncoderConfig(kind="unidirectional", layers=1, hidden=2, input_dim=2)
         with pytest.raises(ValueError):
-            multires_forward(cfg, zero_encoder_layers(cfg), np.ones((3, 2)))
+            multires_forward(cfg, zero_encoder_layers(cfg), np.ones((3, 1, 2)))
 
 
 class TestEncoderShapes:
@@ -250,25 +252,25 @@ class TestEncoderShapes:
         cfg = EncoderConfig(kind=kind, layers=2, hidden=3, input_dim=2)
         layers = init_encoder_layers(cfg, rng)
         for t_len in (1, 2, 3, 5, 8, 13, 33, 64):
-            out, _ = encoder_forward(cfg, layers, rng.standard_normal((t_len, 2)))
-            assert out.shape == (t_len, cfg.output_dim)
+            out, _ = encoder_forward(cfg, layers, rng.standard_normal((t_len, 3, 2)))
+            assert out.shape == (t_len, 3, cfg.output_dim)
 
     def test_bidirectional_multires_option(self):
         rng = np.random.default_rng(13)
         cfg = multires_config(2, 3, 2, bidir=True)
         layers = init_encoder_layers(cfg, rng)
-        out, _ = encoder_forward(cfg, layers, rng.standard_normal((9, 2)))
-        assert out.shape == (9, 6)
+        out, _ = encoder_forward(cfg, layers, rng.standard_normal((9, 2, 2)))
+        assert out.shape == (9, 2, 6)
 
     def test_layer_count_checked(self):
         cfg = EncoderConfig(kind="unidirectional", layers=2, hidden=3, input_dim=2)
         with pytest.raises(ValueError):
-            encoder_forward(cfg, zero_encoder_layers(cfg)[:1], np.ones((3, 2)))
+            encoder_forward(cfg, zero_encoder_layers(cfg)[:1], np.ones((3, 1, 2)))
 
     def test_input_dim_checked(self):
         cfg = EncoderConfig(kind="unidirectional", layers=1, hidden=3, input_dim=2)
         with pytest.raises(ValueError):
-            encoder_forward(cfg, zero_encoder_layers(cfg), np.ones((3, 4)))
+            encoder_forward(cfg, zero_encoder_layers(cfg), np.ones((3, 1, 4)))
 
 
 class TestConfigValidation:

@@ -1,3 +1,4 @@
+import struct
 import warnings
 
 import numpy as np
@@ -118,6 +119,14 @@ class TestTrain:
         with pytest.raises(DataMismatchError):
             train(tiny_config(dim=5), trainset, devset)
 
+    @pytest.mark.parametrize("setting", [
+        {"thres0": 1.5}, {"thres0": 0.0}, {"thres1": 1.0}, {"thres1": -0.2},
+        {"thres0": float("nan")}, {"collar_s": 0.0},
+    ])
+    def test_bad_decision_settings_rejected_up_front(self, setting):
+        with pytest.raises(InputError):
+            tiny_config(**setting)
+
     def test_desk_preset_reaches_low_error(self, desk_run):
         # Pinned from the committed-seed measurement: the separable
         # desk-scale set trains to a perfect dev score by epoch 3.
@@ -193,6 +202,37 @@ class TestModelIO:
         path = tmp_path / "junk.sem"
         path.write_bytes(b"not a model at all")
         with pytest.raises(ParseError):
+            load_model(path)
+
+    def _saved_blob(self, tmp_path):
+        config = EncoderConfig(kind="unidirectional", layers=1, hidden=1,
+                               input_dim=1)
+        path = tmp_path / "m.sem"
+        save_model(path, EventModel.initialize(config, seed=2))
+        return path.read_bytes()
+
+    def test_every_truncation_rejected(self, tmp_path):
+        blob = self._saved_blob(tmp_path)
+        for end in range(len(blob)):
+            # A new file per cut: rewriting one file in place flushes it
+            # on some file systems, which makes the loop slow.
+            cut = tmp_path / f"cut{end}.sem"
+            cut.write_bytes(blob[:end])
+            with pytest.raises(ParseError):
+                load_model(cut)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "long.sem"
+        path.write_bytes(self._saved_blob(tmp_path) + b"\0")
+        with pytest.raises(ParseError, match="trailing"):
+            load_model(path)
+
+    def test_non_object_header_rejected(self, tmp_path):
+        header = b"[1, 2]"
+        path = tmp_path / "list.sem"
+        path.write_bytes(b"RSEM" + struct.pack("<II", 1, len(header)) + header
+                         + struct.pack("<Q", 0))
+        with pytest.raises(ParseError, match="JSON object"):
             load_model(path)
 
 
