@@ -251,14 +251,25 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    started = time.monotonic()
-    cfg = load_config(args.config)
-    out = _ensure_out_dir(args.out)
+def _load_train_dev(args) -> tuple[list, list]:
+    """Train and dev sets, rejected before training when they cannot be
+    scored: an empty train set, or a dev set with no positive utterance
+    (its error rate is undefined)."""
     trainset = load_dataset(args.train_data)
     devset = load_dataset(args.dev_data)
     if not trainset:
         raise InputError(f"{args.train_data} holds no utterances")
+    if not any(utt.y == 1 for utt in devset):
+        raise InputError(f"{args.dev_data} holds no positive utterances; "
+                         f"the dev error rate is undefined without them")
+    return trainset, devset
+
+
+def cmd_train(args) -> int:
+    started = time.monotonic()
+    cfg = load_config(args.config)
+    out = _ensure_out_dir(args.out)
+    trainset, devset = _load_train_dev(args)
     tc = _train_config(cfg, trainset[0].dim, args)
 
     report = train(tc, trainset, devset)
@@ -288,6 +299,11 @@ def cmd_train(args) -> int:
 def cmd_infer(args) -> int:
     started = time.monotonic()
     out = _ensure_out_dir(args.out)
+    for name in ("thres0", "thres1"):
+        value = getattr(args, name)
+        if value is not None and not 0.0 < value < 1.0:
+            raise InputError(f"--{name} must lie strictly inside (0, 1), "
+                             f"got {value!r}")
     model, header = load_model(args.model)
     dataset = load_dataset(args.data)
     thres0 = args.thres0 if args.thres0 is not None else \
@@ -302,11 +318,9 @@ def cmd_infer(args) -> int:
                 f"utterance {utt.id} has {utt.dim}-dim features, model "
                 f"expects {model.config.input_dim}"
             )
-    detections = {
-        utt.id: detection_to_annotation(
-            infer(model, utt.features, thres0, thres1), frame_shift)
-        for utt in dataset
-    }
+    found = infer(model, [utt.features for utt in dataset], thres0, thres1)
+    detections = {utt.id: detection_to_annotation(det, frame_shift)
+                  for utt, det in zip(dataset, found)}
     det_path = os.path.join(out, "detections.tsv")
     _write_text_atomic(det_path, format_annotations(detections))
     manifest = _write_manifest(
@@ -352,10 +366,7 @@ def cmd_sweep(args) -> int:
     started = time.monotonic()
     cfg = load_config(args.config)
     out = _ensure_out_dir(args.out)
-    trainset = load_dataset(args.train_data)
-    devset = load_dataset(args.dev_data)
-    if not trainset:
-        raise InputError(f"{args.train_data} holds no utterances")
+    trainset, devset = _load_train_dev(args)
     tc = _train_config(cfg, trainset[0].dim, args)
     if args.alpha_grid is not None:
         try:

@@ -19,10 +19,11 @@ Cell convention (fixed here for reproducibility):
 
 Sequences run time-major in batches: the encoder takes (T, B, d) arrays
 of B equal-length sequences and runs one recurrence per layer and
-direction over a (B, H) state. Forward passes cache every activation
-needed for exact backpropagation through time; the backward functions
-return parameter gradients in the same shapes as the parameters, summed
-over the batch.
+direction over a (B, H) state. ``encoder_forward`` caches every
+activation needed for exact backpropagation through time; the backward
+functions return parameter gradients in the same shapes as the
+parameters, summed over the batch. ``encode`` is the forward-only pass
+used for inference: same outputs, no trace.
 """
 
 from __future__ import annotations
@@ -216,39 +217,77 @@ class GruRunTrace:
     gates: np.ndarray   # (T, B, 3H): update gate, reset gate, candidate
 
 
-def _gru_forward(params: GruLayerParams, xs: np.ndarray) -> GruRunTrace:
-    """Run the cell over a (T, B, D_in) batch of equal-length float64
-    sequences, each from a zero initial state.
-
-    The input projections of every step and sequence are one matmul;
-    each step then does one (B, 2H) gate product and one (B, H)
-    candidate product. The stable sigmoid of numerics.sigmoid is inlined
-    as where(a >= 0, 1, e) / (1 + e) with e = exp(-|a|).
-    """
-    t_len, batch, d_in = xs.shape
-    h_dim = params.hidden
-    w_all = np.concatenate([params.w_z, params.w_r, params.w_h])  # (3H, D_in)
+def _gate_maps(params: GruLayerParams):
+    """Stacked maps of a cell: W (3H, D_in) and b (3H,) in gate order
+    (update, reset, candidate), U_zr^T (H, 2H) and U_h^T (H, H)."""
+    w_all = np.concatenate([params.w_z, params.w_r, params.w_h])
     b_all = np.concatenate([params.b_z, params.b_r, params.b_h])
-    # Input projections of the gates; step t overwrites its row with the
-    # gate activations, which the trace keeps.
-    gates = (xs.reshape(t_len * batch, d_in) @ w_all.T + b_all).reshape(
-        t_len, batch, 3 * h_dim)
-    u_zr_t = np.concatenate([params.u_z, params.u_r]).T  # (H, 2H)
-    u_h_t = params.u_h.T
+    u_zr_t = np.concatenate([params.u_z, params.u_r]).T
+    return w_all, b_all, u_zr_t, params.u_h.T
 
-    hs = np.empty((t_len, batch, h_dim))
+
+def _gru_steps(gates: np.ndarray, h: np.ndarray, u_zr_t: np.ndarray,
+               u_h_t: np.ndarray, hs: np.ndarray) -> np.ndarray:
+    """Step the cell through ``gates`` (T, B, 3H), which holds the input
+    projections plus biases, from the (B, H) state ``h``.
+
+    Step t overwrites its row of ``gates`` with the gate activations and
+    writes its state to ``hs[t]``; returns the last state. Each step does
+    one (B, 2H) gate product and one (B, H) candidate product. The stable
+    sigmoid of numerics.sigmoid is inlined as
+    where(a >= 0, 1, e) / (1 + e) with e = exp(-|a|).
+    """
+    h_dim = u_h_t.shape[0]
     # Per-step views, sliced once.
     zr, zs = gates[:, :, :2 * h_dim], gates[:, :, :h_dim]
     rs, cs = gates[:, :, h_dim:2 * h_dim], gates[:, :, 2 * h_dim:]
-    h = np.zeros((batch, h_dim))
-    for t in range(t_len):
+    for t in range(gates.shape[0]):
         a = zr[t] + h @ u_zr_t
         e = np.exp(-np.abs(a))
         np.divide(np.where(a >= 0.0, 1.0, e), 1.0 + e, out=zr[t])
         z = zs[t]
         c = np.tanh(cs[t] + (rs[t] * h) @ u_h_t, out=cs[t])
         h = np.add((1.0 - z) * h, z * c, out=hs[t])
+    return h
+
+
+def _gru_forward(params: GruLayerParams, xs: np.ndarray) -> GruRunTrace:
+    """Run the cell over a (T, B, D_in) batch of equal-length float64
+    sequences, each from a zero initial state, keeping the trace.
+
+    The input projections of every step and sequence are one matmul; the
+    gate activations overwrite them in place.
+    """
+    t_len, batch, d_in = xs.shape
+    w_all, b_all, u_zr_t, u_h_t = _gate_maps(params)
+    gates = (xs.reshape(t_len * batch, d_in) @ w_all.T + b_all).reshape(
+        t_len, batch, -1)
+    hs = np.empty((t_len, batch, params.hidden))
+    _gru_steps(gates, np.zeros((batch, params.hidden)), u_zr_t, u_h_t, hs)
     return GruRunTrace(inputs=xs, hs=hs, gates=gates)
+
+
+# Time steps whose input projections the forward-only pass computes at
+# once, so it never holds a whole-sequence (T, B, 3H) buffer.
+PROJECTION_BLOCK = 16
+
+
+def _gru_run_into(params: GruLayerParams, xs: np.ndarray,
+                  out: np.ndarray) -> None:
+    """Forward-only run over a (T, B, D_in) batch from a zero state,
+    writing the hidden states into ``out`` (T, B, H), which may be a
+    strided view. Keeps no trace."""
+    t_len, batch, d_in = xs.shape
+    w_all, b_all, u_zr_t, u_h_t = _gate_maps(params)
+    h = np.zeros((batch, params.hidden))
+    buffer = np.empty((min(t_len, PROJECTION_BLOCK) * batch, w_all.shape[0]))
+    for t0 in range(0, t_len, PROJECTION_BLOCK):
+        block = xs[t0:t0 + PROJECTION_BLOCK]
+        gates = np.matmul(block.reshape(-1, d_in), w_all.T,
+                          out=buffer[:block.shape[0] * batch])
+        gates += b_all
+        h = _gru_steps(gates.reshape(block.shape[0], batch, -1), h, u_zr_t,
+                       u_h_t, out[t0:t0 + PROJECTION_BLOCK])
 
 
 def _gru_bptt(params: GruLayerParams, trace: GruRunTrace, d_out: np.ndarray,
@@ -368,9 +407,18 @@ def _subsample2_backward(d_out: np.ndarray, t_len: int) -> np.ndarray:
     return d_in
 
 
-def _upsample_k(seq: np.ndarray, target_t: int, k: int) -> np.ndarray:
-    idx = np.arange(target_t) // (2 ** k)
-    return seq[idx]
+def _add_upsampled(total: np.ndarray, seq: np.ndarray, k: int) -> None:
+    """total += seq with each frame of seq replicated over the 2^k frames
+    of total it summarizes, in place and without a full-length copy.
+
+    ``total`` must be C-contiguous: the spans are a reshaped view of it.
+    """
+    span = 2 ** k
+    whole = total.shape[0] // span
+    spans = total[:whole * span].reshape((whole, span) + total.shape[1:])
+    spans += seq[:whole, None]
+    if total.shape[0] % span:
+        total[whole * span:] += seq[whole]
 
 
 def _upsample_k_backward(d_out: np.ndarray, source_t: int, k: int) -> np.ndarray:
@@ -396,7 +444,9 @@ def upsample_replicate(seq: np.ndarray, target_t: int) -> np.ndarray:
             f"cannot upsample {m} frames to {target_t}: no whole number of "
             f"halvings connects the lengths"
         )
-    return _upsample_k(seq, target_t, k)
+    out = np.zeros((target_t,) + seq.shape[1:])
+    _add_upsampled(out, seq, k)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -440,11 +490,8 @@ def _layer_backward(layer: EncoderLayer, trace: LayerTrace, d_out: np.ndarray,
     return EncoderLayer(fwd=gf, bwd=gb), dxf
 
 
-def encoder_forward(config: EncoderConfig, layers: list[EncoderLayer],
-                    xs: np.ndarray) -> tuple[np.ndarray, EncoderTrace]:
-    """Encode a time-major (T, B, d) batch of equal-length sequences into
-    (T, B, output_dim) frame features with one recurrence per layer and
-    direction."""
+def _check_batch(config: EncoderConfig, layers: list[EncoderLayer],
+                 xs: np.ndarray) -> np.ndarray:
     xs = as_f64(xs)
     if len(layers) != config.layers:
         raise ValueError(f"expected {config.layers} layers, got {len(layers)}")
@@ -452,10 +499,18 @@ def encoder_forward(config: EncoderConfig, layers: list[EncoderLayer],
         raise ValueError(
             f"input has shape {xs.shape}, encoder expects (T, B, {config.input_dim})"
         )
-    t_len = xs.shape[0]
-    if t_len < 1 or xs.shape[1] < 1:
+    if xs.shape[0] < 1 or xs.shape[1] < 1:
         raise ValueError("need at least one frame and one sequence")
-    trace = EncoderTrace(input_length=t_len)
+    return xs
+
+
+def encoder_forward(config: EncoderConfig, layers: list[EncoderLayer],
+                    xs: np.ndarray) -> tuple[np.ndarray, EncoderTrace]:
+    """Encode a time-major (T, B, d) batch of equal-length sequences into
+    (T, B, output_dim) frame features with one recurrence per layer and
+    direction, keeping the trace that encoder_backward needs."""
+    xs = _check_batch(config, layers, xs)
+    trace = EncoderTrace(input_length=xs.shape[0])
 
     if config.kind == "multiresolution":
         return _multires_forward(config, layers, xs, trace)
@@ -465,6 +520,35 @@ def encoder_forward(config: EncoderConfig, layers: list[EncoderLayer],
         ltr, seq = _run_layer(layer, seq)
         trace.layer_traces.append(ltr)
     return seq, trace
+
+
+def encode(config: EncoderConfig, layers: list[EncoderLayer],
+           xs: np.ndarray) -> np.ndarray:
+    """Forward-only encoder_forward: the same (T, B, output_dim) features
+    of a (T, B, d) batch, with no trace.
+
+    Each directional run writes its states straight into its half of the
+    layer output (the backward run through a time-reversed view), and
+    each layer's input is dropped once its output is built.
+    """
+    xs = _check_batch(config, layers, xs)
+    t_len, batch = xs.shape[:2]
+    h_dim = config.hidden
+    total = None
+    seq = xs
+    for depth, layer in enumerate(layers):
+        out = np.empty((seq.shape[0], batch, config.output_dim))
+        _gru_run_into(layer.fwd, seq, out[:, :, :h_dim])
+        if layer.bwd is not None:
+            _gru_run_into(layer.bwd, seq[::-1], out[::-1, :, h_dim:])
+        if config.kind == "multiresolution":
+            out = subsample2(out)
+            if total is None:  # not before the first full-length output is freed
+                total = np.zeros((t_len, batch, config.output_dim))
+            # Layer at this depth has been pooled depth+1 times in total.
+            _add_upsampled(total, out, depth + 1)
+        seq = out
+    return seq if total is None else total
 
 
 def multires_forward(config: EncoderConfig, layers: list[EncoderLayer],
@@ -487,7 +571,7 @@ def _multires_forward(config: EncoderConfig, layers: list[EncoderLayer],
         sub = subsample2(out)
         trace.sub_outputs.append(sub)
         # Layer at this depth has been pooled depth+1 times in total.
-        total += _upsample_k(sub, t_len, depth + 1)
+        _add_upsampled(total, sub, depth + 1)
         seq = sub
     return total, trace
 

@@ -108,8 +108,9 @@ def evaluate_model(model: EventModel, dataset: Sequence[Utterance],
                    frame_shift_s: float = DEFAULT_FRAME_SHIFT_S,
                    collar_s: float = DEFAULT_COLLAR_S) -> tuple[float, float, MetricCounts]:
     """Run inference over a dataset and score against its own labels."""
-    detections = {utt.id: infer(model, utt.features, thres0, thres1)
-                  for utt in dataset}
+    detections = dict(zip((utt.id for utt in dataset),
+                          infer(model, [utt.features for utt in dataset],
+                                thres0, thres1)))
     refs = reference_annotations(dataset, frame_shift_s)
     return evaluate_dataset(refs, detections, frame_shift_s, collar_s)
 
@@ -124,6 +125,9 @@ def train(config: TrainConfig, trainset: Sequence[Utterance],
     """
     if not trainset or not devset:
         raise InputError("train and dev sets must be nonempty")
+    if not any(utt.y == 1 for utt in devset):
+        raise InputError("dev set holds no positive utterances, so its error "
+                         "rate is undefined")
     _check_dims(config.encoder, trainset, "train")
     _check_dims(config.encoder, devset, "dev")
 
@@ -267,7 +271,11 @@ def load_model(path) -> tuple[EventModel, dict]:
         config = EncoderConfig(kind=enc["kind"], layers=enc["layers"],
                                hidden=enc["hidden"], input_dim=enc["input_dim"],
                                multires_bidirectional=enc["multires_bidirectional"])
-    except (KeyError, TypeError, ValueError) as exc:
+        # Inference falls back on the saved thresholds.
+        for name in ("thres0", "thres1"):
+            if not 0.0 < header.get("train", {}).get(name, 0.5) < 1.0:
+                raise ValueError(f"{name} must lie strictly inside (0, 1)")
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: bad model header: {exc}")
     (count,) = struct.unpack_from("<Q", blob, pos)
     raw = blob[pos + 8:]
@@ -303,7 +311,3 @@ def format_report(report: TrainReport) -> str:
                      f"\t{stats.dev_f1!r}\t{best}")
     return "\n".join(lines) + "\n"
 
-
-def write_report(path, report: TrainReport) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_report(report))

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
+import raresed
 from raresed.cli import main
 from raresed.data import SynthConfig, load_dataset, save_dataset, synth_dataset
 from raresed.detector import EventModel
@@ -145,6 +151,19 @@ class TestTrainCommand:
                      "--out", str(tmp_path / "run")])
         assert code == 3
 
+    def test_dev_without_positives_exits_2_before_training(self, tmp_path, capsys):
+        config, data = synth_tiny(tmp_path)
+        negatives = [u for u in load_dataset(data / "dev.sed") if u.y == 0]
+        assert negatives
+        save_dataset(tmp_path / "neg.sed", negatives)
+        out = tmp_path / "run"
+        code = main(["train", "--config", config,
+                     "--train-data", str(data / "train.sed"),
+                     "--dev-data", str(tmp_path / "neg.sed"), "--out", str(out)])
+        assert code == 2
+        assert "neg.sed" in capsys.readouterr().err
+        assert not (out / "model.sem").exists()
+
     def test_missing_dataset_exits_2(self, tmp_path):
         config = write_config(tmp_path, TINY)
         code = main(["train", "--config", config,
@@ -201,6 +220,19 @@ class TestInferCommand:
         assert main(["infer", "--model", str(tmp_path / "absent.sem"),
                      "--data", str(data / "dev.sed"),
                      "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("flag", ["--thres0", "--thres1"])
+    @pytest.mark.parametrize("value", ["1.5", "0", "-0.1"])
+    def test_threshold_outside_unit_interval_exits_2(self, tmp_path, capsys,
+                                                     flag, value):
+        _, data = synth_tiny(tmp_path)
+        model = self.model_path(tmp_path)
+        out = tmp_path / "inf"
+        assert main(["infer", "--model", str(model),
+                     "--data", str(data / "dev.sed"), "--out", str(out),
+                     flag, value]) == 2
+        assert flag in capsys.readouterr().err
+        assert not (out / "detections.tsv").exists()
 
     def test_dim_mismatch_exits_3(self, tmp_path):
         model = self.model_path(tmp_path)
@@ -337,3 +369,14 @@ class TestPresets:
 
     def test_usage_error_exit_code(self):
         assert main(["synth"]) == 2  # missing --out
+
+
+def test_module_entry_point_runs_the_cli():
+    src = str(Path(raresed.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-m", "raresed", "--help"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "usage: raresed" in done.stdout

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from fdcheck import assert_gradients_match, random_utterance
+import raresed.detector as detector_module
 from raresed.data import Utterance
 from raresed.detector import (
+    INFER_FRAMES,
     Detection,
     EventModel,
     ForwardTrace,
@@ -18,6 +20,7 @@ from raresed.detector import (
     frame_posteriors,
     frame_window,
     gradients,
+    _longest_true_run,
     infer,
     total_loss,
     utterance_loss,
@@ -364,13 +367,104 @@ class TestDecision:
         for seed in range(30):
             model = small_model(seed=seed + 200)
             X = rng.standard_normal((4, int(rng.integers(1, 15))))
-            low = infer(model, X, thres0=0.2)
-            high = infer(model, X, thres0=0.8)
+            low = infer(model, [X], thres0=0.2)[0]
+            high = infer(model, [X], thres0=0.8)[0]
             if high.present:
                 assert low.present
 
     def test_infer_at_half_with_zero_classifier(self):
         model = small_model(seed=16)
         model.w = np.zeros(3)
-        det = infer(model, np.ones((4, 6)))  # p = 0.5 <= thres0
+        det = infer(model, [np.ones((4, 6))])[0]  # p = 0.5 <= thres0
         assert not det.present
+
+
+def longest_true_run_loop(mask):
+    """Reference scan for _longest_true_run: (start, end) 0-based
+    inclusive of the longest run of True; earliest wins ties."""
+    best = None
+    best_len = 0
+    start = None
+    for i, flag in enumerate(mask):
+        if flag and start is None:
+            start = i
+        elif not flag and start is not None:
+            if i - start > best_len:
+                best, best_len = (start, i - 1), i - start
+            start = None
+    if start is not None and mask.shape[0] - start > best_len:
+        best = (start, mask.shape[0] - 1)
+    return best
+
+
+class TestLongestTrueRun:
+    def test_matches_loop_on_random_masks(self):
+        rng = np.random.default_rng(40)
+        for _ in range(500):
+            n = int(rng.integers(1, 60))
+            mask = rng.random(n) < rng.random()
+            assert _longest_true_run(mask) == longest_true_run_loop(mask)
+
+    @pytest.mark.parametrize("mask,want", [
+        ([False] * 5, None),
+        ([True] * 5, (0, 4)),
+        ([True], (0, 0)),
+        ([True, True, False, True, True], (0, 1)),       # tie: earliest
+        ([False, True, False, True, True], (3, 4)),      # touches last frame
+        ([True, False, False, True, True, True], (3, 5)),
+    ])
+    def test_edge_cases(self, mask, want):
+        mask = np.array(mask)
+        assert longest_true_run_loop(mask) == want
+        assert _longest_true_run(mask) == want
+
+
+@pytest.fixture
+def encode_slices(monkeypatch):
+    """(T, B) of every batch infer hands to the encoder."""
+    slices = []
+    encode = detector_module.encode
+
+    def spy(config, layers, xs):
+        slices.append(xs.shape[:2])
+        return encode(config, layers, xs)
+
+    monkeypatch.setattr(detector_module, "encode", spy)
+    return slices
+
+
+class TestBatchedInfer:
+    @staticmethod
+    def traced(model, x):
+        trace = forward(model, x)
+        return decide_detection(trace.utterance_posterior,
+                                trace.frame_posteriors)
+
+    def test_mixed_lengths_in_input_order(self, monkeypatch, encode_slices):
+        model = small_model(kind="bidirectional", layers=2, seed=41)
+        rng = np.random.default_rng(41)
+        # Twelve 11-frame clips (slices of 60 // 11 = 5) interleaved with
+        # three 70-frame clips, each longer than the frame budget.
+        lengths = [11, 70, 11, 11, 11, 11, 70, 11, 11, 11, 11, 11, 11, 11, 70]
+        clips = [3.0 * rng.standard_normal((4, t)) for t in lengths]
+        monkeypatch.setattr(detector_module, "INFER_FRAMES", 60)
+        got = infer(model, clips)
+        assert encode_slices == [(11, 5), (11, 5), (11, 2), (70, 1), (70, 1), (70, 1)]
+        single = [infer(model, [x])[0] for x in clips]
+        assert got == single
+        assert got == [self.traced(model, x) for x in clips]
+        assert any(d.present for d in got) and not all(d.present for d in got)
+
+    def test_clip_longer_than_budget_runs_alone(self, encode_slices):
+        model = small_model(seed=42)
+        x = np.random.default_rng(42).standard_normal((4, INFER_FRAMES + 1))
+        assert infer(model, [x]) == [self.traced(model, x)]
+        assert encode_slices == [(INFER_FRAMES + 1, 1)]
+
+    def test_empty_and_bad_shapes(self):
+        model = small_model(seed=43)
+        assert infer(model, []) == []
+        with pytest.raises(ValueError):
+            infer(model, [np.ones((5, 3))])
+        with pytest.raises(ValueError):
+            infer(model, [np.ones((4, 0))])

@@ -7,6 +7,7 @@ from raresed.recurrent import (
     EncoderConfig,
     EncoderLayer,
     GruLayerParams,
+    encode,
     encoder_forward,
     gru_cell_step,
     init_encoder_layers,
@@ -271,6 +272,35 @@ class TestEncoderShapes:
         cfg = EncoderConfig(kind="unidirectional", layers=1, hidden=3, input_dim=2)
         with pytest.raises(ValueError):
             encoder_forward(cfg, zero_encoder_layers(cfg), np.ones((3, 1, 4)))
+
+
+class TestEncode:
+    """The forward-only pass against the traced one."""
+
+    @pytest.mark.parametrize("kind,bidir", [("unidirectional", False),
+                                            ("bidirectional", False),
+                                            ("multiresolution", False),
+                                            ("multiresolution", True)])
+    def test_matches_encoder_forward(self, kind, bidir):
+        rng = np.random.default_rng(21)
+        cfg = EncoderConfig(kind=kind, layers=2, hidden=4, input_dim=3,
+                            multires_bidirectional=bidir)
+        layers = init_encoder_layers(cfg, rng)
+        # Odd lengths give the pooling a trailing frame; 131 spans three
+        # projection blocks.
+        for t_len in (1, 7, 13, 131):
+            xs = rng.standard_normal((t_len, 3, 3))
+            want, _ = encoder_forward(cfg, layers, xs)
+            got = encode(cfg, layers, xs)
+            assert got.shape == (t_len, 3, cfg.output_dim)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_checks_like_encoder_forward(self):
+        cfg = EncoderConfig(kind="unidirectional", layers=2, hidden=3, input_dim=2)
+        with pytest.raises(ValueError):
+            encode(cfg, zero_encoder_layers(cfg)[:1], np.ones((3, 1, 2)))
+        with pytest.raises(ValueError):
+            encode(cfg, zero_encoder_layers(cfg), np.ones((3, 1, 4)))
 
 
 class TestConfigValidation:

@@ -1,3 +1,4 @@
+import json
 import struct
 import warnings
 
@@ -5,9 +6,10 @@ import numpy as np
 import pytest
 
 from conftest import parse_report
-from raresed.data import SynthConfig, Utterance, synth_dataset
-from raresed.detector import EventModel
+from raresed.data import SynthConfig, Utterance, load_dataset, synth_dataset
+from raresed.detector import EventModel, decide_detection, forward
 from raresed.errors import DataMismatchError, InputError, ParseError
+from raresed.metrics import evaluate_dataset
 from raresed.recurrent import EncoderConfig
 from raresed.train import (
     TrainConfig,
@@ -113,6 +115,12 @@ class TestTrain:
             train(tiny_config(), [], devset)
         with pytest.raises(InputError):
             train(tiny_config(), trainset, [])
+
+    def test_dev_set_without_positives_rejected(self):
+        trainset, devset = tiny_sets()
+        negatives = [u for u in devset if u.y == 0]
+        with pytest.raises(InputError, match="no positive"):
+            train(tiny_config(), trainset, negatives)
 
     def test_dimension_mismatch_rejected(self):
         trainset, devset = tiny_sets(dim=6)
@@ -236,6 +244,25 @@ class TestModelIO:
             load_model(path)
 
 
+    @pytest.mark.parametrize("name,value", [("thres0", 1.5), ("thres1", 0.0)])
+    def test_saved_threshold_outside_unit_interval_rejected(self, tmp_path,
+                                                            name, value):
+        encoder = EncoderConfig(kind="unidirectional", layers=1, hidden=1,
+                                input_dim=1)
+        path = tmp_path / "m.sem"
+        save_model(path, EventModel.initialize(encoder, seed=2),
+                   TrainConfig(encoder=encoder))
+        blob = path.read_bytes()
+        (size,) = struct.unpack_from("<I", blob, 8)
+        header = json.loads(blob[12:12 + size])
+        header["train"][name] = value
+        text = json.dumps(header).encode()
+        path.write_bytes(blob[:8] + struct.pack("<I", len(text)) + text
+                         + blob[12 + size:])
+        with pytest.raises(ParseError, match=name):
+            load_model(path)
+
+
 class TestReporting:
     def test_report_format(self):
         trainset, devset = tiny_sets(count=10, dev=5)
@@ -260,3 +287,20 @@ class TestReporting:
         er, f1, counts = evaluate_model(model, devset, 0.5, 0.5)
         assert counts.n_ref == sum(u.y for u in devset)
         assert er >= 0.0 and 0.0 <= f1 <= 100.0
+
+    def test_evaluate_model_on_desk_matches_per_clip_scoring(self, desk_data,
+                                                             desk_run):
+        # The batched pass scores the desk dev set exactly as a traced
+        # forward pass per clip does, and as training scored its best epoch.
+        model, _ = load_model(desk_run["model"])
+        devset = load_dataset(desk_data["dev"])
+        er, f1, counts = evaluate_model(model, devset, 0.5, 0.5)
+        per_clip = {}
+        for utt in devset:
+            trace = forward(model, utt.features)
+            per_clip[utt.id] = decide_detection(trace.utterance_posterior,
+                                                trace.frame_posteriors)
+        want = evaluate_dataset(reference_annotations(devset), per_clip)
+        assert (er, f1, counts) == want
+        best = next(r for r in parse_report(desk_run["report"]) if r["best"] == "1")
+        assert (er, f1) == (float(best["dev_er"]), float(best["dev_f1"]))
