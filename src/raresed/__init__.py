@@ -8,7 +8,7 @@ from .detector import Detection, EventModel, ForwardTrace, infer, total_loss
 from .metrics import EventAnnotation, MetricCounts, error_rate, evaluate_dataset, f1_score
 from .numerics import AdamState, adam_step, sigmoid
 from .recurrent import EncoderConfig, GruLayerParams
-from .train import TrainConfig, TrainReport, alpha_sweep, train
+from .train import TrainConfig, TrainReport, alpha_sweep
 
 __all__ = [
     "AdamState",
@@ -35,5 +35,4 @@ __all__ = [
     "save_dataset",
     "sigmoid",
     "total_loss",
-    "train",
 ]

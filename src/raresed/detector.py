@@ -25,16 +25,16 @@ from typing import Iterable, Optional, Sequence, TYPE_CHECKING
 
 import numpy as np
 
-from .numerics import as_f64, flatten_arrays, sigmoid
+from .numerics import as_f64, sigmoid
 from .recurrent import (
     EncoderConfig,
     EncoderLayer,
     EncoderTrace,
-    GruLayerParams,
     encode,
     encoder_backward,
     encoder_forward,
     init_encoder_layers,
+    layer_views,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -74,54 +74,32 @@ class EventModel:
         w = rng.uniform(-s, s, size=config.output_dim)
         return cls(config=config, layers=layers, w=w)
 
-    def _param_arrays(self) -> list[np.ndarray]:
-        out: list[np.ndarray] = []
-        for layer in self.layers:
-            out.extend(layer.fwd.arrays())
-            if layer.bwd is not None:
-                out.extend(layer.bwd.arrays())
-        out.append(self.w)
-        return out
-
     def flatten(self) -> np.ndarray:
         """All parameters as one vector: layers in order (forward cell
-        before backward), fields in GruLayerParams.field_order(), w last."""
-        return flatten_arrays(self._param_arrays())
+        before backward), W, U, b of each cell row-major, w last."""
+        return np.concatenate([a.ravel() for layer in self.layers
+                               for cell in (layer.fwd, layer.bwd) if cell is not None
+                               for a in cell.arrays()] + [self.w])
 
     @property
     def param_count(self) -> int:
-        return sum(a.size for a in self._param_arrays())
+        return self.config.param_count + self.config.output_dim
 
     def with_flat(self, vec: np.ndarray) -> "EventModel":
-        """New model with parameters taken from a flat vector (lossless)."""
-        vec = as_f64(vec)
-        if vec.shape != (self.param_count,):
+        """New model with parameters taken from a flat vector (lossless).
+
+        The vector is copied once; the new model's arrays are views of
+        that copy, so later changes to ``vec`` do not reach the model.
+        """
+        vec = np.array(vec, dtype=np.float64)
+        n = self.config.param_count
+        if vec.shape != (n + self.w.size,):
             raise ValueError(
                 f"parameter vector has {vec.size} entries, model has "
-                f"{self.param_count}"
+                f"{n + self.w.size}"
             )
-        pos = 0
-
-        def take(shape: tuple[int, ...]) -> np.ndarray:
-            nonlocal pos
-            size = int(np.prod(shape, dtype=np.int64))
-            out = vec[pos:pos + size].reshape(shape).copy()
-            pos += size
-            return out
-
-        layers = []
-        for layer in self.layers:
-            cells = []
-            for cell in (layer.fwd, layer.bwd):
-                if cell is None:
-                    cells.append(None)
-                    continue
-                cells.append(GruLayerParams(
-                    *[take(getattr(cell, name).shape)
-                      for name in GruLayerParams.field_order()]))
-            layers.append(EncoderLayer(fwd=cells[0], bwd=cells[1]))
-        w = take(self.w.shape)
-        return EventModel(config=self.config, layers=layers, w=w)
+        return EventModel(config=self.config,
+                          layers=layer_views(self.config, vec[:n]), w=vec[n:])
 
 
 @dataclass
@@ -372,19 +350,14 @@ def batch_loss_and_gradients(model: EventModel, batch: Sequence["Utterance"],
     forward and one BPTT; group gradients are added in group order.
     """
     total = 0.0
-    grad = np.zeros(model.param_count)
+    n_enc = model.config.param_count
+    grad = np.zeros(n_enc + model.w.size)
     for group in _utterance_groups(batch):
         loss, enc_trace, d_hs, grad_w = _group_heads(model, group, alpha, margin,
                                                      need_grad=True)
         total += loss
-        layer_grads = encoder_backward(model.config, model.layers, enc_trace, d_hs)
-        arrays: list[np.ndarray] = []
-        for g in layer_grads:
-            arrays.extend(g.fwd.arrays())
-            if g.bwd is not None:
-                arrays.extend(g.bwd.arrays())
-        arrays.append(grad_w)
-        grad += flatten_arrays(arrays)
+        grad[:n_enc] += encoder_backward(model.config, model.layers, enc_trace, d_hs)
+        grad[n_enc:] += grad_w
     n = len(batch)
     return total / n, grad / n
 

@@ -1,5 +1,5 @@
-"""Dense numeric primitives: stable elementwise functions, affine maps,
-parameter flattening, and the ADAM optimizer.
+"""Dense numeric primitives: the stable logistic function and the ADAM
+optimizer.
 
 Everything runs in 64-bit floats. That is a hard requirement: the
 finite-difference gradient checks in the test suite compare against
@@ -12,7 +12,6 @@ All functions are pure: optimizer state is returned, never mutated.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -33,20 +32,6 @@ def sigmoid(z):
     e = np.exp(-np.abs(z))
     out = np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
     return float(out) if out.ndim == 0 else out
-
-
-def affine(w: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """w @ x + b with explicit conformance checks."""
-    w = as_f64(w)
-    x = as_f64(x)
-    b = as_f64(b)
-    if w.ndim != 2 or x.ndim != 1 or b.ndim != 1:
-        raise ValueError("affine expects a matrix, a vector, and a bias vector")
-    if w.shape[1] != x.shape[0] or w.shape[0] != b.shape[0]:
-        raise ValueError(
-            f"affine dimension mismatch: w {w.shape}, x {x.shape}, b {b.shape}"
-        )
-    return w @ x + b
 
 
 @dataclass(frozen=True)
@@ -92,31 +77,3 @@ def adam_step(params: np.ndarray, grads: np.ndarray,
     v_hat = v / (1.0 - state.beta2 ** t)
     new_params = params - state.stepsize * m_hat / (np.sqrt(v_hat) + state.eps)
     return new_params, replace(state, m=m, v=v, t=t)
-
-
-def flatten_arrays(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """Concatenate arrays into one flat f64 vector (row-major order)."""
-    if not arrays:
-        return np.zeros(0)
-    return np.concatenate([as_f64(a).ravel() for a in arrays])
-
-
-def unflatten_arrays(vec: np.ndarray,
-                     shapes: Sequence[tuple[int, ...]]) -> list[np.ndarray]:
-    """Inverse of flatten_arrays given the original shapes.
-
-    The round trip is lossless: exact equality, no value changes.
-    """
-    vec = as_f64(vec)
-    sizes = [int(np.prod(s, dtype=np.int64)) for s in shapes]
-    if vec.size != sum(sizes):
-        raise ValueError(
-            f"unflatten_arrays: vector of size {vec.size} cannot fill "
-            f"shapes totalling {sum(sizes)}"
-        )
-    out = []
-    pos = 0
-    for shape, size in zip(shapes, sizes):
-        out.append(vec[pos:pos + size].reshape(shape).copy())
-        pos += size
-    return out

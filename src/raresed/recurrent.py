@@ -20,10 +20,11 @@ Cell convention (fixed here for reproducibility):
 Sequences run time-major in batches: the encoder takes (T, B, d) arrays
 of B equal-length sequences and runs one recurrence per layer and
 direction over a (B, H) state. ``encoder_forward`` caches every
-activation needed for exact backpropagation through time; the backward
-functions return parameter gradients in the same shapes as the
-parameters, summed over the batch. ``encode`` is the forward-only pass
-used for inference: same outputs, no trace.
+activation needed for exact backpropagation through time;
+``encoder_backward`` returns the parameter gradients, summed over the
+batch, as one flat vector laid out like the parameters (see
+``layer_views``). ``encode`` is the forward-only pass used for
+inference: same outputs, no trace.
 """
 
 from __future__ import annotations
@@ -40,82 +41,42 @@ ENCODER_KINDS = ("unidirectional", "bidirectional", "multiresolution")
 
 @dataclass
 class GruLayerParams:
-    """One GRU direction: three input maps, three recurrent maps, biases."""
+    """One GRU direction. The rows of each map are stacked in gate order
+    (update, reset, candidate): W (3H, D_in), U (3H, H) and b (3H,)."""
 
-    w_z: np.ndarray  # (H, D_in)
-    w_r: np.ndarray
-    w_h: np.ndarray
-    u_z: np.ndarray  # (H, H)
-    u_r: np.ndarray
-    u_h: np.ndarray
-    b_z: np.ndarray  # (H,)
-    b_r: np.ndarray
-    b_h: np.ndarray
+    W: np.ndarray
+    U: np.ndarray
+    b: np.ndarray
 
     @property
     def hidden(self) -> int:
-        return self.w_z.shape[0]
+        return self.U.shape[1]
 
     @property
     def input_dim(self) -> int:
-        return self.w_z.shape[1]
-
-    def validate(self) -> None:
-        h, d = self.w_z.shape
-        for name in ("w_z", "w_r", "w_h"):
-            a = getattr(self, name)
-            if a.shape != (h, d):
-                raise ValueError(f"{name} has shape {a.shape}, expected {(h, d)}")
-        for name in ("u_z", "u_r", "u_h"):
-            a = getattr(self, name)
-            if a.shape != (h, h):
-                raise ValueError(f"{name} has shape {a.shape}, expected {(h, h)}")
-        for name in ("b_z", "b_r", "b_h"):
-            a = getattr(self, name)
-            if a.shape != (h,):
-                raise ValueError(f"{name} has shape {a.shape}, expected {(h,)}")
-        for name in self.field_order():
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"{name} contains non-finite entries")
-
-    @staticmethod
-    def field_order() -> tuple[str, ...]:
-        """Canonical field order used for flattening and initialization."""
-        return ("w_z", "w_r", "w_h", "u_z", "u_r", "u_h", "b_z", "b_r", "b_h")
+        return self.W.shape[1]
 
     def arrays(self) -> list[np.ndarray]:
-        return [getattr(self, name) for name in self.field_order()]
+        """W, U, b: the order of flattening and initialization."""
+        return [self.W, self.U, self.b]
 
     @classmethod
     def zeros(cls, hidden: int, input_dim: int) -> "GruLayerParams":
-        return cls(
-            w_z=np.zeros((hidden, input_dim)),
-            w_r=np.zeros((hidden, input_dim)),
-            w_h=np.zeros((hidden, input_dim)),
-            u_z=np.zeros((hidden, hidden)),
-            u_r=np.zeros((hidden, hidden)),
-            u_h=np.zeros((hidden, hidden)),
-            b_z=np.zeros(hidden),
-            b_r=np.zeros(hidden),
-            b_h=np.zeros(hidden),
-        )
+        return cls(W=np.zeros((3 * hidden, input_dim)),
+                   U=np.zeros((3 * hidden, hidden)), b=np.zeros(3 * hidden))
 
     @classmethod
     def initialize(cls, rng: np.random.Generator, hidden: int,
                    input_dim: int) -> "GruLayerParams":
         """Weights uniform in [-s, s] with s = 1/sqrt(fan-in); zero biases.
 
-        Matrices are drawn in canonical field order so a fixed seed
-        pins every parameter.
+        W is drawn before U, row-major, so a fixed seed pins every
+        parameter.
         """
-        p = cls.zeros(hidden, input_dim)
-        for name in ("w_z", "w_r", "w_h"):
-            s = 1.0 / np.sqrt(input_dim)
-            setattr(p, name, rng.uniform(-s, s, size=(hidden, input_dim)))
-        for name in ("u_z", "u_r", "u_h"):
-            s = 1.0 / np.sqrt(hidden)
-            setattr(p, name, rng.uniform(-s, s, size=(hidden, hidden)))
-        return p
+        s_in, s_h = 1.0 / np.sqrt(input_dim), 1.0 / np.sqrt(hidden)
+        return cls(W=rng.uniform(-s_in, s_in, size=(3 * hidden, input_dim)),
+                   U=rng.uniform(-s_h, s_h, size=(3 * hidden, hidden)),
+                   b=np.zeros(3 * hidden))
 
 
 @dataclass
@@ -160,6 +121,13 @@ class EncoderConfig:
     def layer_input_dim(self, index: int) -> int:
         return self.input_dim if index == 0 else self.output_dim
 
+    @property
+    def param_count(self) -> int:
+        """Encoder parameters: 3H (D_in + H + 1) per cell."""
+        return sum(self.directions * 3 * self.hidden
+                   * (self.layer_input_dim(i) + self.hidden + 1)
+                   for i in range(self.layers))
+
 
 def init_encoder_layers(config: EncoderConfig,
                         rng: np.random.Generator) -> list[EncoderLayer]:
@@ -178,12 +146,22 @@ def init_encoder_layers(config: EncoderConfig,
     return layers
 
 
-def zero_encoder_layers(config: EncoderConfig) -> list[EncoderLayer]:
-    layers = []
+def layer_views(config: EncoderConfig, vec: np.ndarray) -> list[EncoderLayer]:
+    """Layers whose parameters are views of the (config.param_count,)
+    vector ``vec`` in flattening order: layers in order, forward cell
+    before backward, and W, U, b of each cell row-major."""
+    g, h_dim = 3 * config.hidden, config.hidden
+    layers, pos = [], 0
     for i in range(config.layers):
         d_in = config.layer_input_dim(i)
-        bwd = GruLayerParams.zeros(config.hidden, d_in) if config.directions == 2 else None
-        layers.append(EncoderLayer(fwd=GruLayerParams.zeros(config.hidden, d_in), bwd=bwd))
+        cells = []
+        for _ in range(config.directions):
+            u_at, b_at = pos + g * d_in, pos + g * (d_in + h_dim)
+            cells.append(GruLayerParams(W=vec[pos:u_at].reshape(g, d_in),
+                                        U=vec[u_at:b_at].reshape(g, h_dim),
+                                        b=vec[b_at:b_at + g]))
+            pos = b_at + g
+        layers.append(EncoderLayer(*cells))
     return layers
 
 
@@ -201,9 +179,11 @@ def gru_cell_step(params: GruLayerParams, x_t: np.ndarray,
             f"gru_cell_step dimension mismatch: x {x_t.shape}, h {h_prev.shape}, "
             f"cell expects ({params.input_dim},) and ({params.hidden},)"
         )
-    z = sigmoid(params.w_z @ x_t + params.u_z @ h_prev + params.b_z)
-    r = sigmoid(params.w_r @ x_t + params.u_r @ h_prev + params.b_r)
-    c = np.tanh(params.w_h @ x_t + params.u_h @ (r * h_prev) + params.b_h)
+    (w_z, w_r, w_h), (u_z, u_r, u_h), (b_z, b_r, b_h) = (
+        np.split(a, 3) for a in params.arrays())
+    z = sigmoid(w_z @ x_t + u_z @ h_prev + b_z)
+    r = sigmoid(w_r @ x_t + u_r @ h_prev + b_r)
+    c = np.tanh(w_h @ x_t + u_h @ (r * h_prev) + b_h)
     return (1.0 - z) * h_prev + z * c
 
 
@@ -217,17 +197,8 @@ class GruRunTrace:
     gates: np.ndarray   # (T, B, 3H): update gate, reset gate, candidate
 
 
-def _gate_maps(params: GruLayerParams):
-    """Stacked maps of a cell: W (3H, D_in) and b (3H,) in gate order
-    (update, reset, candidate), U_zr^T (H, 2H) and U_h^T (H, H)."""
-    w_all = np.concatenate([params.w_z, params.w_r, params.w_h])
-    b_all = np.concatenate([params.b_z, params.b_r, params.b_h])
-    u_zr_t = np.concatenate([params.u_z, params.u_r]).T
-    return w_all, b_all, u_zr_t, params.u_h.T
-
-
-def _gru_steps(gates: np.ndarray, h: np.ndarray, u_zr_t: np.ndarray,
-               u_h_t: np.ndarray, hs: np.ndarray) -> np.ndarray:
+def _gru_steps(params: GruLayerParams, gates: np.ndarray, h: np.ndarray,
+               hs: np.ndarray) -> np.ndarray:
     """Step the cell through ``gates`` (T, B, 3H), which holds the input
     projections plus biases, from the (B, H) state ``h``.
 
@@ -237,7 +208,8 @@ def _gru_steps(gates: np.ndarray, h: np.ndarray, u_zr_t: np.ndarray,
     sigmoid of numerics.sigmoid is inlined as
     where(a >= 0, 1, e) / (1 + e) with e = exp(-|a|).
     """
-    h_dim = u_h_t.shape[0]
+    h_dim = params.hidden
+    u_zr_t, u_h_t = params.U[:2 * h_dim].T, params.U[2 * h_dim:].T
     # Per-step views, sliced once.
     zr, zs = gates[:, :, :2 * h_dim], gates[:, :, :h_dim]
     rs, cs = gates[:, :, h_dim:2 * h_dim], gates[:, :, 2 * h_dim:]
@@ -259,11 +231,10 @@ def _gru_forward(params: GruLayerParams, xs: np.ndarray) -> GruRunTrace:
     gate activations overwrite them in place.
     """
     t_len, batch, d_in = xs.shape
-    w_all, b_all, u_zr_t, u_h_t = _gate_maps(params)
-    gates = (xs.reshape(t_len * batch, d_in) @ w_all.T + b_all).reshape(
+    gates = (xs.reshape(t_len * batch, d_in) @ params.W.T + params.b).reshape(
         t_len, batch, -1)
     hs = np.empty((t_len, batch, params.hidden))
-    _gru_steps(gates, np.zeros((batch, params.hidden)), u_zr_t, u_h_t, hs)
+    _gru_steps(params, gates, np.zeros((batch, params.hidden)), hs)
     return GruRunTrace(inputs=xs, hs=hs, gates=gates)
 
 
@@ -278,76 +249,81 @@ def _gru_run_into(params: GruLayerParams, xs: np.ndarray,
     writing the hidden states into ``out`` (T, B, H), which may be a
     strided view. Keeps no trace."""
     t_len, batch, d_in = xs.shape
-    w_all, b_all, u_zr_t, u_h_t = _gate_maps(params)
     h = np.zeros((batch, params.hidden))
-    buffer = np.empty((min(t_len, PROJECTION_BLOCK) * batch, w_all.shape[0]))
+    buffer = np.empty((min(t_len, PROJECTION_BLOCK) * batch, params.W.shape[0]))
     for t0 in range(0, t_len, PROJECTION_BLOCK):
         block = xs[t0:t0 + PROJECTION_BLOCK]
-        gates = np.matmul(block.reshape(-1, d_in), w_all.T,
+        gates = np.matmul(block.reshape(-1, d_in), params.W.T,
                           out=buffer[:block.shape[0] * batch])
-        gates += b_all
-        h = _gru_steps(gates.reshape(block.shape[0], batch, -1), h, u_zr_t,
-                       u_h_t, out[t0:t0 + PROJECTION_BLOCK])
+        gates += params.b
+        h = _gru_steps(params, gates.reshape(block.shape[0], batch, -1), h,
+                       out[t0:t0 + PROJECTION_BLOCK])
 
 
 def _gru_bptt(params: GruLayerParams, trace: GruRunTrace, d_out: np.ndarray,
-              need_dx: bool) -> tuple[GruLayerParams, Optional[np.ndarray]]:
+              need_dx: bool, grads: GruLayerParams) -> Optional[np.ndarray]:
     """BPTT through one directional run over a batch.
 
     ``d_out`` is the loss gradient on every hidden output (T, B, H).
-    Returns gradients shaped like the parameters and summed over the
-    batch, plus the gradient on the input sequences when requested.
+    Writes the parameter gradients, summed over the batch, into the
+    arrays of ``grads`` and returns the gradient on the input sequences
+    when requested. Consumes the trace: it overwrites the candidate rows.
     """
     t_len, batch, h_dim = trace.hs.shape
-    u_zr = np.concatenate([params.u_z, params.u_r])  # (2H, H)
+    u_zr, u_h = params.U[:2 * h_dim], params.U[2 * h_dim:]
     hs = trace.hs
     zero_h = np.zeros((batch, h_dim))
+    zs = trace.gates[:, :, :h_dim]
+    rs = trace.gates[:, :, h_dim:2 * h_dim]
+    cs = trace.gates[:, :, 2 * h_dim:]
 
     # Gradients on the gate pre-activations: update, reset, candidate.
     d_a = np.empty((t_len, batch, 3 * h_dim))
     d_az, d_ar = d_a[:, :, :h_dim], d_a[:, :, h_dim:2 * h_dim]
     d_azr, d_ac = d_a[:, :, :2 * h_dim], d_a[:, :, 2 * h_dim:]
-    zs = trace.gates[:, :, :h_dim]
-    rs = trace.gates[:, :, h_dim:2 * h_dim]
-    cs = trace.gates[:, :, 2 * h_dim:]
+    # The factors that do not depend on the carry, once over the whole
+    # run; each is bit for bit its per-step expression. d_a holds
+    # z(1 - z), r(1 - r) and 1 - c^2 until each step scales its row into
+    # the gradient, and the candidate rows of the trace become c - h_prev
+    # (row 0 keeps c: h_prev is zero there).
+    one_minus_z = np.subtract(1.0, zs)
+    np.multiply(zs, one_minus_z, out=d_az)
+    np.subtract(1.0, rs, out=d_ar)
+    d_ar *= rs
+    np.multiply(cs, cs, out=d_ac)
+    np.subtract(1.0, d_ac, out=d_ac)
+    np.subtract(cs[1:], hs[:-1], out=cs[1:])
     carry = np.zeros((batch, h_dim))
     for t in range(t_len - 1, -1, -1):
         h_prev = hs[t - 1] if t > 0 else zero_h
-        z = zs[t]
-        r = rs[t]
-        c = cs[t]
         dh = d_out[t] + carry
-        dac = np.multiply(dh * z, 1.0 - c * c, out=d_ac[t])
-        drh = dac @ params.u_h
-        np.multiply(dh * (c - h_prev), z * (1.0 - z), out=d_az[t])
-        np.multiply(drh * h_prev, r * (1.0 - r), out=d_ar[t])
-        carry = dh * (1.0 - z) + drh * r + d_azr[t] @ u_zr
+        dac = np.multiply(dh * zs[t], d_ac[t], out=d_ac[t])
+        drh = dac @ u_h
+        np.multiply(dh * cs[t], d_az[t], out=d_az[t])
+        np.multiply(drh * h_prev, d_ar[t], out=d_ar[t])
+        carry = dh * one_minus_z[t] + drh * rs[t] + d_azr[t] @ u_zr
 
     # Each weight gradient is one matmul over all T*B rows, stacked by
     # sequence and then summed over the batch, so a sequence's share does
     # not depend on which others share its batch. The recurrent maps skip
     # step 0, whose previous state is zero.
     d_seq = d_a.transpose(1, 2, 0)  # (B, 3H, T)
-    h_prev_seq = hs[:-1].transpose(1, 0, 2)  # (B, T-1, H)
+    # r_t * h_{t-1} goes into the spent 1 - z buffer.
+    r_h_prev = np.multiply(rs[1:], hs[:-1], out=one_minus_z[1:])
+    np.sum(d_seq[:, 2 * h_dim:, 1:] @ r_h_prev.transpose(1, 0, 2), axis=0,
+           out=grads.U[2 * h_dim:])
+    del r_h_prev, one_minus_z
+    np.sum(d_seq[:, :2 * h_dim, 1:] @ hs[:-1].transpose(1, 0, 2), axis=0,
+           out=grads.U[:2 * h_dim])
     # The backward direction's inputs are a time-reversed view; BLAS needs
     # positive strides.
     inputs = np.ascontiguousarray(trace.inputs)
-    d_w = (d_seq @ inputs.transpose(1, 0, 2)).sum(axis=0)
-    d_u_zr = (d_seq[:, :2 * h_dim, 1:] @ h_prev_seq).sum(axis=0)
-    d_u_h = (d_seq[:, 2 * h_dim:, 1:]
-             @ (rs[1:] * hs[:-1]).transpose(1, 0, 2)).sum(axis=0)
-    d_b = d_a.sum(axis=0).sum(axis=0)
-    grads = GruLayerParams(
-        w_z=d_w[:h_dim], w_r=d_w[h_dim:2 * h_dim], w_h=d_w[2 * h_dim:],
-        u_z=d_u_zr[:h_dim], u_r=d_u_zr[h_dim:], u_h=d_u_h,
-        b_z=d_b[:h_dim], b_r=d_b[h_dim:2 * h_dim], b_h=d_b[2 * h_dim:],
-    )
-    dxs = None
-    if need_dx:
-        w_all = np.concatenate([params.w_z, params.w_r, params.w_h])
-        dxs = (d_a.reshape(t_len * batch, 3 * h_dim) @ w_all).reshape(
-            t_len, batch, -1)
-    return grads, dxs
+    np.sum(d_seq @ inputs.transpose(1, 0, 2), axis=0, out=grads.W)
+    np.sum(d_a.sum(axis=0), axis=0, out=grads.b)
+    if not need_dx:
+        return None
+    return (d_a.reshape(t_len * batch, 3 * h_dim) @ params.W).reshape(
+        t_len, batch, -1)
 
 
 def _as_sequence(xs: np.ndarray, params: GruLayerParams) -> np.ndarray:
@@ -478,16 +454,16 @@ def _run_layer(layer: EncoderLayer, xs: np.ndarray) -> tuple[LayerTrace, np.ndar
 
 
 def _layer_backward(layer: EncoderLayer, trace: LayerTrace, d_out: np.ndarray,
-                    need_dx: bool) -> tuple[EncoderLayer, Optional[np.ndarray]]:
+                    need_dx: bool, grads: EncoderLayer) -> Optional[np.ndarray]:
     if layer.bwd is None:
-        gf, dx = _gru_bptt(layer.fwd, trace.fwd, d_out, need_dx)
-        return EncoderLayer(fwd=gf), dx
+        return _gru_bptt(layer.fwd, trace.fwd, d_out, need_dx, grads.fwd)
     h_dim = layer.fwd.hidden
-    gf, dxf = _gru_bptt(layer.fwd, trace.fwd, d_out[:, :, :h_dim], need_dx)
-    gb, dxb = _gru_bptt(layer.bwd, trace.bwd, d_out[::-1, :, h_dim:], need_dx)
+    dxf = _gru_bptt(layer.fwd, trace.fwd, d_out[:, :, :h_dim], need_dx, grads.fwd)
+    dxb = _gru_bptt(layer.bwd, trace.bwd, d_out[::-1, :, h_dim:], need_dx,
+                    grads.bwd)
     if need_dx:
         dxf += dxb[::-1]
-    return EncoderLayer(fwd=gf, bwd=gb), dxf
+    return dxf
 
 
 def _check_batch(config: EncoderConfig, layers: list[EncoderLayer],
@@ -551,14 +527,6 @@ def encode(config: EncoderConfig, layers: list[EncoderLayer],
     return seq if total is None else total
 
 
-def multires_forward(config: EncoderConfig, layers: list[EncoderLayer],
-                     xs: np.ndarray) -> tuple[np.ndarray, EncoderTrace]:
-    """Multi-resolution stack; thin alias over encoder_forward."""
-    if config.kind != "multiresolution":
-        raise ValueError("multires_forward requires a multiresolution config")
-    return encoder_forward(config, layers, xs)
-
-
 def _multires_forward(config: EncoderConfig, layers: list[EncoderLayer],
                       xs: np.ndarray, trace: EncoderTrace) -> tuple[np.ndarray, EncoderTrace]:
     t_len, batch = xs.shape[:2]
@@ -577,29 +545,29 @@ def _multires_forward(config: EncoderConfig, layers: list[EncoderLayer],
 
 
 def encoder_backward(config: EncoderConfig, layers: list[EncoderLayer],
-                     trace: EncoderTrace, d_hs: np.ndarray) -> list[EncoderLayer]:
-    """Gradients of all layer parameters given d(loss)/d(encoder output)
-    of shape (T, B, output_dim).
+                     trace: EncoderTrace, d_hs: np.ndarray) -> np.ndarray:
+    """Gradient of all layer parameters given d(loss)/d(encoder output)
+    of shape (T, B, output_dim), summed over the batch, as one
+    (config.param_count,) vector in layer_views order.
 
-    Returns one EncoderLayer of gradient arrays per parameter layer,
-    summed over the batch. Consumes the trace: each layer's activations
-    are released as soon as its BPTT is done, so a batch never holds the
-    deeper layers' activations while the first layer runs.
+    Consumes the trace: each layer's activations are released as soon as
+    its BPTT is done, so a batch never holds the deeper layers'
+    activations while the first layer runs.
     """
+    grad = np.empty(config.param_count)
+    grads = layer_views(config, grad)
     if config.kind == "multiresolution":
-        return _multires_backward(config, layers, trace, d_hs)
-    grads: list[Optional[EncoderLayer]] = [None] * len(layers)
+        _multires_backward(layers, trace, d_hs, grads)
+        return grad
     d = d_hs
     for i in range(len(layers) - 1, -1, -1):
-        grads[i], d = _layer_backward(layers[i], trace.layer_traces.pop(), d,
-                                      need_dx=i > 0)
-    return grads  # type: ignore[return-value]
+        d = _layer_backward(layers[i], trace.layer_traces.pop(), d, i > 0,
+                            grads[i])
+    return grad
 
 
-def _multires_backward(config: EncoderConfig, layers: list[EncoderLayer],
-                       trace: EncoderTrace, d_hs: np.ndarray) -> list[EncoderLayer]:
-    t_len = trace.input_length
-    grads: list[Optional[EncoderLayer]] = [None] * len(layers)
+def _multires_backward(layers: list[EncoderLayer], trace: EncoderTrace,
+                       d_hs: np.ndarray, grads: list[EncoderLayer]) -> None:
     d_next_input: Optional[np.ndarray] = None
     for i in range(len(layers) - 1, -1, -1):
         ltr = trace.layer_traces.pop()
@@ -608,6 +576,4 @@ def _multires_backward(config: EncoderConfig, layers: list[EncoderLayer],
         if d_next_input is not None:
             d_sub += d_next_input
         d_out = _subsample2_backward(d_sub, ltr.fwd.hs.shape[0])
-        grads[i], d_next_input = _layer_backward(layers[i], ltr, d_out,
-                                                 need_dx=i > 0)
-    return grads  # type: ignore[return-value]
+        d_next_input = _layer_backward(layers[i], ltr, d_out, i > 0, grads[i])

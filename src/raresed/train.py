@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import struct
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
@@ -48,8 +49,12 @@ class TrainConfig:
     frame_shift_s: float = DEFAULT_FRAME_SHIFT_S
 
     def __post_init__(self) -> None:
-        if self.alpha < 0:
-            raise InputError("alpha must be nonnegative")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise InputError(f"alpha must be finite and nonnegative, "
+                             f"got {self.alpha!r}")
+        if not (math.isfinite(self.stepsize) and self.stepsize > 0):
+            raise InputError(f"stepsize must be finite and positive, "
+                             f"got {self.stepsize!r}")
         if self.batch_size < 1:
             raise InputError("minibatch size must be at least 1")
         if self.margin < 0:
@@ -76,18 +81,6 @@ class TrainReport:
     epochs: list[EpochStats] = field(default_factory=list)
     best_epoch: int = 0  # 1-based; 0 when no epoch ran
     best_params: Optional[np.ndarray] = None
-
-
-def build_frame_window(utt: Utterance, margin: int) -> range:
-    """1-based frame window [onset - margin, offset + margin] clipped to
-    the utterance; only defined for positive utterances."""
-    if utt.y != 1:
-        raise ValueError("frame windows are only defined for positive utterances")
-    if margin < 0:
-        raise ValueError("margin must be nonnegative")
-    lo = max(1, utt.onset - margin)
-    hi = min(utt.n_frames, utt.offset + margin)
-    return range(lo, hi + 1)
 
 
 def reference_annotations(dataset: Sequence[Utterance],
@@ -148,10 +141,11 @@ def train(config: TrainConfig, trainset: Sequence[Utterance],
             loss, grad = batch_loss_and_gradients(model, batch, config.alpha,
                                                   config.margin)
             if not np.isfinite(loss):
-                raise RuntimeError(
-                    f"non-finite loss at epoch {epoch}, "
-                    f"batch {b_start // config.batch_size + 1}"
-                )
+                raise InputError(
+                    f"non-finite loss at epoch {epoch}, batch "
+                    f"{b_start // config.batch_size + 1}: training diverged; "
+                    f"check train.stepsize ({config.stepsize!r}), train.alpha "
+                    f"({config.alpha!r}) and the input features")
             loss_sum += loss * len(batch)
             params, adam = adam_step(params, grad, adam)
             model = model.with_flat(params)
@@ -182,11 +176,13 @@ def alpha_sweep(config: TrainConfig, grid: Sequence[float],
     """
     if not grid:
         raise InputError("alpha grid must be nonempty")
+    # Every setting is checked before the first model trains.
+    configs = [replace(config, alpha=float(alpha)) for alpha in sorted(grid)]
     rows = []
-    for alpha in sorted(grid):
-        report = train(replace(config, alpha=float(alpha)), trainset, devset)
+    for cfg in configs:
+        report = train(cfg, trainset, devset)
         stats = report.epochs[report.best_epoch - 1]
-        rows.append({"alpha": float(alpha), "best_epoch": report.best_epoch,
+        rows.append({"alpha": cfg.alpha, "best_epoch": report.best_epoch,
                      "dev_er": stats.dev_er, "dev_f1": stats.dev_f1})
     return rows
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -138,6 +139,42 @@ class TestTrainCommand:
         assert code == 2
         assert "thres0" in capsys.readouterr().err
         assert not (out / "model.sem").exists()
+
+    @pytest.mark.parametrize("name,raw", [
+        ("alpha", "1e400"), ("stepsize", "-1"), ("stepsize", "0"),
+    ])
+    def test_bad_training_setting_exits_2_before_training(self, tmp_path, capsys,
+                                                          name, raw):
+        _, data = synth_tiny(tmp_path)
+        # Edited as text: 1e400 is valid JSON that reads as inf, and
+        # json.dumps cannot write it.
+        good = f'"{name}": {TINY["train"][name]}'
+        text = json.dumps(TINY)
+        assert good in text
+        config = tmp_path / "bad.json"
+        config.write_text(text.replace(good, f'"{name}": {raw}'))
+        out = tmp_path / "run"
+        code = main(["train", "--config", str(config),
+                     "--train-data", str(data / "train.sed"),
+                     "--dev-data", str(data / "dev.sed"), "--out", str(out)])
+        assert code == 2
+        assert name in capsys.readouterr().err
+        assert not (out / "model.sem").exists()
+
+    def test_diverging_training_exits_2_naming_the_settings(self, tmp_path, capsys):
+        _, data = synth_tiny(tmp_path)
+        cfg = json.loads(json.dumps(TINY))
+        cfg["train"]["stepsize"] = 1e308
+        config = write_config(tmp_path, cfg, "diverge.json")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main(["train", "--config", config,
+                         "--train-data", str(data / "train.sed"),
+                         "--dev-data", str(data / "dev.sed"),
+                         "--out", str(tmp_path / "run")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "epoch 1, batch" in err and "stepsize" in err and "alpha" in err
 
     def test_dim_mismatch_between_splits_exits_3(self, tmp_path):
         config, data = synth_tiny(tmp_path)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -31,8 +32,9 @@ from raresed.recurrent import (
     EncoderLayer,
     EncoderTrace,
     GruLayerParams,
-    zero_encoder_layers,
+    layer_views,
 )
+from raresed.train import save_model
 
 
 def small_model(kind="unidirectional", layers=1, hidden=3, input_dim=4,
@@ -56,7 +58,7 @@ class TestFramePosteriors:
 
     def test_zero_encoder_gives_half(self):
         cfg = EncoderConfig(kind="unidirectional", layers=1, hidden=3, input_dim=4)
-        model = EventModel(config=cfg, layers=zero_encoder_layers(cfg),
+        model = EventModel(config=cfg, layers=layer_views(cfg, np.zeros(cfg.param_count)),
                            w=np.array([2.0, -1.0, 0.5]))
         p, _ = frame_posteriors(model, np.ones((4, 5)))
         assert np.array_equal(p, np.full(5, 0.5))
@@ -247,7 +249,7 @@ class TestGradients:
         # y = y_1 = 1: every loss delta is exactly zero.
         cfg = EncoderConfig(kind="unidirectional", layers=1, hidden=1, input_dim=1)
         layer = GruLayerParams.zeros(1, 1)
-        layer.w_h[:] = 1.0
+        layer.W[2] = 1.0  # candidate row
         model = EventModel(config=cfg, layers=[EncoderLayer(fwd=layer)],
                            w=np.array([150.0]))
         utt = Utterance.positive("p", np.array([[1.0]]), onset=1, offset=1)
@@ -326,6 +328,76 @@ class TestGradients:
         loss, _ = batch_loss_and_gradients(model, batch, alpha=1.0)
         expected = np.mean([total_loss(model, u, 1.0)[0] for u in batch])
         assert loss == pytest.approx(expected, abs=1e-15)
+
+
+# sha256 pins, recorded before the nine per-gate arrays of each cell were
+# stacked into W, U and b: the .sem bytes of EventModel.initialize(cfg,
+# seed=11), and the loss and gradient bytes of one mixed-length batch.
+PINS = {
+    ("unidirectional", False): (
+        "48e6a924ffd724e636da9f97d92e9208f1522b9ff2f15bc61a60a12c10d4e128",
+        "2e00650d38b52aa9d9a48ea4835322834870eca1b1b2acaa7b47e46a884f4244"),
+    ("bidirectional", False): (
+        "f8ad84518172a75e515dfad176b22a9fc08d56bef065b78f2a9387876f8e5502",
+        "2561315aed6772010e075e74034943deb64c638dd8d6743dcac5f9041c837701"),
+    ("multiresolution", False): (
+        "00de2e4452ec29a1f1ccf447a133e5d4b5f029061298588a32de08858507a6fa",
+        "b9da5ef5f345315a8dd009acfda439b7565721a03c8311ddd417b6f9de6df536"),
+    ("multiresolution", True): (
+        "8c4782cec8157b4f2d641383d5bc249ca8f4e0d4ef72f3259b6d34104ad78d9e",
+        "4a073f2fabc16f1ac19d110dc06fecabb97df0550501b0e9aa81c2f16d1ff210"),
+}
+
+
+def param_arrays(model: EventModel) -> list[np.ndarray]:
+    return [a for layer in model.layers for cell in (layer.fwd, layer.bwd)
+            if cell is not None for a in cell.arrays()] + [model.w]
+
+
+class TestFlatParameters:
+    @pytest.mark.parametrize("kind,mr_bidir", BATCHED_KINDS)
+    def test_round_trip_is_lossless(self, kind, mr_bidir):
+        model = small_model(kind=kind, layers=2, mr_bidir=mr_bidir, seed=6)
+        v = np.random.default_rng(6).standard_normal(model.param_count)
+        assert model.with_flat(v).flatten().tobytes() == v.tobytes()
+        again = model.with_flat(model.flatten())
+        for a, b in zip(param_arrays(again), param_arrays(model), strict=True):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_size_mismatch(self):
+        model = small_model()
+        with pytest.raises(ValueError):
+            model.with_flat(np.zeros(model.param_count - 1))
+        with pytest.raises(ValueError):
+            model.with_flat(np.zeros((1, model.param_count)))
+
+    def test_later_changes_to_the_vector_do_not_reach_the_model(self):
+        model = small_model(kind="bidirectional", layers=2, seed=7)
+        v = np.random.default_rng(7).standard_normal(model.param_count)
+        copy = model.with_flat(v)
+        v[:] = 0.0
+        assert not np.any(copy.flatten() == 0.0)
+        # Every array is a view of the one copy the model owns.
+        owner = copy.w.base
+        assert owner is not None and not np.shares_memory(owner, v)
+        assert all(a.base is owner for a in param_arrays(copy))
+
+    @pytest.mark.parametrize("kind,mr_bidir", BATCHED_KINDS)
+    def test_sem_bytes_of_initialized_model_pinned(self, kind, mr_bidir, tmp_path):
+        model = small_model(kind=kind, layers=2, mr_bidir=mr_bidir, seed=11)
+        save_model(tmp_path / "m.sem", model)
+        digest = hashlib.sha256((tmp_path / "m.sem").read_bytes()).hexdigest()
+        assert digest == PINS[kind, mr_bidir][0]
+
+    @pytest.mark.parametrize("kind,mr_bidir", BATCHED_KINDS)
+    def test_loss_and_gradient_bytes_pinned(self, kind, mr_bidir):
+        model = small_model(kind=kind, layers=2, mr_bidir=mr_bidir, seed=11)
+        rng = np.random.default_rng(23)
+        batch = [random_utterance(rng, 4, t, positive=pos, id=str(i))
+                 for i, (t, pos) in enumerate([(7, True), (9, False), (7, True)])]
+        loss, grad = batch_loss_and_gradients(model, batch, 1.0, 2)
+        digest = hashlib.sha256(np.float64(loss).tobytes() + grad.tobytes())
+        assert digest.hexdigest() == PINS[kind, mr_bidir][1]
 
 
 class TestDecision:

@@ -3,14 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from raresed.numerics import (
-    AdamState,
-    adam_step,
-    affine,
-    flatten_arrays,
-    sigmoid,
-    unflatten_arrays,
-)
+from raresed.numerics import AdamState, adam_step, sigmoid
 
 
 class TestSigmoid:
@@ -43,27 +36,6 @@ class TestSigmoid:
         arr = sigmoid(np.array([0.0, 1.0]))
         assert arr.shape == (2,)
         assert isinstance(sigmoid(1.0), float)
-
-
-class TestAffine:
-    def test_identity(self):
-        out = affine(np.eye(2), np.array([3.0, 4.0]), np.zeros(2))
-        assert np.array_equal(out, [3.0, 4.0])
-
-    def test_zero_matrix_returns_bias(self):
-        out = affine(np.zeros((2, 3)), np.array([9.0, -1.0, 2.0]),
-                     np.array([1.0, 2.0]))
-        assert np.array_equal(out, [1.0, 2.0])
-
-    def test_forced_arithmetic(self):
-        out = affine(np.array([[1.0, 2.0], [3.0, 4.0]]), np.ones(2), np.zeros(2))
-        assert np.array_equal(out, [3.0, 7.0])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            affine(np.eye(2), np.ones(3), np.zeros(2))
-        with pytest.raises(ValueError):
-            affine(np.eye(2), np.ones(2), np.zeros(3))
 
 
 class TestAdam:
@@ -105,20 +77,3 @@ class TestAdam:
         pos, _ = adam_step(params, grads, AdamState.fresh(40, stepsize=0.01))
         neg, _ = adam_step(params, -grads, AdamState.fresh(40, stepsize=0.01))
         assert np.all(np.abs((pos - params) + (neg - params)) <= 1e-15)
-
-
-class TestFlatten:
-    def test_round_trip_is_lossless(self):
-        rng = np.random.default_rng(1)
-        shapes = [(3, 4), (7,), (2, 2, 2), (1, 5)]
-        arrays = [rng.standard_normal(s) for s in shapes]
-        back = unflatten_arrays(flatten_arrays(arrays), shapes)
-        for a, b in zip(arrays, back):
-            assert np.array_equal(a, b)
-
-    def test_empty(self):
-        assert flatten_arrays([]).size == 0
-
-    def test_size_mismatch(self):
-        with pytest.raises(ValueError):
-            unflatten_arrays(np.zeros(5), [(2, 3)])

@@ -11,20 +11,32 @@ from raresed.recurrent import (
     encoder_forward,
     gru_cell_step,
     init_encoder_layers,
-    multires_forward,
+    layer_views,
     run_bidirectional,
     run_unidirectional,
     subsample2,
     upsample_replicate,
-    zero_encoder_layers,
 )
+
+GATES = "zrh"  # row blocks of W, U and b: update, reset, candidate
+
+
+def gate(p: GruLayerParams, name: str) -> np.ndarray:
+    """One gate's block of a stacked map, by name: "w_z" is W's update rows."""
+    stacked = {"w": p.W, "u": p.U, "b": p.b}[name[0]]
+    i, h = GATES.index(name[2]), p.hidden
+    return stacked[i * h:(i + 1) * h]
 
 
 def scalar_cell(hidden=1, **values) -> GruLayerParams:
     p = GruLayerParams.zeros(hidden, 1)
     for name, v in values.items():
-        getattr(p, name)[:] = v
+        gate(p, name)[:] = v
     return p
+
+
+def zero_layers(cfg: EncoderConfig) -> list[EncoderLayer]:
+    return layer_views(cfg, np.zeros(cfg.param_count))
 
 
 def random_cell(rng, hidden, input_dim) -> GruLayerParams:
@@ -49,8 +61,8 @@ class TestGruCellStep:
     def test_zero_candidate_path(self):
         rng = np.random.default_rng(2)
         p = random_cell(rng, 4, 3)
-        p.w_h[:] = 0.0
-        p.b_h[:] = 0.0
+        gate(p, "w_h")[:] = 0.0
+        gate(p, "b_h")[:] = 0.0
         out = gru_cell_step(p, rng.standard_normal(3), np.zeros(4))
         # h_prev = 0 and candidate = tanh(0) = 0, so the blend vanishes.
         assert np.array_equal(out, np.zeros(4))
@@ -202,13 +214,13 @@ class TestMultiresForward:
         cfg = multires_config(1, 4, 3)
         layers = init_encoder_layers(cfg, rng)
         xs = rng.standard_normal((6, 3))
-        out, _ = multires_forward(cfg, layers, xs[:, None, :])
+        out, _ = encoder_forward(cfg, layers, xs[:, None, :])
         direct = upsample_replicate(subsample2(run_unidirectional(layers[0].fwd, xs)), 6)
         assert np.array_equal(out[:, 0], direct)
 
     def test_zero_params(self):
         cfg = multires_config(3, 4, 2)
-        out, _ = multires_forward(cfg, zero_encoder_layers(cfg), np.ones((5, 1, 2)))
+        out, _ = encoder_forward(cfg, zero_layers(cfg), np.ones((5, 1, 2)))
         assert np.array_equal(out, np.zeros((5, 1, 4)))
 
     def test_two_layer_scalar_hand_value(self):
@@ -216,8 +228,8 @@ class TestMultiresForward:
         l1 = scalar_cell(w_z=0.3, u_z=-0.2, b_z=0.1, w_h=1.0, u_h=0.5)
         l2 = scalar_cell(w_r=0.2, u_z=0.1, w_h=0.8, u_h=-0.3, b_h=0.1)
         xs = np.array([[0.5], [-0.5], [1.0], [-1.0]])
-        out, _ = multires_forward(cfg, [EncoderLayer(fwd=l1), EncoderLayer(fwd=l2)],
-                                  xs[:, None, :])
+        out, _ = encoder_forward(cfg, [EncoderLayer(fwd=l1), EncoderLayer(fwd=l2)],
+                                 xs[:, None, :])
         # Frozen from composing the cell/subsample/upsample oracles.
         expected = [0.22593802257581586, 0.22593802257581586,
                     0.3109909397435989, 0.3109909397435989]
@@ -229,7 +241,7 @@ class TestMultiresForward:
         cfg = multires_config(3, 4, 2)
         layers = init_encoder_layers(cfg, rng)
         xs = rng.standard_normal((13, 2))
-        out, _ = multires_forward(cfg, layers, xs[:, None, :])
+        out, _ = encoder_forward(cfg, layers, xs[:, None, :])
         out = out[:, 0]
         total = np.zeros((13, 4))
         seq = xs
@@ -238,11 +250,6 @@ class TestMultiresForward:
             total += upsample_replicate(sub, 13)
             seq = sub
         assert np.allclose(out, total, atol=1e-13, rtol=0)
-
-    def test_requires_multires_kind(self):
-        cfg = EncoderConfig(kind="unidirectional", layers=1, hidden=2, input_dim=2)
-        with pytest.raises(ValueError):
-            multires_forward(cfg, zero_encoder_layers(cfg), np.ones((3, 1, 2)))
 
 
 class TestEncoderShapes:
@@ -266,12 +273,12 @@ class TestEncoderShapes:
     def test_layer_count_checked(self):
         cfg = EncoderConfig(kind="unidirectional", layers=2, hidden=3, input_dim=2)
         with pytest.raises(ValueError):
-            encoder_forward(cfg, zero_encoder_layers(cfg)[:1], np.ones((3, 1, 2)))
+            encoder_forward(cfg, zero_layers(cfg)[:1], np.ones((3, 1, 2)))
 
     def test_input_dim_checked(self):
         cfg = EncoderConfig(kind="unidirectional", layers=1, hidden=3, input_dim=2)
         with pytest.raises(ValueError):
-            encoder_forward(cfg, zero_encoder_layers(cfg), np.ones((3, 1, 4)))
+            encoder_forward(cfg, zero_layers(cfg), np.ones((3, 1, 4)))
 
 
 class TestEncode:
@@ -298,9 +305,9 @@ class TestEncode:
     def test_checks_like_encoder_forward(self):
         cfg = EncoderConfig(kind="unidirectional", layers=2, hidden=3, input_dim=2)
         with pytest.raises(ValueError):
-            encode(cfg, zero_encoder_layers(cfg)[:1], np.ones((3, 1, 2)))
+            encode(cfg, zero_layers(cfg)[:1], np.ones((3, 1, 2)))
         with pytest.raises(ValueError):
-            encode(cfg, zero_encoder_layers(cfg), np.ones((3, 1, 4)))
+            encode(cfg, zero_layers(cfg), np.ones((3, 1, 4)))
 
 
 class TestConfigValidation:
@@ -313,13 +320,3 @@ class TestConfigValidation:
             EncoderConfig(kind="unidirectional", layers=0, hidden=2, input_dim=2)
         with pytest.raises(ValueError):
             EncoderConfig(kind="unidirectional", layers=1, hidden=0, input_dim=2)
-
-    def test_layer_params_validate(self):
-        p = GruLayerParams.zeros(3, 2)
-        p.u_z = np.zeros((2, 3))
-        with pytest.raises(ValueError):
-            p.validate()
-        p = GruLayerParams.zeros(3, 2)
-        p.b_h = np.array([0.0, np.nan, 0.0])
-        with pytest.raises(ValueError):
-            p.validate()

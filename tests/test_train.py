@@ -1,5 +1,6 @@
 import json
 import struct
+import types
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from conftest import parse_report
 from raresed.data import SynthConfig, Utterance, load_dataset, synth_dataset
-from raresed.detector import EventModel, decide_detection, forward
+from raresed.detector import EventModel, decide_detection, forward, frame_window
 from raresed.errors import DataMismatchError, InputError, ParseError
 from raresed.metrics import evaluate_dataset
 from raresed.recurrent import EncoderConfig
@@ -15,7 +16,6 @@ from raresed.train import (
     TrainConfig,
     alpha_sweep,
     best_model,
-    build_frame_window,
     evaluate_model,
     format_report,
     load_model,
@@ -45,6 +45,11 @@ def tiny_config(dim=6, epochs=2, **overrides) -> TrainConfig:
     return TrainConfig(**base)
 
 
+def build_frame_window(utt: Utterance, margin: int) -> range:
+    """The training loss's window for one utterance."""
+    return frame_window(utt.onset, utt.offset, margin, utt.n_frames)
+
+
 class TestBuildFrameWindow:
     def test_event_window_with_margin(self):
         utt = Utterance.positive("p", np.zeros((2, 300)), onset=100, offset=150)
@@ -59,8 +64,10 @@ class TestBuildFrameWindow:
         assert build_frame_window(utt, margin=0) == range(40, 56)
 
     def test_negative_utterance_rejected(self):
+        # A negative utterance has no event boundaries to window.
         utt = Utterance.negative("n", np.zeros((2, 10)))
-        with pytest.raises(ValueError):
+        assert utt.onset is None and utt.offset is None
+        with pytest.raises(TypeError):
             build_frame_window(utt, margin=5)
 
     def test_window_always_inside_utterance(self):
@@ -106,7 +113,7 @@ class TestTrain:
         trainset, devset = tiny_sets()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            with pytest.raises(RuntimeError, match=r"epoch 1, batch \d+"):
+            with pytest.raises(InputError, match=r"epoch 1, batch \d+.*stepsize"):
                 train(tiny_config(stepsize=1e308, epochs=1), trainset, devset)
 
     def test_empty_sets_rejected(self):
@@ -133,6 +140,16 @@ class TestTrain:
     ])
     def test_bad_decision_settings_rejected_up_front(self, setting):
         with pytest.raises(InputError):
+            tiny_config(**setting)
+
+    @pytest.mark.parametrize("setting", [
+        {"alpha": float("inf")}, {"alpha": float("nan")}, {"alpha": -1.0},
+        {"stepsize": 0.0}, {"stepsize": -1.0}, {"stepsize": float("inf")},
+        {"stepsize": float("nan")},
+    ], ids=lambda s: "{}={}".format(*next(iter(s.items()))))
+    def test_bad_training_settings_rejected_up_front(self, setting):
+        name = next(iter(setting))
+        with pytest.raises(InputError, match=name):
             tiny_config(**setting)
 
     def test_desk_preset_reaches_low_error(self, desk_run):
@@ -163,6 +180,16 @@ class TestAlphaSweep:
         trainset, devset = tiny_sets(count=10, dev=5)
         rows = alpha_sweep(tiny_config(epochs=1), [5.0, 0.5], trainset, devset)
         assert [r["alpha"] for r in rows] == [0.5, 5.0]
+
+    def test_nonfinite_alpha_rejected_before_any_training(self, monkeypatch):
+        import raresed.train as train_module
+
+        def no_training(*args):
+            raise AssertionError("a model was trained")
+
+        monkeypatch.setattr(train_module, "train", no_training)
+        with pytest.raises(InputError, match="alpha"):
+            alpha_sweep(tiny_config(), [0.5, float("inf")], [], [])
 
     def test_empty_grid_rejected(self):
         trainset, devset = tiny_sets(count=10, dev=5)
@@ -304,3 +331,10 @@ class TestReporting:
         assert (er, f1, counts) == want
         best = next(r for r in parse_report(desk_run["report"]) if r["best"] == "1")
         assert (er, f1) == (float(best["dev_er"]), float(best["dev_f1"]))
+
+
+def test_train_submodule_is_not_shadowed():
+    import raresed.train as module
+
+    assert isinstance(module, types.ModuleType)
+    assert module.train is train
