@@ -23,6 +23,7 @@ from .data import SynthConfig, load_dataset, save_dataset, synth_dataset
 from .detector import infer
 from .errors import DataMismatchError, InputError
 from .metrics import (
+    check_frame_shift,
     detection_to_annotation,
     evaluate_annotations,
     format_annotations,
@@ -102,6 +103,8 @@ def load_config(path: Optional[str]) -> dict:
             raise InputError(f"config file not found: {path}")
         except json.JSONDecodeError as exc:
             raise InputError(f"config file {path} is not valid JSON: {exc}")
+        except UnicodeDecodeError as exc:
+            raise InputError(f"config file {path} is not UTF-8 text: {exc}")
         if not isinstance(user, dict):
             raise InputError(f"config file {path} must hold a JSON object")
     preset_name = user.pop("preset", None)
@@ -224,7 +227,8 @@ def cmd_synth(args) -> int:
     out = _ensure_out_dir(args.out)
     train_cfg = _synth_config(cfg, "train", args.seed)
     dev_cfg = _synth_config(cfg, "dev", args.seed)
-    frame_shift = float(cfg.get("eval", {}).get("frame_shift_s", 0.023))
+    frame_shift = check_frame_shift(
+        cfg.get("eval", {}).get("frame_shift_s", 0.023), "eval.frame_shift_s")
 
     # Dev indices continue after train so the substreams never collide.
     trainset = synth_dataset(train_cfg, id_prefix="train", start_index=0)
@@ -304,13 +308,13 @@ def cmd_infer(args) -> int:
         if value is not None and not 0.0 < value < 1.0:
             raise InputError(f"--{name} must lie strictly inside (0, 1), "
                              f"got {value!r}")
+    frame_shift = check_frame_shift(args.frame_shift, "--frame-shift")
     model, header = load_model(args.model)
     dataset = load_dataset(args.data)
     thres0 = args.thres0 if args.thres0 is not None else \
         header.get("train", {}).get("thres0", 0.5)
     thres1 = args.thres1 if args.thres1 is not None else \
         header.get("train", {}).get("thres1", 0.5)
-    frame_shift = args.frame_shift
 
     for utt in dataset:
         if utt.dim != model.config.input_dim:

@@ -18,6 +18,7 @@ log with a 1e-10 floor.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field as dc_field
 from typing import BinaryIO, Optional
@@ -51,8 +52,9 @@ class Utterance:
 
     def __post_init__(self) -> None:
         self.features = as_f64(self.features)
-        if self.features.ndim != 2:
-            raise ValueError("features must be a (d, T) matrix")
+        if self.features.ndim != 2 or 0 in self.features.shape:
+            raise ValueError(f"features must be a nonempty (d, T) matrix, "
+                             f"got shape {self.features.shape}")
         if not np.all(np.isfinite(self.features)):
             raise ValueError("features contain non-finite entries")
         if self.y not in (0, 1):
@@ -387,8 +389,10 @@ def save_dataset(path, utterances: list[Utterance]) -> None:
             fh.write(np.ascontiguousarray(utt.features, dtype="<f8").tobytes())
 
 
-def _read_exact(fh: BinaryIO, n: int, record: str) -> bytes:
-    data = fh.read(n)
+def _read_exact(fh: BinaryIO, n: int, record: str, size: int) -> bytes:
+    # A length field beyond the file's ``size`` is corrupt; it is not
+    # passed to read(), which would allocate that much first.
+    data = fh.read(n) if n <= size else b""
     if len(data) != n:
         raise ParseError(f"{record}: unexpected end of file "
                          f"(wanted {n} bytes, got {len(data)})")
@@ -401,32 +405,40 @@ def load_dataset(path) -> list[Utterance]:
     except FileNotFoundError:
         raise InputError(f"dataset file not found: {path}")
     with fh:
-        magic = _read_exact(fh, 4, "header")
+        size = os.fstat(fh.fileno()).st_size
+        magic = _read_exact(fh, 4, "header", size)
         if magic != DATASET_MAGIC:
             raise ParseError(f"header: bad magic {magic!r}, not a dataset file")
-        version, count = struct.unpack("<IQ", _read_exact(fh, 12, "header"))
+        version, count = struct.unpack("<IQ", _read_exact(fh, 12, "header", size))
         if version != DATASET_VERSION:
             raise ParseError(f"header: unsupported version {version}")
         out = []
         for rec in range(count):
             where = f"record {rec}"
-            (id_len,) = struct.unpack("<I", _read_exact(fh, 4, where))
-            uid = _read_exact(fh, id_len, where).decode("utf-8")
-            y, dim, t_len = struct.unpack("<BII", _read_exact(fh, 9, where))
-            onset, offset = struct.unpack("<II", _read_exact(fh, 8, where))
-            (meta_len,) = struct.unpack("<I", _read_exact(fh, 4, where))
+            (id_len,) = struct.unpack("<I", _read_exact(fh, 4, where, size))
             try:
-                meta = json.loads(_read_exact(fh, meta_len, where).decode("utf-8"))
-            except json.JSONDecodeError as exc:
+                uid = _read_exact(fh, id_len, where, size).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{where}: id is not UTF-8: {exc}")
+            y, dim, t_len = struct.unpack("<BII", _read_exact(fh, 9, where, size))
+            onset, offset = struct.unpack("<II", _read_exact(fh, 8, where, size))
+            (meta_len,) = struct.unpack("<I", _read_exact(fh, 4, where, size))
+            try:
+                meta = json.loads(_read_exact(fh, meta_len, where, size).decode("utf-8"))
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise ParseError(f"{where}: bad metadata JSON: {exc}")
-            raw = _read_exact(fh, dim * t_len * 8, where)
+            raw = _read_exact(fh, dim * t_len * 8, where, size)
             features = np.frombuffer(raw, dtype="<f8").reshape(dim, t_len).copy()
-            if y == 1:
-                out.append(Utterance.positive(uid, features, onset, offset, meta=meta))
-            elif y == 0:
-                out.append(Utterance.negative(uid, features, meta=meta))
-            else:
-                raise ParseError(f"{where}: bad label byte {y}")
+            try:
+                if y == 1:
+                    out.append(Utterance.positive(uid, features, onset, offset,
+                                                  meta=meta))
+                elif y == 0:
+                    out.append(Utterance.negative(uid, features, meta=meta))
+                else:
+                    raise ValueError(f"bad label byte {y}")
+            except ValueError as exc:
+                raise ParseError(f"{where}: {exc}")
         trailing = fh.read(1)
         if trailing:
             raise ParseError(f"record {count}: trailing bytes after final record")

@@ -20,7 +20,7 @@ stack). The test suite checks them against central finite differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, TYPE_CHECKING
 
 import numpy as np
@@ -29,11 +29,10 @@ from .numerics import as_f64, sigmoid
 from .recurrent import (
     EncoderConfig,
     EncoderLayer,
-    EncoderTrace,
+    draw_encoder,
     encode,
     encoder_backward,
     encoder_forward,
-    init_encoder_layers,
     layer_views,
 )
 
@@ -49,57 +48,55 @@ PROB_FLOOR = 1e-12
 DEFAULT_WINDOW_MARGIN = 50
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class EventModel:
-    """Encoder parameters plus the shared event classifier vector w."""
+    """Encoder parameters plus the shared event classifier vector w.
+
+    The model owns one float64 vector ``params``: the encoder in
+    layer_views order, then w. ``layers`` and ``w`` are views of it, so
+    an in-place update of ``params`` updates the model; no attribute can
+    be reassigned.
+    """
 
     config: EncoderConfig
-    layers: list[EncoderLayer]
-    w: np.ndarray
+    params: np.ndarray
+    layers: list[EncoderLayer] = field(init=False, repr=False)
+    w: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.w = as_f64(self.w)
-        if self.w.shape != (self.config.output_dim,):
+        n_enc = self.config.param_count
+        if (self.params.dtype != np.float64
+                or self.params.shape != (n_enc + self.config.output_dim,)):
             raise ValueError(
-                f"classifier has shape {self.w.shape}, encoder emits "
-                f"{self.config.output_dim}-dim frames"
+                f"parameter vector is {self.params.dtype} {self.params.shape}, "
+                f"model needs float64 ({self.param_count},)"
             )
+        object.__setattr__(self, "layers", layer_views(self.config, self.params))
+        object.__setattr__(self, "w", self.params[n_enc:])
 
     @classmethod
     def initialize(cls, config: EncoderConfig, seed: int) -> "EventModel":
-        """Deterministic init: weights uniform +-1/sqrt(fan-in), zero biases."""
+        """Deterministic init: weights uniform +-1/sqrt(fan-in), zero
+        biases; the encoder is drawn first, then w."""
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        layers = init_encoder_layers(config, rng)
+        model = cls(config, np.empty(config.param_count + config.output_dim))
+        draw_encoder(model.layers, rng)
         s = 1.0 / np.sqrt(config.output_dim)
-        w = rng.uniform(-s, s, size=config.output_dim)
-        return cls(config=config, layers=layers, w=w)
+        model.w[:] = rng.uniform(-s, s, size=config.output_dim)
+        return model
 
     def flatten(self) -> np.ndarray:
-        """All parameters as one vector: layers in order (forward cell
-        before backward), W, U, b of each cell row-major, w last."""
-        return np.concatenate([a.ravel() for layer in self.layers
-                               for cell in (layer.fwd, layer.bwd) if cell is not None
-                               for a in cell.arrays()] + [self.w])
+        """A copy of the parameter vector."""
+        return self.params.copy()
 
     @property
     def param_count(self) -> int:
         return self.config.param_count + self.config.output_dim
 
     def with_flat(self, vec: np.ndarray) -> "EventModel":
-        """New model with parameters taken from a flat vector (lossless).
-
-        The vector is copied once; the new model's arrays are views of
-        that copy, so later changes to ``vec`` do not reach the model.
-        """
-        vec = np.array(vec, dtype=np.float64)
-        n = self.config.param_count
-        if vec.shape != (n + self.w.size,):
-            raise ValueError(
-                f"parameter vector has {vec.size} entries, model has "
-                f"{n + self.w.size}"
-            )
-        return EventModel(config=self.config,
-                          layers=layer_views(self.config, vec[:n]), w=vec[n:])
+        """New model owning a float64 copy of the flat vector ``vec``
+        (lossless), so later changes to ``vec`` do not reach it."""
+        return EventModel(self.config, np.array(vec, dtype=np.float64))
 
 
 @dataclass
@@ -107,11 +104,9 @@ class ForwardTrace:
     """Cached activations of one utterance forward pass.
 
     Filled in stages: frame_posteriors populates the encoder outputs and
-    p_t; utterance_posterior adds attention, embedding, and p. Inference
-    keeps no encoder trace.
+    p_t; utterance_posterior adds attention, embedding, and p.
     """
 
-    encoder: Optional[EncoderTrace]
     hidden: np.ndarray            # (T, h)
     frame_posteriors: np.ndarray  # (T,)
     attention: Optional[np.ndarray] = None
@@ -146,15 +141,13 @@ def frame_posteriors(model: EventModel, features: np.ndarray) -> tuple[np.ndarra
             f"features have shape {features.shape}, model expects "
             f"({model.config.input_dim}, T)"
         )
-    hs, enc_trace = encoder_forward(model.config, model.layers,
-                                    features.T[:, None, :])
-    return _frame_head(model, hs[:, 0], enc_trace)
+    hs, _ = encoder_forward(model.config, model.layers, features.T[:, None, :])
+    return _frame_head(model, hs[:, 0])
 
 
-def _frame_head(model: EventModel, hs: np.ndarray,
-                enc_trace: Optional[EncoderTrace]) -> tuple[np.ndarray, ForwardTrace]:
+def _frame_head(model: EventModel, hs: np.ndarray) -> tuple[np.ndarray, ForwardTrace]:
     p = sigmoid(hs @ model.w)
-    return p, ForwardTrace(encoder=enc_trace, hidden=hs, frame_posteriors=p)
+    return p, ForwardTrace(hidden=hs, frame_posteriors=p)
 
 
 def attention_weights(p: np.ndarray) -> np.ndarray:
@@ -322,7 +315,7 @@ def _group_heads(model: EventModel, group: Sequence["Utterance"], alpha: float,
     grad_w = np.zeros_like(model.w)
     loss = 0.0
     for b, utt in enumerate(group):
-        _, trace = _frame_head(model, np.ascontiguousarray(hs[:, b]), enc_trace)
+        _, trace = _frame_head(model, np.ascontiguousarray(hs[:, b]))
         utterance_posterior(model, trace)
         loss += _trace_loss(trace, utt, alpha, margin)
         if need_grad:
@@ -344,14 +337,15 @@ def batch_loss(model: EventModel, batch: Sequence["Utterance"], alpha: float,
 def batch_loss_and_gradients(model: EventModel, batch: Sequence["Utterance"],
                              alpha: float,
                              margin: int = DEFAULT_WINDOW_MARGIN) -> tuple[float, np.ndarray]:
-    """Mean total loss over the batch and its gradient, in flatten() order.
+    """Mean total loss over the batch and its gradient, laid out like
+    model.params.
 
     Each group of equal-length utterances runs one batched recurrence
     forward and one BPTT; group gradients are added in group order.
     """
     total = 0.0
     n_enc = model.config.param_count
-    grad = np.zeros(n_enc + model.w.size)
+    grad = np.zeros(model.param_count)
     for group in _utterance_groups(batch):
         loss, enc_trace, d_hs, grad_w = _group_heads(model, group, alpha, margin,
                                                      need_grad=True)
@@ -436,7 +430,7 @@ def infer(model: EventModel, clips: Sequence[np.ndarray], thres0: float = 0.5,
             hs = encode(model.config, model.layers,
                         np.stack([clips[i].T for i in part], axis=1))
             for b, i in enumerate(part):
-                _, trace = _frame_head(model, np.ascontiguousarray(hs[:, b]), None)
+                _, trace = _frame_head(model, np.ascontiguousarray(hs[:, b]))
                 utterance_posterior(model, trace)
                 detections[i] = decide_detection(
                     trace.utterance_posterior, trace.frame_posteriors,

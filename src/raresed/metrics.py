@@ -10,6 +10,7 @@ before the scores are computed (micro-averaging).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -40,14 +41,6 @@ class MetricCounts:
     fp: int = 0
     fn: int = 0
     n_ref: int = 0
-
-    @property
-    def insertions(self) -> int:
-        return self.fp
-
-    @property
-    def deletions(self) -> int:
-        return self.fn
 
     def add(self, other: "MetricCounts") -> None:
         self.tp += other.tp
@@ -94,6 +87,19 @@ def f1_score(counts: MetricCounts) -> float:
     if denom == 0:
         raise ValueError("F1 undefined with no events on either side")
     return 100.0 * 2.0 * counts.tp / denom
+
+
+def check_frame_shift(value, name: str = "frame shift") -> float:
+    """``value`` as a frame shift in seconds; InputError naming ``name``
+    unless it is a finite positive number."""
+    try:
+        shift = float(value)
+    except (TypeError, ValueError):
+        shift = math.nan
+    if not (math.isfinite(shift) and shift > 0):
+        raise InputError(f"{name} must be a finite positive number of "
+                         f"seconds, got {value!r}")
+    return shift
 
 
 def detection_to_annotation(det: Detection,
@@ -162,7 +168,10 @@ def read_annotations(path) -> dict[str, Optional[EventAnnotation]]:
     except FileNotFoundError:
         raise InputError(f"annotation file not found: {path}")
     with fh:
-        lines = fh.read().splitlines()
+        try:
+            lines = fh.read().splitlines()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text: {exc}")
     if not lines or lines[0] != ANNOTATION_HEADER:
         raise ParseError(f"{path}: missing annotation header line")
     out: dict[str, Optional[EventAnnotation]] = {}

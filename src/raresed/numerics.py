@@ -6,12 +6,12 @@ finite-difference gradient checks in the test suite compare against
 analytic gradients at 1e-4 relative tolerance, which 32-bit arithmetic
 cannot reach.
 
-All functions are pure: optimizer state is returned, never mutated.
+adam_step updates the parameter vector and the optimizer state in place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,46 +34,40 @@ def sigmoid(z):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class AdamState:
-    """First/second moment estimates plus hyperparameters.
+# ADAM moment decay rates and denominator guard.
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
-    Defaults beta1=0.9, beta2=0.999, eps=1e-8; only the stepsize is
-    task-specific.
-    """
+
+@dataclass
+class AdamState:
+    """First/second moment estimates, step count and stepsize."""
 
     m: np.ndarray
     v: np.ndarray
     t: int = 0
     stepsize: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def fresh(cls, n: int, stepsize: float = 1e-4, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
-        return cls(m=np.zeros(n), v=np.zeros(n), t=0, stepsize=stepsize,
-                   beta1=beta1, beta2=beta2, eps=eps)
+    def fresh(cls, n: int, stepsize: float = 1e-4) -> "AdamState":
+        return cls(m=np.zeros(n), v=np.zeros(n), stepsize=stepsize)
 
 
-def adam_step(params: np.ndarray, grads: np.ndarray,
-              state: AdamState) -> tuple[np.ndarray, AdamState]:
-    """One ADAM update with bias correction.
-
-    Returns (new params, new state); inputs are left untouched.
-    """
-    params = as_f64(params)
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
+    """One ADAM update with bias correction, made in place on the float64
+    vector ``params`` and on ``state``."""
     grads = as_f64(grads)
     if params.shape != grads.shape or params.shape != state.m.shape:
         raise ValueError(
             f"adam_step length mismatch: params {params.shape}, "
             f"grads {grads.shape}, state {state.m.shape}"
         )
-    t = state.t + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    v = state.beta2 * state.v + (1.0 - state.beta2) * (grads * grads)
-    m_hat = m / (1.0 - state.beta1 ** t)
-    v_hat = v / (1.0 - state.beta2 ** t)
-    new_params = params - state.stepsize * m_hat / (np.sqrt(v_hat) + state.eps)
-    return new_params, replace(state, m=m, v=v, t=t)
+    state.t += 1
+    state.m *= BETA1
+    state.m += (1.0 - BETA1) * grads
+    state.v *= BETA2
+    state.v += (1.0 - BETA2) * (grads * grads)
+    m_hat = state.m / (1.0 - BETA1 ** state.t)
+    v_hat = state.v / (1.0 - BETA2 ** state.t)
+    params -= state.stepsize * m_hat / (np.sqrt(v_hat) + EPS)

@@ -56,27 +56,10 @@ class GruLayerParams:
     def input_dim(self) -> int:
         return self.W.shape[1]
 
-    def arrays(self) -> list[np.ndarray]:
-        """W, U, b: the order of flattening and initialization."""
-        return [self.W, self.U, self.b]
-
     @classmethod
     def zeros(cls, hidden: int, input_dim: int) -> "GruLayerParams":
         return cls(W=np.zeros((3 * hidden, input_dim)),
                    U=np.zeros((3 * hidden, hidden)), b=np.zeros(3 * hidden))
-
-    @classmethod
-    def initialize(cls, rng: np.random.Generator, hidden: int,
-                   input_dim: int) -> "GruLayerParams":
-        """Weights uniform in [-s, s] with s = 1/sqrt(fan-in); zero biases.
-
-        W is drawn before U, row-major, so a fixed seed pins every
-        parameter.
-        """
-        s_in, s_h = 1.0 / np.sqrt(input_dim), 1.0 / np.sqrt(hidden)
-        return cls(W=rng.uniform(-s_in, s_in, size=(3 * hidden, input_dim)),
-                   U=rng.uniform(-s_h, s_h, size=(3 * hidden, hidden)),
-                   b=np.zeros(3 * hidden))
 
 
 @dataclass
@@ -129,27 +112,10 @@ class EncoderConfig:
                    for i in range(self.layers))
 
 
-def init_encoder_layers(config: EncoderConfig,
-                        rng: np.random.Generator) -> list[EncoderLayer]:
-    """Draw all layer parameters in a fixed, documented order.
-
-    Layers in order; forward direction before backward within a layer.
-    """
-    layers = []
-    for i in range(config.layers):
-        d_in = config.layer_input_dim(i)
-        fwd = GruLayerParams.initialize(rng, config.hidden, d_in)
-        bwd = None
-        if config.directions == 2:
-            bwd = GruLayerParams.initialize(rng, config.hidden, d_in)
-        layers.append(EncoderLayer(fwd=fwd, bwd=bwd))
-    return layers
-
-
 def layer_views(config: EncoderConfig, vec: np.ndarray) -> list[EncoderLayer]:
-    """Layers whose parameters are views of the (config.param_count,)
-    vector ``vec`` in flattening order: layers in order, forward cell
-    before backward, and W, U, b of each cell row-major."""
+    """Layers whose parameters are views of the first config.param_count
+    entries of the vector ``vec``, laid out as layers in order, forward
+    cell before backward, and W, U, b of each cell row-major."""
     g, h_dim = 3 * config.hidden, config.hidden
     layers, pos = [], 0
     for i in range(config.layers):
@@ -163,6 +129,23 @@ def layer_views(config: EncoderConfig, vec: np.ndarray) -> list[EncoderLayer]:
             pos = b_at + g
         layers.append(EncoderLayer(*cells))
     return layers
+
+
+def draw_encoder(layers: list[EncoderLayer], rng: np.random.Generator) -> None:
+    """Initialize ``layers`` in place: weights uniform in [-s, s] with
+    s = 1/sqrt(fan-in), zero biases.
+
+    Cells are drawn in layer_views order, W before U, row-major, so a
+    fixed seed pins every parameter.
+    """
+    for layer in layers:
+        for cell in (layer.fwd, layer.bwd):
+            if cell is None:
+                continue
+            s_in, s_h = 1.0 / np.sqrt(cell.input_dim), 1.0 / np.sqrt(cell.hidden)
+            cell.W[:] = rng.uniform(-s_in, s_in, size=cell.W.shape)
+            cell.U[:] = rng.uniform(-s_h, s_h, size=cell.U.shape)
+            cell.b[:] = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +163,7 @@ def gru_cell_step(params: GruLayerParams, x_t: np.ndarray,
             f"cell expects ({params.input_dim},) and ({params.hidden},)"
         )
     (w_z, w_r, w_h), (u_z, u_r, u_h), (b_z, b_r, b_h) = (
-        np.split(a, 3) for a in params.arrays())
+        np.split(a, 3) for a in (params.W, params.U, params.b))
     z = sigmoid(w_z @ x_t + u_z @ h_prev + b_z)
     r = sigmoid(w_r @ x_t + u_r @ h_prev + b_r)
     c = np.tanh(w_h @ x_t + u_h @ (r * h_prev) + b_h)

@@ -8,7 +8,6 @@ the config seed; the last partial minibatch is kept.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import struct
@@ -25,6 +24,7 @@ from .metrics import (
     DEFAULT_FRAME_SHIFT_S,
     EventAnnotation,
     MetricCounts,
+    check_frame_shift,
     evaluate_dataset,
 )
 from .numerics import AdamState, adam_step
@@ -66,6 +66,7 @@ class TrainConfig:
                              "inside (0, 1)")
         if not self.collar_s > 0:
             raise InputError("collar must be positive")
+        check_frame_shift(self.frame_shift_s)
 
 
 @dataclass(frozen=True)
@@ -126,12 +127,11 @@ def train(config: TrainConfig, trainset: Sequence[Utterance],
 
     model = EventModel.initialize(config.encoder,
                                   _substream_seed(config.seed, 0))
-    params = model.flatten()
-    adam = AdamState.fresh(params.size, stepsize=config.stepsize)
+    adam = AdamState.fresh(model.param_count, stepsize=config.stepsize)
     shuffle_rng = np.random.default_rng(
         np.random.SeedSequence(config.seed, spawn_key=(1,)))
 
-    report = TrainReport(config=config, best_params=params.copy())
+    report = TrainReport(config=config, best_params=model.flatten())
     best_er = np.inf
     for epoch in range(1, config.epochs + 1):
         order = shuffle_rng.permutation(len(trainset))
@@ -147,8 +147,7 @@ def train(config: TrainConfig, trainset: Sequence[Utterance],
                     f"check train.stepsize ({config.stepsize!r}), train.alpha "
                     f"({config.alpha!r}) and the input features")
             loss_sum += loss * len(batch)
-            params, adam = adam_step(params, grad, adam)
-            model = model.with_flat(params)
+            adam_step(model.params, grad, adam)
         dev_er, dev_f1, _ = evaluate_model(model, devset, config.thres0,
                                            config.thres1, config.frame_shift_s,
                                            config.collar_s)
@@ -157,14 +156,12 @@ def train(config: TrainConfig, trainset: Sequence[Utterance],
         if dev_er < best_er:
             best_er = dev_er
             report.best_epoch = epoch
-            report.best_params = params.copy()
+            report.best_params = model.flatten()
     return report
 
 
 def best_model(report: TrainReport) -> EventModel:
-    shell = EventModel.initialize(report.config.encoder,
-                                  _substream_seed(report.config.seed, 0))
-    return shell.with_flat(report.best_params)
+    return EventModel(report.config.encoder, report.best_params.copy())
 
 
 def alpha_sweep(config: TrainConfig, grid: Sequence[float],
@@ -207,8 +204,7 @@ def _check_dims(encoder: EncoderConfig, dataset: Sequence[Utterance],
 #
 # Byte layout: magic "RSEM" | u32 version | u32 header length | header
 # (UTF-8 JSON: encoder config, seed, training hyperparameters) |
-# u64 parameter count | parameters as float64 little-endian, in
-# EventModel.flatten() order.
+# u64 parameter count | EventModel.params as float64 little-endian.
 # ---------------------------------------------------------------------------
 
 def save_model(path, model: EventModel, config: Optional[TrainConfig] = None) -> None:
@@ -229,15 +225,12 @@ def save_model(path, model: EventModel, config: Optional[TrainConfig] = None) ->
             "thres1": config.thres1, "margin": config.margin,
         }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    flat = model.flatten()
-    buf = io.BytesIO()
-    buf.write(MODEL_MAGIC)
-    buf.write(struct.pack("<II", MODEL_VERSION, len(header_bytes)))
-    buf.write(header_bytes)
-    buf.write(struct.pack("<Q", flat.size))
-    buf.write(np.ascontiguousarray(flat, dtype="<f8").tobytes())
     with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+        fh.write(MODEL_MAGIC)
+        fh.write(struct.pack("<II", MODEL_VERSION, len(header_bytes)))
+        fh.write(header_bytes)
+        fh.write(struct.pack("<Q", model.params.size))
+        fh.write(model.params.astype("<f8", copy=False).data)
 
 
 def load_model(path) -> tuple[EventModel, dict]:
@@ -267,6 +260,7 @@ def load_model(path) -> tuple[EventModel, dict]:
         config = EncoderConfig(kind=enc["kind"], layers=enc["layers"],
                                hidden=enc["hidden"], input_dim=enc["input_dim"],
                                multires_bidirectional=enc["multires_bidirectional"])
+        want = config.param_count + config.output_dim
         # Inference falls back on the saved thresholds.
         for name in ("thres0", "thres1"):
             if not 0.0 < header.get("train", {}).get(name, 0.5) < 1.0:
@@ -274,21 +268,18 @@ def load_model(path) -> tuple[EventModel, dict]:
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: bad model header: {exc}")
     (count,) = struct.unpack_from("<Q", blob, pos)
-    raw = blob[pos + 8:]
-    if len(raw) < count * 8:
+    if count != want:
+        raise ParseError(f"{path}: header promises {want} parameters, "
+                         f"parameter count field says {count}")
+    pos += 8
+    if len(blob) < pos + count * 8:
         raise ParseError(f"{path}: truncated parameter block: {count} "
-                         f"parameters promised, {len(raw) // 8} present")
-    if len(raw) > count * 8:
+                         f"parameters promised, {(len(blob) - pos) // 8} present")
+    if len(blob) > pos + count * 8:
         raise ParseError(f"{path}: trailing bytes after the parameter block "
-                         f"(from byte {pos + 8 + count * 8})")
-    flat = np.frombuffer(raw, dtype="<f8").copy()
-    shell = EventModel.initialize(config, seed=0)
-    if flat.size != shell.param_count:
-        raise ParseError(
-            f"{path}: header promises {shell.param_count} parameters, "
-            f"file carries {flat.size}"
-        )
-    return shell.with_flat(flat), header
+                         f"(from byte {pos + count * 8})")
+    params = np.frombuffer(blob, dtype="<f8", offset=pos).astype(np.float64)
+    return EventModel(config, params), header
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,10 @@ import sys
 import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import raresed
+import raresed.cli as cli_module
 from raresed.cli import main
 from raresed.data import SynthConfig, load_dataset, save_dataset, synth_dataset
 from raresed.detector import EventModel
@@ -44,6 +44,16 @@ def synth_tiny(tmp_path):
     out = tmp_path / "data"
     assert main(["synth", "--config", config, "--out", str(out)]) == 0
     return config, out
+
+
+def bad_frame_shift_config(tmp_path, raw):
+    """TINY with eval.frame_shift_s replaced by the JSON text ``raw``."""
+    good = '"frame_shift_s": 0.023'
+    text = json.dumps(TINY)
+    assert good in text
+    path = tmp_path / "bad.json"
+    path.write_text(text.replace(good, f'"frame_shift_s": {raw}'))
+    return str(path)
 
 
 def read_table(path):
@@ -83,6 +93,21 @@ class TestSynth:
         path.write_text("{nope")
         assert main(["synth", "--config", str(path),
                      "--out", str(tmp_path / "o")]) == 2
+
+    def test_config_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"preset": "d\xe9sk"}')
+        assert main(["synth", "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw", ["-1", "0", "NaN", '"fast"'])
+    def test_bad_frame_shift_exits_2_before_writing(self, tmp_path, capsys, raw):
+        config = bad_frame_shift_config(tmp_path, raw)
+        out = tmp_path / "o"
+        assert main(["synth", "--config", config, "--out", str(out)]) == 2
+        assert "frame_shift_s" in capsys.readouterr().err
+        assert not (out / "train.sed").exists()
 
     def test_seed_flag_overrides(self, tmp_path):
         config = write_config(tmp_path, TINY)
@@ -161,6 +186,22 @@ class TestTrainCommand:
         assert name in capsys.readouterr().err
         assert not (out / "model.sem").exists()
 
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    @pytest.mark.parametrize("raw", ["-1", "0", "Infinity"])
+    def test_bad_frame_shift_exits_2_before_training(self, tmp_path, capsys,
+                                                    monkeypatch, command, raw):
+        _, data = synth_tiny(tmp_path)
+        config = bad_frame_shift_config(tmp_path, raw)
+        for name in ("train", "alpha_sweep"):  # must not be reached
+            monkeypatch.setattr(cli_module, name, None)
+        out = tmp_path / "run"
+        code = main([command, "--config", config,
+                     "--train-data", str(data / "train.sed"),
+                     "--dev-data", str(data / "dev.sed"), "--out", str(out)])
+        assert code == 2
+        assert "frame shift" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_diverging_training_exits_2_naming_the_settings(self, tmp_path, capsys):
         _, data = synth_tiny(tmp_path)
         cfg = json.loads(json.dumps(TINY))
@@ -216,7 +257,7 @@ class TestInferCommand:
                                 input_dim=5)
         model = EventModel.initialize(encoder, seed=3)
         if zero_w:
-            model.w = np.zeros(4)
+            model.w[:] = 0.0
         config = TrainConfig(encoder=encoder, seed=3)
         path = tmp_path / "model.sem"
         save_model(path, model, config)
@@ -271,6 +312,19 @@ class TestInferCommand:
         assert flag in capsys.readouterr().err
         assert not (out / "detections.tsv").exists()
 
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    def test_bad_frame_shift_exits_2_before_loading(self, tmp_path, capsys,
+                                                   monkeypatch, value):
+        _, data = synth_tiny(tmp_path)
+        model = self.model_path(tmp_path)
+        monkeypatch.setattr(cli_module, "load_model", None)  # must not be reached
+        out = tmp_path / "inf"
+        assert main(["infer", "--model", str(model),
+                     "--data", str(data / "dev.sed"), "--out", str(out),
+                     "--frame-shift", value]) == 2
+        assert "--frame-shift" in capsys.readouterr().err
+        assert not (out / "detections.tsv").exists()
+
     def test_dim_mismatch_exits_3(self, tmp_path):
         model = self.model_path(tmp_path)
         other = synth_dataset(SynthConfig(count=3, positive_fraction=0.0,
@@ -319,6 +373,18 @@ class TestEvalCommand:
                          "--collar", collar]) == 2
             assert "--collar must be positive" in capsys.readouterr().err
             assert not (out / "eval.tsv").exists()
+
+    @pytest.mark.parametrize("which", ["ref", "det"])
+    def test_tsv_not_utf8_exits_2_naming_the_file(self, tmp_path, capsys, which):
+        records = {"u0": EventAnnotation(1.0, 2.0)}
+        write_annotations(tmp_path / "ref.tsv", records)
+        write_annotations(tmp_path / "det.tsv", records)
+        bad = tmp_path / f"{which}.tsv"
+        bad.write_bytes(bad.read_bytes().replace(b"u0", b"u\xff"))
+        assert main(["eval", "--ref", str(tmp_path / "ref.tsv"),
+                     "--det", str(tmp_path / "det.tsv"),
+                     "--out", str(tmp_path / "ev")]) == 2
+        assert str(bad) in capsys.readouterr().err
 
     def test_collar_flag_flips_marginal_match(self, tmp_path):
         write_annotations(tmp_path / "ref.tsv", {"u0": EventAnnotation(3.0, 4.0)})

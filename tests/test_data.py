@@ -1,5 +1,6 @@
 import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -20,6 +21,22 @@ from raresed.data import (
     synth_feature_utterance,
 )
 from raresed.errors import InputError, ParseError
+
+
+def sed_record(uid=b"r", y=1, dim=1, t_len=4, onset=2, offset=3, meta=b"{}",
+               features=None) -> bytes:
+    """One hand-built .sed record (see the layout in raresed.data)."""
+    if features is None:
+        features = np.zeros(dim * t_len)
+    return (struct.pack("<I", len(uid)) + uid + struct.pack("<BII", y, dim, t_len)
+            + struct.pack("<II", onset, offset) + struct.pack("<I", len(meta))
+            + meta + np.asarray(features, dtype="<f8").tobytes())
+
+
+def sed_file(path, *records: bytes):
+    path.write_bytes(b"RSED" + struct.pack("<IQ", 1, len(records))
+                     + b"".join(records))
+    return path
 
 
 def desk_synth(**overrides) -> SynthConfig:
@@ -275,3 +292,25 @@ class TestDatasetIO:
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError):
             load_dataset(tmp_path / "absent.sed")
+
+    def test_hand_built_record_loads(self, tmp_path):
+        path = sed_file(tmp_path / "d.sed", sed_record(features=[1.0, 2.0, 3.0, 4.0]))
+        (utt,) = load_dataset(path)
+        assert (utt.id, utt.y, utt.onset, utt.offset) == ("r", 1, 2, 3)
+        assert np.array_equal(utt.features, [[1.0, 2.0, 3.0, 4.0]])
+
+    @pytest.mark.parametrize("fields,message", [
+        (dict(uid=b"r\xff"), "id is not UTF-8"),
+        (dict(meta=b'{"a": "\xff"}'), "metadata"),
+        (dict(onset=0), "boundaries"),
+        (dict(offset=5), "boundaries"),
+        (dict(onset=3, offset=2), "boundaries"),
+        (dict(features=[0.0, math.nan, 0.0, 0.0]), "non-finite"),
+        (dict(y=2), "label byte 2"),
+        (dict(y=0, onset=0, offset=0, t_len=0), "nonempty"),
+        (dict(dim=2**32 - 1, t_len=2**32 - 1, features=[]), "end of file"),
+    ])
+    def test_malformed_record_names_it(self, tmp_path, fields, message):
+        path = sed_file(tmp_path / "d.sed", sed_record(), sed_record(**fields))
+        with pytest.raises(ParseError, match=f"record 1: .*{message}"):
+            load_dataset(path)

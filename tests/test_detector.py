@@ -27,13 +27,7 @@ from raresed.detector import (
     utterance_loss,
     utterance_posterior,
 )
-from raresed.recurrent import (
-    EncoderConfig,
-    EncoderLayer,
-    EncoderTrace,
-    GruLayerParams,
-    layer_views,
-)
+from raresed.recurrent import EncoderConfig
 from raresed.train import save_model
 
 
@@ -45,21 +39,19 @@ def small_model(kind="unidirectional", layers=1, hidden=3, input_dim=4,
 
 
 def stub_trace(hidden: np.ndarray, posteriors: np.ndarray) -> ForwardTrace:
-    return ForwardTrace(encoder=EncoderTrace(input_length=hidden.shape[0]),
-                        hidden=hidden, frame_posteriors=posteriors)
+    return ForwardTrace(hidden=hidden, frame_posteriors=posteriors)
 
 
 class TestFramePosteriors:
     def test_zero_classifier_gives_half(self):
         model = small_model(seed=1)
-        model.w = np.zeros(3)
+        model.w[:] = 0.0
         p, _ = frame_posteriors(model, np.random.default_rng(0).standard_normal((4, 6)))
         assert np.array_equal(p, np.full(6, 0.5))
 
     def test_zero_encoder_gives_half(self):
         cfg = EncoderConfig(kind="unidirectional", layers=1, hidden=3, input_dim=4)
-        model = EventModel(config=cfg, layers=layer_views(cfg, np.zeros(cfg.param_count)),
-                           w=np.array([2.0, -1.0, 0.5]))
+        model = EventModel(cfg, np.r_[np.zeros(cfg.param_count), 2.0, -1.0, 0.5])
         p, _ = frame_posteriors(model, np.ones((4, 5)))
         assert np.array_equal(p, np.full(5, 0.5))
 
@@ -68,7 +60,7 @@ class TestFramePosteriors:
         X = np.random.default_rng(1).standard_normal((4, 3))
         _, trace = frame_posteriors(model, X)
         h1 = trace.hidden[0]
-        model.w = math.log(3.0) * h1 / (h1 @ h1)
+        model.w[:] = math.log(3.0) * h1 / (h1 @ h1)
         p, _ = frame_posteriors(model, X)
         assert p[0] == pytest.approx(0.75, abs=1e-12)
 
@@ -136,7 +128,7 @@ class TestUtterancePosterior:
 
     def test_zero_classifier(self):
         model = small_model(seed=6)
-        model.w = np.zeros(3)
+        model.w[:] = 0.0
         trace = forward(model, np.random.default_rng(5).standard_normal((4, 5)))
         assert trace.utterance_posterior == 0.5
 
@@ -248,10 +240,9 @@ class TestGradients:
         # Saturate the classifier so p_1 = 1.0 exactly in f64 with
         # y = y_1 = 1: every loss delta is exactly zero.
         cfg = EncoderConfig(kind="unidirectional", layers=1, hidden=1, input_dim=1)
-        layer = GruLayerParams.zeros(1, 1)
-        layer.W[2] = 1.0  # candidate row
-        model = EventModel(config=cfg, layers=[EncoderLayer(fwd=layer)],
-                           w=np.array([150.0]))
+        model = EventModel(cfg, np.zeros(cfg.param_count + 1))
+        model.layers[0].fwd.W[2] = 1.0  # candidate row
+        model.w[:] = 150.0
         utt = Utterance.positive("p", np.array([[1.0]]), onset=1, offset=1)
         grad = gradients(model, [utt], alpha=1.0)
         assert np.linalg.norm(grad) <= 1e-8
@@ -351,7 +342,7 @@ PINS = {
 
 def param_arrays(model: EventModel) -> list[np.ndarray]:
     return [a for layer in model.layers for cell in (layer.fwd, layer.bwd)
-            if cell is not None for a in cell.arrays()] + [model.w]
+            if cell is not None for a in (cell.W, cell.U, cell.b)] + [model.w]
 
 
 class TestFlatParameters:
@@ -378,9 +369,29 @@ class TestFlatParameters:
         v[:] = 0.0
         assert not np.any(copy.flatten() == 0.0)
         # Every array is a view of the one copy the model owns.
-        owner = copy.w.base
-        assert owner is not None and not np.shares_memory(owner, v)
+        owner = copy.params
+        assert not np.shares_memory(owner, v)
         assert all(a.base is owner for a in param_arrays(copy))
+
+    def test_parameters_cannot_be_reassigned(self):
+        model = small_model(seed=8)
+        for name in ("params", "layers", "w"):
+            with pytest.raises(AttributeError):
+                setattr(model, name, getattr(model, name))
+
+    def test_in_place_update_reaches_every_view(self):
+        model = small_model(kind="bidirectional", layers=2, seed=9)
+        model.params[:] = np.arange(model.param_count, dtype=np.float64)
+        got = np.concatenate([a.ravel() for a in param_arrays(model)])
+        assert np.array_equal(got, model.params)
+        assert not np.shares_memory(model.flatten(), model.params)
+
+    def test_constructor_checks_vector(self):
+        cfg = EncoderConfig(kind="unidirectional", layers=1, hidden=2, input_dim=3)
+        n = cfg.param_count + cfg.output_dim
+        for bad in (np.zeros(n - 1), np.zeros(n + 1), np.zeros(n, dtype=np.float32)):
+            with pytest.raises(ValueError):
+                EventModel(cfg, bad)
 
     @pytest.mark.parametrize("kind,mr_bidir", BATCHED_KINDS)
     def test_sem_bytes_of_initialized_model_pinned(self, kind, mr_bidir, tmp_path):
@@ -446,7 +457,7 @@ class TestDecision:
 
     def test_infer_at_half_with_zero_classifier(self):
         model = small_model(seed=16)
-        model.w = np.zeros(3)
+        model.w[:] = 0.0
         det = infer(model, [np.ones((4, 6))])[0]  # p = 0.5 <= thres0
         assert not det.present
 

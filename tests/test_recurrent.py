@@ -7,10 +7,10 @@ from raresed.recurrent import (
     EncoderConfig,
     EncoderLayer,
     GruLayerParams,
+    draw_encoder,
     encode,
     encoder_forward,
     gru_cell_step,
-    init_encoder_layers,
     layer_views,
     run_bidirectional,
     run_unidirectional,
@@ -39,8 +39,16 @@ def zero_layers(cfg: EncoderConfig) -> list[EncoderLayer]:
     return layer_views(cfg, np.zeros(cfg.param_count))
 
 
+def random_layers(cfg: EncoderConfig, rng) -> list[EncoderLayer]:
+    layers = layer_views(cfg, np.empty(cfg.param_count))
+    draw_encoder(layers, rng)
+    return layers
+
+
 def random_cell(rng, hidden, input_dim) -> GruLayerParams:
-    return GruLayerParams.initialize(rng, hidden, input_dim)
+    cfg = EncoderConfig(kind="unidirectional", layers=1, hidden=hidden,
+                        input_dim=input_dim)
+    return random_layers(cfg, rng)[0].fwd
 
 
 # Plain-Python oracle for the scalar cell; the production values below
@@ -212,7 +220,7 @@ class TestMultiresForward:
     def test_single_layer_degenerate(self):
         rng = np.random.default_rng(10)
         cfg = multires_config(1, 4, 3)
-        layers = init_encoder_layers(cfg, rng)
+        layers = random_layers(cfg, rng)
         xs = rng.standard_normal((6, 3))
         out, _ = encoder_forward(cfg, layers, xs[:, None, :])
         direct = upsample_replicate(subsample2(run_unidirectional(layers[0].fwd, xs)), 6)
@@ -239,7 +247,7 @@ class TestMultiresForward:
         # The stack must equal the explicit run/pool/replicate pipeline.
         rng = np.random.default_rng(11)
         cfg = multires_config(3, 4, 2)
-        layers = init_encoder_layers(cfg, rng)
+        layers = random_layers(cfg, rng)
         xs = rng.standard_normal((13, 2))
         out, _ = encoder_forward(cfg, layers, xs[:, None, :])
         out = out[:, 0]
@@ -258,7 +266,7 @@ class TestEncoderShapes:
     def test_output_length_matches_input(self, kind):
         rng = np.random.default_rng(12)
         cfg = EncoderConfig(kind=kind, layers=2, hidden=3, input_dim=2)
-        layers = init_encoder_layers(cfg, rng)
+        layers = random_layers(cfg, rng)
         for t_len in (1, 2, 3, 5, 8, 13, 33, 64):
             out, _ = encoder_forward(cfg, layers, rng.standard_normal((t_len, 3, 2)))
             assert out.shape == (t_len, 3, cfg.output_dim)
@@ -266,7 +274,7 @@ class TestEncoderShapes:
     def test_bidirectional_multires_option(self):
         rng = np.random.default_rng(13)
         cfg = multires_config(2, 3, 2, bidir=True)
-        layers = init_encoder_layers(cfg, rng)
+        layers = random_layers(cfg, rng)
         out, _ = encoder_forward(cfg, layers, rng.standard_normal((9, 2, 2)))
         assert out.shape == (9, 2, 6)
 
@@ -292,7 +300,7 @@ class TestEncode:
         rng = np.random.default_rng(21)
         cfg = EncoderConfig(kind=kind, layers=2, hidden=4, input_dim=3,
                             multires_bidirectional=bidir)
-        layers = init_encoder_layers(cfg, rng)
+        layers = random_layers(cfg, rng)
         # Odd lengths give the pooling a trailing frame; 131 spans three
         # projection blocks.
         for t_len in (1, 7, 13, 131):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 import types
@@ -102,6 +103,15 @@ class TestTrain:
         for sa, sb in zip(a.epochs, b.epochs):
             assert sa.train_loss == sb.train_loss
             assert sa.dev_er == sb.dev_er and sa.dev_f1 == sb.dev_f1
+
+    def test_training_bytes_pinned(self):
+        # sha256 of the best parameters and of the report of a 3-epoch run,
+        # recorded while ADAM still returned a new vector each step.
+        report = train(tiny_config(epochs=3), *tiny_sets())
+        assert hashlib.sha256(report.best_params.tobytes()).hexdigest() == (
+            "a5a616d698ec137c53ae5350bc945bf5d0723208ef7b1155719d0356792fcb9d")
+        assert hashlib.sha256(format_report(report).encode()).hexdigest() == (
+            "9d90a0edc3cc33cceb297d5d0a269cd7263418bc23755e4fc8985d08be37c4b6")
 
     def test_best_epoch_is_earliest_minimum(self):
         trainset, devset = tiny_sets()
@@ -270,6 +280,20 @@ class TestModelIO:
         with pytest.raises(ParseError, match="JSON object"):
             load_model(path)
 
+    @pytest.mark.parametrize("encoder,message", [
+        ({"hidden": 10**6, "input_dim": 10**6}, "promises"),  # 6e12 parameters
+        ({"layers": 2.5}, "bad model header"),
+    ])
+    def test_header_encoder_checked_before_building(self, tmp_path, encoder,
+                                                    message):
+        enc = {"kind": "unidirectional", "layers": 1, "hidden": 1,
+               "input_dim": 1, "multires_bidirectional": False, **encoder}
+        header = json.dumps({"encoder": enc}).encode()
+        path = tmp_path / "big.sem"
+        path.write_bytes(b"RSEM" + struct.pack("<II", 1, len(header)) + header
+                         + struct.pack("<Q", 10) + bytes(80))
+        with pytest.raises(ParseError, match=message):
+            load_model(path)
 
     @pytest.mark.parametrize("name,value", [("thres0", 1.5), ("thres1", 0.0)])
     def test_saved_threshold_outside_unit_interval_rejected(self, tmp_path,
