@@ -434,6 +434,9 @@ def load_dataset(path) -> list[Utterance]:
                     out.append(Utterance.positive(uid, features, onset, offset,
                                                   meta=meta))
                 elif y == 0:
+                    if onset or offset:
+                        raise ValueError(f"negative record with event boundaries "
+                                         f"{onset}..{offset}")
                     out.append(Utterance.negative(uid, features, meta=meta))
                 else:
                     raise ValueError(f"bad label byte {y}")

@@ -103,8 +103,8 @@ class EventModel:
 class ForwardTrace:
     """Cached activations of one utterance forward pass.
 
-    Filled in stages: frame_posteriors populates the encoder outputs and
-    p_t; utterance_posterior adds attention, embedding, and p.
+    Filled in stages: _frame_head stores the encoder outputs and p_t;
+    utterance_posterior adds attention, embedding, and p.
     """
 
     hidden: np.ndarray            # (T, h)
@@ -128,21 +128,6 @@ class Detection:
                 raise ValueError("present detection needs onset and offset")
             if not 1 <= self.onset <= self.offset:
                 raise ValueError(f"bad boundary {self.onset}..{self.offset}")
-
-
-def frame_posteriors(model: EventModel, features: np.ndarray) -> tuple[np.ndarray, ForwardTrace]:
-    """p_t = sigmoid(w . h_t) for every frame of a (d, T) feature matrix.
-
-    No bias term on the classifier at either level.
-    """
-    features = as_f64(features)
-    if features.ndim != 2 or features.shape[0] != model.config.input_dim:
-        raise ValueError(
-            f"features have shape {features.shape}, model expects "
-            f"({model.config.input_dim}, T)"
-        )
-    hs, _ = encoder_forward(model.config, model.layers, features.T[:, None, :])
-    return _frame_head(model, hs[:, 0])
 
 
 def _frame_head(model: EventModel, hs: np.ndarray) -> tuple[np.ndarray, ForwardTrace]:
@@ -172,13 +157,6 @@ def utterance_posterior(model: EventModel, trace: ForwardTrace) -> float:
     trace.embedding = trace.attention @ trace.hidden
     trace.utterance_posterior = sigmoid(float(model.w @ trace.embedding))
     return trace.utterance_posterior
-
-
-def forward(model: EventModel, features: np.ndarray) -> ForwardTrace:
-    """Full forward pass: posteriors, attention, embedding, p."""
-    _, trace = frame_posteriors(model, features)
-    utterance_posterior(model, trace)
-    return trace
 
 
 def _clamped_log(p: np.ndarray) -> np.ndarray:
@@ -223,15 +201,6 @@ def frame_loss(trace: ForwardTrace, utt: "Utterance",
     y = as_f64(utt.frame_labels)[idx - 1]
     ll = y * _clamped_log(p) + (1.0 - y) * _clamped_log(1.0 - p)
     return float(-np.mean(ll))
-
-
-def total_loss(model: EventModel, utt: "Utterance", alpha: float,
-               margin: int = DEFAULT_WINDOW_MARGIN) -> tuple[float, ForwardTrace]:
-    """utterance_loss + alpha * frame_loss with the standard event window."""
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    trace = forward(model, utt.features)
-    return _trace_loss(trace, utt, alpha, margin), trace
 
 
 def _trace_loss(trace: ForwardTrace, utt: "Utterance", alpha: float,
@@ -354,12 +323,6 @@ def batch_loss_and_gradients(model: EventModel, batch: Sequence["Utterance"],
         grad[n_enc:] += grad_w
     n = len(batch)
     return total / n, grad / n
-
-
-def gradients(model: EventModel, batch: Sequence["Utterance"], alpha: float,
-              margin: int = DEFAULT_WINDOW_MARGIN) -> np.ndarray:
-    """Gradient of the mean total loss over the batch."""
-    return batch_loss_and_gradients(model, batch, alpha, margin)[1]
 
 
 def _longest_true_run(mask: np.ndarray) -> Optional[tuple[int, int]]:

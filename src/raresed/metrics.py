@@ -157,11 +157,6 @@ def format_annotations(records: Mapping[str, Optional[EventAnnotation]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_annotations(path, records: Mapping[str, Optional[EventAnnotation]]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_annotations(records))
-
-
 def read_annotations(path) -> dict[str, Optional[EventAnnotation]]:
     try:
         fh = open(path, "r", encoding="utf-8")

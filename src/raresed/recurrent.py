@@ -19,12 +19,17 @@ Cell convention (fixed here for reproducibility):
 
 Sequences run time-major in batches: the encoder takes (T, B, d) arrays
 of B equal-length sequences and runs one recurrence per layer and
-direction over a (B, H) state. ``encoder_forward`` caches every
-activation needed for exact backpropagation through time;
-``encoder_backward`` returns the parameter gradients, summed over the
-batch, as one flat vector laid out like the parameters (see
-``layer_views``). ``encode`` is the forward-only pass used for
-inference: same outputs, no trace.
+direction over a (B, H) state. Training and inference share one forward
+pass, which takes an optional trace:
+
+* ``encoder_forward`` runs it with a trace, which keeps every activation
+  that exact backpropagation through time needs; ``encoder_backward``
+  consumes it and returns the parameter gradients, summed over the
+  batch, as one flat vector laid out like the parameters (see
+  ``layer_views``).
+* ``encode`` runs it without one, for inference: the same features to
+  rounding, with the input projections made a block of steps at a time
+  and nothing kept.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from .numerics import as_f64, sigmoid
+from .numerics import as_f64
 
 ENCODER_KINDS = ("unidirectional", "bidirectional", "multiresolution")
 
@@ -55,11 +60,6 @@ class GruLayerParams:
     @property
     def input_dim(self) -> int:
         return self.W.shape[1]
-
-    @classmethod
-    def zeros(cls, hidden: int, input_dim: int) -> "GruLayerParams":
-        return cls(W=np.zeros((3 * hidden, input_dim)),
-                   U=np.zeros((3 * hidden, hidden)), b=np.zeros(3 * hidden))
 
 
 @dataclass
@@ -83,6 +83,13 @@ class EncoderConfig:
     def __post_init__(self) -> None:
         if self.kind not in ENCODER_KINDS:
             raise ValueError(f"unknown encoder kind {self.kind!r}")
+        for name in ("layers", "hidden", "input_dim"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise TypeError(f"{name} must be an integer, not {value!r}")
+        if not isinstance(self.multires_bidirectional, bool):
+            raise TypeError(f"multires_bidirectional must be a bool, not "
+                            f"{self.multires_bidirectional!r}")
         if self.layers < 1:
             raise ValueError("need at least one layer")
         if self.hidden < 1 or self.input_dim < 1:
@@ -106,10 +113,11 @@ class EncoderConfig:
 
     @property
     def param_count(self) -> int:
-        """Encoder parameters: 3H (D_in + H + 1) per cell."""
-        return sum(self.directions * 3 * self.hidden
-                   * (self.layer_input_dim(i) + self.hidden + 1)
-                   for i in range(self.layers))
+        """Encoder parameters: 3H (D_in + H + 1) per cell, where D_in is
+        the input dim for the first layer and the output dim for the rest."""
+        dirs, h = self.directions, int(self.hidden)
+        return dirs * 3 * h * ((int(self.input_dim) + h + 1)
+                               + (int(self.layers) - 1) * (dirs * h + h + 1))
 
 
 def layer_views(config: EncoderConfig, vec: np.ndarray) -> list[EncoderLayer]:
@@ -149,26 +157,8 @@ def draw_encoder(layers: list[EncoderLayer], rng: np.random.Generator) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Single cell step and batched sequence runs
+# Directional runs over a batch
 # ---------------------------------------------------------------------------
-
-def gru_cell_step(params: GruLayerParams, x_t: np.ndarray,
-                  h_prev: np.ndarray) -> np.ndarray:
-    """One GRU step; reference form of the cell equations."""
-    x_t = as_f64(x_t)
-    h_prev = as_f64(h_prev)
-    if x_t.shape != (params.input_dim,) or h_prev.shape != (params.hidden,):
-        raise ValueError(
-            f"gru_cell_step dimension mismatch: x {x_t.shape}, h {h_prev.shape}, "
-            f"cell expects ({params.input_dim},) and ({params.hidden},)"
-        )
-    (w_z, w_r, w_h), (u_z, u_r, u_h), (b_z, b_r, b_h) = (
-        np.split(a, 3) for a in (params.W, params.U, params.b))
-    z = sigmoid(w_z @ x_t + u_z @ h_prev + b_z)
-    r = sigmoid(w_r @ x_t + u_r @ h_prev + b_r)
-    c = np.tanh(w_h @ x_t + u_h @ (r * h_prev) + b_h)
-    return (1.0 - z) * h_prev + z * c
-
 
 @dataclass
 class GruRunTrace:
@@ -206,33 +196,35 @@ def _gru_steps(params: GruLayerParams, gates: np.ndarray, h: np.ndarray,
     return h
 
 
-def _gru_forward(params: GruLayerParams, xs: np.ndarray) -> GruRunTrace:
-    """Run the cell over a (T, B, D_in) batch of equal-length float64
-    sequences, each from a zero initial state, keeping the trace.
-
-    The input projections of every step and sequence are one matmul; the
-    gate activations overwrite them in place.
-    """
-    t_len, batch, d_in = xs.shape
-    gates = (xs.reshape(t_len * batch, d_in) @ params.W.T + params.b).reshape(
-        t_len, batch, -1)
-    hs = np.empty((t_len, batch, params.hidden))
-    _gru_steps(params, gates, np.zeros((batch, params.hidden)), hs)
-    return GruRunTrace(inputs=xs, hs=hs, gates=gates)
-
-
-# Time steps whose input projections the forward-only pass computes at
-# once, so it never holds a whole-sequence (T, B, 3H) buffer.
+# Time steps whose input projections a trace-free run computes at once,
+# so it never holds a whole-sequence (T, B, 3H) buffer.
 PROJECTION_BLOCK = 16
 
 
-def _gru_run_into(params: GruLayerParams, xs: np.ndarray,
-                  out: np.ndarray) -> None:
-    """Forward-only run over a (T, B, D_in) batch from a zero state,
-    writing the hidden states into ``out`` (T, B, H), which may be a
-    strided view. Keeps no trace."""
+def _gru_run(params: GruLayerParams, xs: np.ndarray, out: np.ndarray,
+             keep: bool) -> Optional[GruRunTrace]:
+    """Run the cell over a (T, B, D_in) batch of equal-length float64
+    sequences, each from a zero initial state, writing the hidden states
+    into ``out`` (T, B, H), which may be a strided view.
+
+    With ``keep``, the input projections of every step are one matmul,
+    the gate activations overwrite them in place, and the trace is
+    returned. BPTT's weight-gradient matmuls need positive strides, so a
+    run that writes through a time-reversed view keeps its states
+    contiguous and in run order, and copies them out. Without ``keep``,
+    projections are made PROJECTION_BLOCK steps at a time and nothing is
+    kept.
+    """
     t_len, batch, d_in = xs.shape
     h = np.zeros((batch, params.hidden))
+    if keep:
+        gates = (xs.reshape(t_len * batch, d_in) @ params.W.T + params.b).reshape(
+            t_len, batch, -1)
+        hs = out if out.strides[0] > 0 else np.empty(out.shape)
+        _gru_steps(params, gates, h, hs)
+        if hs is not out:
+            out[...] = hs
+        return GruRunTrace(inputs=xs, hs=hs, gates=gates)
     buffer = np.empty((min(t_len, PROJECTION_BLOCK) * batch, params.W.shape[0]))
     for t0 in range(0, t_len, PROJECTION_BLOCK):
         block = xs[t0:t0 + PROJECTION_BLOCK]
@@ -241,6 +233,7 @@ def _gru_run_into(params: GruLayerParams, xs: np.ndarray,
         gates += params.b
         h = _gru_steps(params, gates.reshape(block.shape[0], batch, -1), h,
                        out[t0:t0 + PROJECTION_BLOCK])
+    return None
 
 
 def _gru_bptt(params: GruLayerParams, trace: GruRunTrace, d_out: np.ndarray,
@@ -309,34 +302,6 @@ def _gru_bptt(params: GruLayerParams, trace: GruRunTrace, d_out: np.ndarray,
         t_len, batch, -1)
 
 
-def _as_sequence(xs: np.ndarray, params: GruLayerParams) -> np.ndarray:
-    xs = as_f64(xs)
-    if xs.ndim != 2 or xs.shape[1] != params.input_dim:
-        raise ValueError(
-            f"sequence has shape {xs.shape}, layer expects (*, {params.input_dim})"
-        )
-    return xs
-
-
-def run_unidirectional(params: GruLayerParams, xs: np.ndarray) -> np.ndarray:
-    """Hidden sequence of a forward run over a (T, D_in) sequence (zero
-    initial state)."""
-    return _gru_forward(params, _as_sequence(xs, params)[:, None, :]).hs[:, 0]
-
-
-def run_bidirectional(fwd: GruLayerParams, bwd: GruLayerParams,
-                      xs: np.ndarray) -> np.ndarray:
-    """Per-frame concatenation (forward_t || backward_t).
-
-    The backward half runs over the time-reversed input and is
-    re-reversed, so backward_t summarizes frames t..T.
-    """
-    if fwd.input_dim != bwd.input_dim or fwd.hidden != bwd.hidden:
-        raise ValueError("forward/backward cells must share dimensions")
-    xs = _as_sequence(xs, fwd)[:, None, :]
-    return _run_layer(EncoderLayer(fwd=fwd, bwd=bwd), xs)[1][:, 0]
-
-
 # ---------------------------------------------------------------------------
 # Time-axis pooling
 # ---------------------------------------------------------------------------
@@ -385,29 +350,6 @@ def _upsample_k_backward(d_out: np.ndarray, source_t: int, k: int) -> np.ndarray
     return np.add.reduceat(d_out, bounds, axis=0)
 
 
-def upsample_replicate(seq: np.ndarray, target_t: int) -> np.ndarray:
-    """Replicate pooled frames back over the spans they summarized.
-
-    ``seq`` must come from repeated subsample2 of a length-target_t
-    sequence; each frame is copied 2^k times (final partial span covered
-    by the last frame).
-    """
-    seq = as_f64(seq)
-    m = seq.shape[0]
-    n, k = target_t, 0
-    while n > m:
-        n = (n + 1) // 2
-        k += 1
-    if n != m:
-        raise ValueError(
-            f"cannot upsample {m} frames to {target_t}: no whole number of "
-            f"halvings connects the lengths"
-        )
-    out = np.zeros((target_t,) + seq.shape[1:])
-    _add_upsampled(out, seq, k)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Full encoder
 # ---------------------------------------------------------------------------
@@ -424,16 +366,6 @@ class EncoderTrace:
 
     input_length: int
     layer_traces: list[LayerTrace] = field(default_factory=list)
-    # Pooled per-layer outputs, multiresolution only (one per layer).
-    sub_outputs: Optional[list[np.ndarray]] = None
-
-
-def _run_layer(layer: EncoderLayer, xs: np.ndarray) -> tuple[LayerTrace, np.ndarray]:
-    f = _gru_forward(layer.fwd, xs)
-    if layer.bwd is None:
-        return LayerTrace(fwd=f), f.hs
-    b = _gru_forward(layer.bwd, xs[::-1])
-    return LayerTrace(fwd=f, bwd=b), np.concatenate([f.hs, b.hs[::-1]], axis=-1)
 
 
 def _layer_backward(layer: EncoderLayer, trace: LayerTrace, d_out: np.ndarray,
@@ -463,43 +395,28 @@ def _check_batch(config: EncoderConfig, layers: list[EncoderLayer],
     return xs
 
 
-def encoder_forward(config: EncoderConfig, layers: list[EncoderLayer],
-                    xs: np.ndarray) -> tuple[np.ndarray, EncoderTrace]:
-    """Encode a time-major (T, B, d) batch of equal-length sequences into
-    (T, B, output_dim) frame features with one recurrence per layer and
-    direction, keeping the trace that encoder_backward needs."""
-    xs = _check_batch(config, layers, xs)
-    trace = EncoderTrace(input_length=xs.shape[0])
+def _run_encoder(config: EncoderConfig, layers: list[EncoderLayer],
+                 xs: np.ndarray, trace: Optional[EncoderTrace]) -> np.ndarray:
+    """The encoder's layer loop over a checked (T, B, d) batch; appends
+    each layer's trace to ``trace`` when one is given.
 
-    if config.kind == "multiresolution":
-        return _multires_forward(config, layers, xs, trace)
-
-    seq = xs
-    for layer in layers:
-        ltr, seq = _run_layer(layer, seq)
-        trace.layer_traces.append(ltr)
-    return seq, trace
-
-
-def encode(config: EncoderConfig, layers: list[EncoderLayer],
-           xs: np.ndarray) -> np.ndarray:
-    """Forward-only encoder_forward: the same (T, B, output_dim) features
-    of a (T, B, d) batch, with no trace.
-
-    Each directional run writes its states straight into its half of the
-    layer output (the backward run through a time-reversed view), and
-    each layer's input is dropped once its output is built.
+    Each directional run writes its states into its half of the layer
+    output (the backward run through a time-reversed view), and each
+    layer's input is dropped once its output is built, unless the trace
+    holds it.
     """
-    xs = _check_batch(config, layers, xs)
     t_len, batch = xs.shape[:2]
     h_dim = config.hidden
+    keep = trace is not None
     total = None
     seq = xs
     for depth, layer in enumerate(layers):
         out = np.empty((seq.shape[0], batch, config.output_dim))
-        _gru_run_into(layer.fwd, seq, out[:, :, :h_dim])
-        if layer.bwd is not None:
-            _gru_run_into(layer.bwd, seq[::-1], out[::-1, :, h_dim:])
+        fwd = _gru_run(layer.fwd, seq, out[:, :, :h_dim], keep)
+        bwd = None if layer.bwd is None else _gru_run(
+            layer.bwd, seq[::-1], out[::-1, :, h_dim:], keep)
+        if keep:
+            trace.layer_traces.append(LayerTrace(fwd, bwd))
         if config.kind == "multiresolution":
             out = subsample2(out)
             if total is None:  # not before the first full-length output is freed
@@ -510,21 +427,21 @@ def encode(config: EncoderConfig, layers: list[EncoderLayer],
     return seq if total is None else total
 
 
-def _multires_forward(config: EncoderConfig, layers: list[EncoderLayer],
-                      xs: np.ndarray, trace: EncoderTrace) -> tuple[np.ndarray, EncoderTrace]:
-    t_len, batch = xs.shape[:2]
-    trace.sub_outputs = []
-    seq = xs
-    total = np.zeros((t_len, batch, config.output_dim))
-    for depth, layer in enumerate(layers):
-        ltr, out = _run_layer(layer, seq)
-        trace.layer_traces.append(ltr)
-        sub = subsample2(out)
-        trace.sub_outputs.append(sub)
-        # Layer at this depth has been pooled depth+1 times in total.
-        _add_upsampled(total, sub, depth + 1)
-        seq = sub
-    return total, trace
+def encoder_forward(config: EncoderConfig, layers: list[EncoderLayer],
+                    xs: np.ndarray) -> tuple[np.ndarray, EncoderTrace]:
+    """Encode a time-major (T, B, d) batch of equal-length sequences into
+    (T, B, output_dim) frame features with one recurrence per layer and
+    direction, keeping the trace that encoder_backward needs."""
+    xs = _check_batch(config, layers, xs)
+    trace = EncoderTrace(input_length=xs.shape[0])
+    return _run_encoder(config, layers, xs, trace), trace
+
+
+def encode(config: EncoderConfig, layers: list[EncoderLayer],
+           xs: np.ndarray) -> np.ndarray:
+    """Forward-only encoder_forward: the same (T, B, output_dim) features
+    of a (T, B, d) batch, with no trace."""
+    return _run_encoder(config, layers, _check_batch(config, layers, xs), None)
 
 
 def encoder_backward(config: EncoderConfig, layers: list[EncoderLayer],
@@ -539,24 +456,15 @@ def encoder_backward(config: EncoderConfig, layers: list[EncoderLayer],
     """
     grad = np.empty(config.param_count)
     grads = layer_views(config, grad)
-    if config.kind == "multiresolution":
-        _multires_backward(layers, trace, d_hs, grads)
-        return grad
-    d = d_hs
-    for i in range(len(layers) - 1, -1, -1):
-        d = _layer_backward(layers[i], trace.layer_traces.pop(), d, i > 0,
-                            grads[i])
-    return grad
-
-
-def _multires_backward(layers: list[EncoderLayer], trace: EncoderTrace,
-                       d_hs: np.ndarray, grads: list[EncoderLayer]) -> None:
-    d_next_input: Optional[np.ndarray] = None
+    d = d_hs  # on the top layer's output, then on each layer's input
     for i in range(len(layers) - 1, -1, -1):
         ltr = trace.layer_traces.pop()
-        sub = trace.sub_outputs.pop()
-        d_sub = _upsample_k_backward(d_hs, sub.shape[0], i + 1)
-        if d_next_input is not None:
-            d_sub += d_next_input
-        d_out = _subsample2_backward(d_sub, ltr.fwd.hs.shape[0])
-        d_next_input = _layer_backward(layers[i], ltr, d_out, i > 0, grads[i])
+        if config.kind == "multiresolution":
+            # The layer's pooled output feeds the sum and the next layer.
+            t_layer = ltr.fwd.hs.shape[0]
+            d_sub = _upsample_k_backward(d_hs, (t_layer + 1) // 2, i + 1)
+            if i < len(layers) - 1:
+                d_sub += d
+            d = _subsample2_backward(d_sub, t_layer)
+        d = _layer_backward(layers[i], ltr, d, i > 0, grads[i])
+    return grad

@@ -16,8 +16,9 @@ from fdcheck import (
     fd_gradient_errors,
     random_utterance,
 )
+from oracles import forward
 from raresed.data import LfbeConfig, SynthConfig, lfbe, synth_dataset
-from raresed.detector import Detection, EventModel, forward
+from raresed.detector import Detection, EventModel
 from raresed.metrics import (
     EventAnnotation,
     MetricCounts,

@@ -12,7 +12,7 @@ import raresed.cli as cli_module
 from raresed.cli import main
 from raresed.data import SynthConfig, load_dataset, save_dataset, synth_dataset
 from raresed.detector import EventModel
-from raresed.metrics import EventAnnotation, write_annotations
+from raresed.metrics import EventAnnotation, format_annotations
 from raresed.recurrent import EncoderConfig
 from raresed.train import TrainConfig, save_model
 
@@ -339,8 +339,8 @@ class TestInferCommand:
 class TestEvalCommand:
     def test_perfect_match(self, tmp_path):
         records = {"u0": EventAnnotation(1.0, 2.0), "u1": None}
-        write_annotations(tmp_path / "ref.tsv", records)
-        write_annotations(tmp_path / "det.tsv", records)
+        (tmp_path / "ref.tsv").write_text(format_annotations(records))
+        (tmp_path / "det.tsv").write_text(format_annotations(records))
         out = tmp_path / "ev"
         assert main(["eval", "--ref", str(tmp_path / "ref.tsv"),
                      "--det", str(tmp_path / "det.tsv"), "--out", str(out)]) == 0
@@ -353,8 +353,8 @@ class TestEvalCommand:
                 "u2": None}
         dets = {"u0": EventAnnotation(1.2, 2.0), "u1": None,
                 "u2": EventAnnotation(9.0, 9.5)}
-        write_annotations(tmp_path / "ref.tsv", refs)
-        write_annotations(tmp_path / "det.tsv", dets)
+        (tmp_path / "ref.tsv").write_text(format_annotations(refs))
+        (tmp_path / "det.tsv").write_text(format_annotations(dets))
         out = tmp_path / "ev"
         assert main(["eval", "--ref", str(tmp_path / "ref.tsv"),
                      "--det", str(tmp_path / "det.tsv"), "--out", str(out)]) == 0
@@ -364,8 +364,8 @@ class TestEvalCommand:
 
     def test_nonpositive_collar_exits_2(self, tmp_path, capsys):
         records = {"u0": EventAnnotation(1.0, 2.0)}
-        write_annotations(tmp_path / "ref.tsv", records)
-        write_annotations(tmp_path / "det.tsv", records)
+        (tmp_path / "ref.tsv").write_text(format_annotations(records))
+        (tmp_path / "det.tsv").write_text(format_annotations(records))
         for collar in ("0", "-1"):
             out = tmp_path / f"ev{collar}"
             assert main(["eval", "--ref", str(tmp_path / "ref.tsv"),
@@ -377,8 +377,8 @@ class TestEvalCommand:
     @pytest.mark.parametrize("which", ["ref", "det"])
     def test_tsv_not_utf8_exits_2_naming_the_file(self, tmp_path, capsys, which):
         records = {"u0": EventAnnotation(1.0, 2.0)}
-        write_annotations(tmp_path / "ref.tsv", records)
-        write_annotations(tmp_path / "det.tsv", records)
+        (tmp_path / "ref.tsv").write_text(format_annotations(records))
+        (tmp_path / "det.tsv").write_text(format_annotations(records))
         bad = tmp_path / f"{which}.tsv"
         bad.write_bytes(bad.read_bytes().replace(b"u0", b"u\xff"))
         assert main(["eval", "--ref", str(tmp_path / "ref.tsv"),
@@ -387,8 +387,10 @@ class TestEvalCommand:
         assert str(bad) in capsys.readouterr().err
 
     def test_collar_flag_flips_marginal_match(self, tmp_path):
-        write_annotations(tmp_path / "ref.tsv", {"u0": EventAnnotation(3.0, 4.0)})
-        write_annotations(tmp_path / "det.tsv", {"u0": EventAnnotation(3.3, 4.0)})
+        (tmp_path / "ref.tsv").write_text(
+            format_annotations({"u0": EventAnnotation(3.0, 4.0)}))
+        (tmp_path / "det.tsv").write_text(
+            format_annotations({"u0": EventAnnotation(3.3, 4.0)}))
         results = {}
         for collar in ("0.5", "0.1"):
             out = tmp_path / f"ev{collar}"
@@ -402,8 +404,9 @@ class TestEvalCommand:
         assert float(results["0.1"]["er"]) == 2.0
 
     def test_id_mismatch_exits_3(self, tmp_path, capsys):
-        write_annotations(tmp_path / "ref.tsv", {"u0": None, "zebra": None})
-        write_annotations(tmp_path / "det.tsv", {"u0": None})
+        (tmp_path / "ref.tsv").write_text(
+            format_annotations({"u0": None, "zebra": None}))
+        (tmp_path / "det.tsv").write_text(format_annotations({"u0": None}))
         assert main(["eval", "--ref", str(tmp_path / "ref.tsv"),
                      "--det", str(tmp_path / "det.tsv"),
                      "--out", str(tmp_path / "ev")]) == 3

@@ -309,6 +309,7 @@ class TestDatasetIO:
         (dict(y=2), "label byte 2"),
         (dict(y=0, onset=0, offset=0, t_len=0), "nonempty"),
         (dict(dim=2**32 - 1, t_len=2**32 - 1, features=[]), "end of file"),
+        (dict(y=0), "negative record with event boundaries 2..3"),
     ])
     def test_malformed_record_names_it(self, tmp_path, fields, message):
         path = sed_file(tmp_path / "d.sed", sed_record(), sed_record(**fields))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fdcheck import assert_gradients_match, random_utterance
+from oracles import forward, frame_posteriors, total_loss
 import raresed.detector as detector_module
 from raresed.data import Utterance
 from raresed.detector import (
@@ -16,14 +17,10 @@ from raresed.detector import (
     batch_loss,
     batch_loss_and_gradients,
     decide_detection,
-    forward,
     frame_loss,
-    frame_posteriors,
     frame_window,
-    gradients,
     _longest_true_run,
     infer,
-    total_loss,
     utterance_loss,
     utterance_posterior,
 )
@@ -244,7 +241,7 @@ class TestGradients:
         model.layers[0].fwd.W[2] = 1.0  # candidate row
         model.w[:] = 150.0
         utt = Utterance.positive("p", np.array([[1.0]]), onset=1, offset=1)
-        grad = gradients(model, [utt], alpha=1.0)
+        grad = batch_loss_and_gradients(model, [utt], alpha=1.0)[1]
         assert np.linalg.norm(grad) <= 1e-8
 
     @pytest.mark.parametrize("kind,layers,mr_bidir", [
@@ -294,8 +291,8 @@ class TestGradients:
     def test_duplicated_utterance_matches_single(self):
         model = small_model(seed=13)
         utt = random_utterance(np.random.default_rng(12), 4, 8, positive=True)
-        single = gradients(model, [utt], alpha=1.0)
-        double = gradients(model, [utt, utt], alpha=1.0)
+        single = batch_loss_and_gradients(model, [utt], alpha=1.0)[1]
+        double = batch_loss_and_gradients(model, [utt, utt], alpha=1.0)[1]
         assert np.array_equal(single, double)
 
     def test_batch_permutation_invariance(self):
@@ -303,13 +300,14 @@ class TestGradients:
         model = small_model(kind="multiresolution", layers=2, seed=14)
         batch = [random_utterance(rng, 4, 9, positive=i % 2 == 0, id=f"u{i}")
                  for i in range(4)]
-        g1 = gradients(model, batch, alpha=1.0)
-        g2 = gradients(model, [batch[2], batch[0], batch[3], batch[1]], alpha=1.0)
+        g1 = batch_loss_and_gradients(model, batch, alpha=1.0)[1]
+        g2 = batch_loss_and_gradients(
+            model, [batch[2], batch[0], batch[3], batch[1]], alpha=1.0)[1]
         assert np.max(np.abs(g1 - g2)) <= 1e-12
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            gradients(small_model(), [], alpha=1.0)
+            batch_loss_and_gradients(small_model(), [], alpha=1.0)
 
     def test_loss_and_grad_agree_with_total_loss(self):
         model = small_model(seed=15)
@@ -502,6 +500,18 @@ class TestLongestTrueRun:
         assert _longest_true_run(mask) == want
 
 
+INFER_PINS = {
+    ("unidirectional", False):
+        [(3, 6), (1, 15), (5, 11), (21, 33), None, (1, 9), (1, 5), None],
+    ("bidirectional", False):
+        [None, None, None, (5, 14), (27, 44), None, None, (23, 28)],
+    ("multiresolution", False):
+        [None, None, None, (5, 14), (3, 6), None, (5, 5), None],
+    ("multiresolution", True):
+        [None, (3, 16), (3, 8), None, (31, 40), None, (1, 2), (15, 24)],
+}
+
+
 @pytest.fixture
 def encode_slices(monkeypatch):
     """(T, B) of every batch infer hands to the encoder."""
@@ -543,6 +553,18 @@ class TestBatchedInfer:
         x = np.random.default_rng(42).standard_normal((4, INFER_FRAMES + 1))
         assert infer(model, [x]) == [self.traced(model, x)]
         assert encode_slices == [(INFER_FRAMES + 1, 1)]
+
+    @pytest.mark.parametrize("kind,mr_bidir", BATCHED_KINDS)
+    def test_mixed_length_detections_pinned(self, kind, mr_bidir):
+        # (onset, offset) per clip, None for no event; recorded while
+        # encode had a layer loop of its own.
+        model = small_model(kind=kind, layers=2, seed=44, mr_bidir=mr_bidir)
+        rng = np.random.default_rng(44)
+        clips = [3.0 * rng.standard_normal((4, t))
+                 for t in (11, 70, 11, 33, 70, 11, 5, 33)]
+        got = [(d.onset, d.offset) if d.present else None
+               for d in infer(model, clips)]
+        assert got == INFER_PINS[kind, mr_bidir]
 
     def test_empty_and_bad_shapes(self):
         model = small_model(seed=43)

@@ -14,7 +14,6 @@ from raresed.metrics import (
     format_annotations,
     match_utterance,
     read_annotations,
-    write_annotations,
 )
 
 
@@ -189,7 +188,7 @@ class TestAnnotationFiles:
         records = {"u0": None, "u1": ann(2.2769999999999997, 3.427),
                    "u2": ann(0.0, 0.0)}
         path = tmp_path / "ref.tsv"
-        write_annotations(path, records)
+        path.write_text(format_annotations(records))
         assert read_annotations(path) == records
 
     def test_format_is_stable(self):

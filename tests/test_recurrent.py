@@ -1,8 +1,15 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from oracles import (
+    gru_cell_step,
+    run_bidirectional,
+    run_unidirectional,
+    upsample_replicate,
+)
 from raresed.recurrent import (
     EncoderConfig,
     EncoderLayer,
@@ -10,12 +17,8 @@ from raresed.recurrent import (
     draw_encoder,
     encode,
     encoder_forward,
-    gru_cell_step,
     layer_views,
-    run_bidirectional,
-    run_unidirectional,
     subsample2,
-    upsample_replicate,
 )
 
 GATES = "zrh"  # row blocks of W, U and b: update, reset, candidate
@@ -28,13 +31,6 @@ def gate(p: GruLayerParams, name: str) -> np.ndarray:
     return stacked[i * h:(i + 1) * h]
 
 
-def scalar_cell(hidden=1, **values) -> GruLayerParams:
-    p = GruLayerParams.zeros(hidden, 1)
-    for name, v in values.items():
-        gate(p, name)[:] = v
-    return p
-
-
 def zero_layers(cfg: EncoderConfig) -> list[EncoderLayer]:
     return layer_views(cfg, np.zeros(cfg.param_count))
 
@@ -45,10 +41,24 @@ def random_layers(cfg: EncoderConfig, rng) -> list[EncoderLayer]:
     return layers
 
 
+def one_cell_config(hidden, input_dim) -> EncoderConfig:
+    return EncoderConfig(kind="unidirectional", layers=1, hidden=hidden,
+                         input_dim=input_dim)
+
+
+def zero_cell(hidden, input_dim) -> GruLayerParams:
+    return zero_layers(one_cell_config(hidden, input_dim))[0].fwd
+
+
 def random_cell(rng, hidden, input_dim) -> GruLayerParams:
-    cfg = EncoderConfig(kind="unidirectional", layers=1, hidden=hidden,
-                        input_dim=input_dim)
-    return random_layers(cfg, rng)[0].fwd
+    return random_layers(one_cell_config(hidden, input_dim), rng)[0].fwd
+
+
+def scalar_cell(hidden=1, **values) -> GruLayerParams:
+    p = zero_cell(hidden, 1)
+    for name, v in values.items():
+        gate(p, name)[:] = v
+    return p
 
 
 # Plain-Python oracle for the scalar cell; the production values below
@@ -62,7 +72,7 @@ def oracle_cell(wz, uz, bz, wr, ur, br, wh, uh, bh, x, h):
 
 class TestGruCellStep:
     def test_all_zero(self):
-        p = GruLayerParams.zeros(3, 2)
+        p = zero_cell(3, 2)
         out = gru_cell_step(p, np.array([5.0, -1.0]), np.zeros(3))
         assert np.array_equal(out, np.zeros(3))
 
@@ -82,7 +92,7 @@ class TestGruCellStep:
         assert out[0] == pytest.approx(0.3807970779778824, abs=1e-15)
 
     def test_dimension_mismatch(self):
-        p = GruLayerParams.zeros(3, 2)
+        p = zero_cell(3, 2)
         with pytest.raises(ValueError):
             gru_cell_step(p, np.zeros(3), np.zeros(3))
         with pytest.raises(ValueError):
@@ -107,7 +117,7 @@ class TestRunUnidirectional:
                            atol=1e-14, rtol=0)
 
     def test_zero_params_zero_output(self):
-        p = GruLayerParams.zeros(3, 2)
+        p = zero_cell(3, 2)
         out = run_unidirectional(p, np.random.default_rng(0).standard_normal((6, 2)))
         assert np.array_equal(out, np.zeros((6, 3)))
 
@@ -153,8 +163,8 @@ class TestRunBidirectional:
                            atol=1e-14, rtol=0)
 
     def test_zero_params(self):
-        f = GruLayerParams.zeros(3, 2)
-        out = run_bidirectional(f, GruLayerParams.zeros(3, 2),
+        f = zero_cell(3, 2)
+        out = run_bidirectional(f, zero_cell(3, 2),
                                 np.ones((4, 2)))
         assert out.shape == (4, 6)
         assert np.array_equal(out, np.zeros((4, 6)))
@@ -163,7 +173,7 @@ class TestRunBidirectional:
         rng = np.random.default_rng(8)
         f = random_cell(rng, 4, 3)
         xs = rng.standard_normal((7, 3))
-        out = run_bidirectional(f, GruLayerParams.zeros(4, 3), xs)
+        out = run_bidirectional(f, zero_cell(4, 3), xs)
         assert np.array_equal(out[:, :4], run_unidirectional(f, xs))
         assert np.array_equal(out[:, 4:], np.zeros((7, 4)))
 
@@ -289,6 +299,18 @@ class TestEncoderShapes:
             encoder_forward(cfg, zero_layers(cfg), np.ones((3, 1, 4)))
 
 
+ENCODE_PINS = {
+    ("unidirectional", False):
+        "439531e7b894277cd6beec44f4e313456f401a0c513f0985c7fca8471993faac",
+    ("bidirectional", False):
+        "80ef779e24e88748da7cdad4442417a622b328585043a5cbb49ff41c323b9e02",
+    ("multiresolution", False):
+        "5d37376b0bbebb2f3f43c92d71797943fa7d4832a0218d2cb046d1c1fb2f51ee",
+    ("multiresolution", True):
+        "8d9a5e29ce4676f47a33225abf1b75bb2651560fcf0cb3251d234fcd87e593f4",
+}
+
+
 class TestEncode:
     """The forward-only pass against the traced one."""
 
@@ -310,6 +332,21 @@ class TestEncode:
             assert got.shape == (t_len, 3, cfg.output_dim)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("kind,bidir", [("unidirectional", False),
+                                            ("bidirectional", False),
+                                            ("multiresolution", False),
+                                            ("multiresolution", True)])
+    def test_output_bytes_pinned(self, kind, bidir):
+        # sha256 of the output of a depth-2 batch spanning nine projection
+        # blocks, recorded while encode had a layer loop of its own.
+        rng = np.random.default_rng(31)
+        cfg = EncoderConfig(kind=kind, layers=2, hidden=4, input_dim=3,
+                            multires_bidirectional=bidir)
+        layers = random_layers(cfg, rng)
+        xs = rng.standard_normal((131, 3, 3))
+        digest = hashlib.sha256(encode(cfg, layers, xs).tobytes()).hexdigest()
+        assert digest == ENCODE_PINS[kind, bidir]
+
     def test_checks_like_encoder_forward(self):
         cfg = EncoderConfig(kind="unidirectional", layers=2, hidden=3, input_dim=2)
         with pytest.raises(ValueError):
@@ -328,3 +365,25 @@ class TestConfigValidation:
             EncoderConfig(kind="unidirectional", layers=0, hidden=2, input_dim=2)
         with pytest.raises(ValueError):
             EncoderConfig(kind="unidirectional", layers=1, hidden=0, input_dim=2)
+
+    def test_sizes_must_be_integers(self):
+        for bad in (dict(layers=2.0), dict(layers=True), dict(hidden=3.0),
+                    dict(input_dim=np.float64(2)), dict(multires_bidirectional=1)):
+            with pytest.raises(TypeError):
+                EncoderConfig(**{"kind": "multiresolution", "layers": 1,
+                                 "hidden": 2, "input_dim": 2, **bad})
+        cfg = EncoderConfig(kind="unidirectional", layers=np.int64(2),
+                            hidden=np.int32(3), input_dim=np.uint8(4))
+        assert cfg.param_count == 135
+
+    @pytest.mark.parametrize("kind,bidir", [("unidirectional", False),
+                                            ("bidirectional", False),
+                                            ("multiresolution", False),
+                                            ("multiresolution", True)])
+    def test_param_count_matches_layer_views(self, kind, bidir):
+        for layers in (1, 2, 5):
+            cfg = EncoderConfig(kind=kind, layers=layers, hidden=3, input_dim=7,
+                                multires_bidirectional=bidir)
+            cells = [c for layer in zero_layers(cfg) for c in (layer.fwd, layer.bwd)
+                     if c is not None]
+            assert sum(a.size for c in cells for a in (c.W, c.U, c.b)) == cfg.param_count

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import struct
+import time
 import types
 import warnings
 
@@ -8,8 +9,9 @@ import numpy as np
 import pytest
 
 from conftest import parse_report
+from oracles import forward
 from raresed.data import SynthConfig, Utterance, load_dataset, synth_dataset
-from raresed.detector import EventModel, decide_detection, forward, frame_window
+from raresed.detector import EventModel, decide_detection, frame_window
 from raresed.errors import DataMismatchError, InputError, ParseError
 from raresed.metrics import evaluate_dataset
 from raresed.recurrent import EncoderConfig
@@ -283,6 +285,10 @@ class TestModelIO:
     @pytest.mark.parametrize("encoder,message", [
         ({"hidden": 10**6, "input_dim": 10**6}, "promises"),  # 6e12 parameters
         ({"layers": 2.5}, "bad model header"),
+        ({"layers": 10**9}, "promises"),
+        ({"layers": 2.0}, "bad model header"),
+        ({"layers": True}, "bad model header"),
+        ({"multires_bidirectional": "yes"}, "bad model header"),
     ])
     def test_header_encoder_checked_before_building(self, tmp_path, encoder,
                                                     message):
@@ -292,8 +298,11 @@ class TestModelIO:
         path = tmp_path / "big.sem"
         path.write_bytes(b"RSEM" + struct.pack("<II", 1, len(header)) + header
                          + struct.pack("<Q", 10) + bytes(80))
+        t0 = time.perf_counter()
         with pytest.raises(ParseError, match=message):
             load_model(path)
+        # Nothing that scales with the header's sizes runs first.
+        assert time.perf_counter() - t0 < 0.5
 
     @pytest.mark.parametrize("name,value", [("thres0", 1.5), ("thres1", 0.0)])
     def test_saved_threshold_outside_unit_interval_rejected(self, tmp_path,
