@@ -360,12 +360,14 @@ def decide_detection(p_utt: float, frame_p: np.ndarray, thres0: float = 0.5,
 
 
 # Frames encoded at once by infer: each equal-length group is cut into
-# slices of max(1, INFER_FRAMES // T) clips. Measured on 40 bidirectional
-# 2x32 clips of 1304 frames, one BLAS thread, 2-core VM: slices of 8192
-# frames peak at 9 MB of numpy arrays and run at about 80 clips/s,
-# against 7 MB and 28 clips/s one clip at a time; all 40 clips at once
-# peak at 61 MB (232 clips/s). A desk training minibatch (10 clips of
-# 150 frames) peaks at 5 MB multiresolution and 12 MB bidirectional.
+# slices of max(1, INFER_FRAMES // T) clips. Measured with infer on 40
+# bidirectional 2x32 clips of 1304 frames (d = 16), one BLAS thread,
+# 2-core VM: slices of 6 / 12 / 20 / 40 clips cost 8.7 / 6.4 / 5.2 /
+# 4.3 ms per clip and peak at 9.3 / 18.6 / 30.9 / 61.8 MB of numpy
+# arrays. The budget stays at 8192 frames (6 such clips) on purpose: a
+# larger slice trades peak memory for speed, a decision of its own. A
+# desk training minibatch (10 clips of 150 frames) peaks at 4.6 MB
+# multiresolution and 12.3 MB bidirectional.
 INFER_FRAMES = 8192
 
 

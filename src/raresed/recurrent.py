@@ -18,15 +18,22 @@ Cell convention (fixed here for reproducibility):
     h_t = (1 - z_t) * h_{t-1} + z_t * c_t
 
 Sequences run time-major in batches: the encoder takes (T, B, d) arrays
-of B equal-length sequences and runs one recurrence per layer and
-direction over a (B, H) state. Training and inference share one forward
-pass, which takes an optional trace:
+of B equal-length sequences. Each layer is one run of its D directions
+(D = 2 in a bidirectional encoder and in a multiresolution one with
+``multires_bidirectional``, else 1) stepped together in one time
+loop over a stacked (D, B, H) state: direction 1 runs over the
+time-reversed input, and each step does one matmul per recurrent
+product over the stacked (D, H, 2H) and (D, H, H) maps, which numpy runs
+as one gemm per direction, so each direction keeps its own sums. A
+unidirectional layer runs the same code with the direction axis dropped.
+Training and inference share one forward pass, which takes an optional
+trace:
 
 * ``encoder_forward`` runs it with a trace, which keeps every activation
   that exact backpropagation through time needs; ``encoder_backward``
-  consumes it and returns the parameter gradients, summed over the
-  batch, as one flat vector laid out like the parameters (see
-  ``layer_views``).
+  consumes it, stepping each layer's directions back in one loop, and
+  returns the parameter gradients, summed over the batch, as one flat
+  vector laid out like the parameters (see ``layer_views``).
 * ``encode`` runs it without one, for inference: the same features to
   rounding, with the input projections made a block of steps at a time
   and nothing kept.
@@ -68,6 +75,11 @@ class EncoderLayer:
 
     fwd: GruLayerParams
     bwd: Optional[GruLayerParams] = None
+
+    @property
+    def cells(self) -> tuple[GruLayerParams, ...]:
+        """The layer's cells in direction order: forward, then backward."""
+        return (self.fwd,) if self.bwd is None else (self.fwd, self.bwd)
 
 
 @dataclass(frozen=True)
@@ -147,9 +159,7 @@ def draw_encoder(layers: list[EncoderLayer], rng: np.random.Generator) -> None:
     fixed seed pins every parameter.
     """
     for layer in layers:
-        for cell in (layer.fwd, layer.bwd):
-            if cell is None:
-                continue
+        for cell in layer.cells:
             s_in, s_h = 1.0 / np.sqrt(cell.input_dim), 1.0 / np.sqrt(cell.hidden)
             cell.W[:] = rng.uniform(-s_in, s_in, size=cell.W.shape)
             cell.U[:] = rng.uniform(-s_h, s_h, size=cell.U.shape)
@@ -157,35 +167,55 @@ def draw_encoder(layers: list[EncoderLayer], rng: np.random.Generator) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Directional runs over a batch
+# Layer runs: the D directions of a layer step together
 # ---------------------------------------------------------------------------
 
 @dataclass
-class GruRunTrace:
-    """Activations of one directional run over a batch, time-major and in
-    the run's own time order."""
+class LayerTrace:
+    """Activations of one layer run over a batch, time-major. Direction k
+    of the layer's D directions is in its own time order: direction 1 runs
+    over reversed time."""
 
-    inputs: np.ndarray  # (T, B, D_in)
-    hs: np.ndarray      # (T, B, H)
-    gates: np.ndarray   # (T, B, 3H): update gate, reset gate, candidate
+    inputs: np.ndarray  # (T, B, D_in), in input time order
+    hs: np.ndarray      # (D, T, B, H)
+    gates: np.ndarray   # (D, T, B, 3H): update gate, reset gate, candidate
 
 
-def _gru_steps(params: GruLayerParams, gates: np.ndarray, h: np.ndarray,
+def _recurrent_maps(cells: tuple[GruLayerParams, ...]) -> np.ndarray:
+    """The cells' recurrent maps U as one array: a stacked (D, 3H, H)
+    copy when D = 2, and the cell's own (3H, H) when D = 1, so that a
+    one-cell layer steps plain (B, H) arrays."""
+    if len(cells) == 1:
+        return cells[0].U
+    return np.stack([cell.U for cell in cells])
+
+
+def _steps(a: np.ndarray) -> np.ndarray:
+    """A (D, T, ...) array as views indexed by time step: (T, D, ...), or
+    (T, ...) when D = 1, matching the maps of _recurrent_maps."""
+    return a[0] if a.shape[0] == 1 else a.swapaxes(0, 1)
+
+
+def _gru_steps(u: np.ndarray, gates: np.ndarray, h: np.ndarray,
                hs: np.ndarray) -> np.ndarray:
-    """Step the cell through ``gates`` (T, B, 3H), which holds the input
-    projections plus biases, from the (B, H) state ``h``.
+    """Step a layer's cells, with recurrent maps ``u`` (see
+    _recurrent_maps), through ``gates`` (D, n, B, 3H), which holds the
+    input projections plus biases, from the state ``h``.
 
-    Step t overwrites its row of ``gates`` with the gate activations and
-    writes its state to ``hs[t]``; returns the last state. Each step does
-    one (B, 2H) gate product and one (B, H) candidate product. The stable
-    sigmoid of numerics.sigmoid is inlined as
-    where(a >= 0, 1, e) / (1 + e) with e = exp(-|a|).
+    Step t overwrites its rows of ``gates`` with the gate activations and
+    writes its states to ``hs[:, t]`` (``hs`` is (D, n, B, H)); returns
+    the last state. Each step does one (B, 2H) gate product and one
+    (B, H) candidate product per direction, each one matmul over the
+    stacked directions. The stable sigmoid of numerics.sigmoid is inlined
+    as where(a >= 0, 1, e) / (1 + e) with e = exp(-|a|).
     """
-    h_dim = params.hidden
-    u_zr_t, u_h_t = params.U[:2 * h_dim].T, params.U[2 * h_dim:].T
+    h_dim = u.shape[-1]
+    u_zr_t = u[..., :2 * h_dim, :].swapaxes(-1, -2)
+    u_h_t = u[..., 2 * h_dim:, :].swapaxes(-1, -2)
     # Per-step views, sliced once.
-    zr, zs = gates[:, :, :2 * h_dim], gates[:, :, :h_dim]
-    rs, cs = gates[:, :, h_dim:2 * h_dim], gates[:, :, 2 * h_dim:]
+    gates, hs = _steps(gates), _steps(hs)
+    zr, zs = gates[..., :2 * h_dim], gates[..., :h_dim]
+    rs, cs = gates[..., h_dim:2 * h_dim], gates[..., 2 * h_dim:]
     for t in range(gates.shape[0]):
         a = zr[t] + h @ u_zr_t
         e = np.exp(-np.abs(a))
@@ -196,67 +226,92 @@ def _gru_steps(params: GruLayerParams, gates: np.ndarray, h: np.ndarray,
     return h
 
 
+def _project(cells: tuple[GruLayerParams, ...], xs: np.ndarray, t0: int,
+             gates: np.ndarray) -> None:
+    """Fill ``gates`` (D, n, B, 3H) with the input projections plus
+    biases of run steps t0..t0+n-1: direction 0 reads ``xs`` forward in
+    time, direction 1 backward."""
+    rows = gates.shape[1] * gates.shape[2]
+    for k, cell in enumerate(cells):
+        block = (xs if k == 0 else xs[::-1])[t0:t0 + gates.shape[1]]
+        projected = np.matmul(block.reshape(rows, -1), cell.W.T,
+                              out=gates[k].reshape(rows, -1))
+        projected += cell.b
+
+
 # Time steps whose input projections a trace-free run computes at once,
-# so it never holds a whole-sequence (T, B, 3H) buffer.
+# so it never holds a whole-sequence (D, T, B, 3H) buffer.
 PROJECTION_BLOCK = 16
 
 
-def _gru_run(params: GruLayerParams, xs: np.ndarray, out: np.ndarray,
-             keep: bool) -> Optional[GruRunTrace]:
-    """Run the cell over a (T, B, D_in) batch of equal-length float64
-    sequences, each from a zero initial state, writing the hidden states
-    into ``out`` (T, B, H), which may be a strided view.
+def _layer_run(cells: tuple[GruLayerParams, ...], xs: np.ndarray,
+               keep: bool) -> tuple[np.ndarray, Optional[LayerTrace]]:
+    """Run a layer's D cells over a (T, B, D_in) batch of equal-length
+    float64 sequences, each from a zero initial state, in one time loop.
+    Returns the (T, B, D*H) layer output, with direction 1's half in
+    input time order, and with ``keep`` the layer's trace.
 
-    With ``keep``, the input projections of every step are one matmul,
-    the gate activations overwrite them in place, and the trace is
-    returned. BPTT's weight-gradient matmuls need positive strides, so a
-    run that writes through a time-reversed view keeps its states
-    contiguous and in run order, and copies them out. Without ``keep``,
-    projections are made PROJECTION_BLOCK steps at a time and nothing is
-    kept.
+    With ``keep``, the input projections of every step are made at once
+    and the gate activations overwrite them in place. For D = 1 the
+    states are the output; for D = 2 they are kept contiguous and in run
+    order, as BPTT's weight-gradient matmuls need, and copied into the
+    two halves of the output. Without ``keep``, projections are made
+    PROJECTION_BLOCK steps at a time and nothing is kept.
     """
-    t_len, batch, d_in = xs.shape
-    h = np.zeros((batch, params.hidden))
+    t_len, batch, _ = xs.shape
+    n_dir, h_dim = len(cells), cells[0].hidden
+    u = _recurrent_maps(cells)
+    h = np.zeros(u.shape[:-2] + (batch, h_dim))
+    out = np.empty((t_len, batch, n_dir * h_dim))
     if keep:
-        gates = (xs.reshape(t_len * batch, d_in) @ params.W.T + params.b).reshape(
-            t_len, batch, -1)
-        hs = out if out.strides[0] > 0 else np.empty(out.shape)
-        _gru_steps(params, gates, h, hs)
-        if hs is not out:
-            out[...] = hs
-        return GruRunTrace(inputs=xs, hs=hs, gates=gates)
-    buffer = np.empty((min(t_len, PROJECTION_BLOCK) * batch, params.W.shape[0]))
+        gates = np.empty((n_dir, t_len, batch, 3 * h_dim))
+        _project(cells, xs, 0, gates)
+        hs = out[None] if n_dir == 1 else np.empty((n_dir, t_len, batch, h_dim))
+        _gru_steps(u, gates, h, hs)
+        if n_dir == 2:
+            out[:, :, :h_dim] = hs[0]
+            out[:, :, h_dim:] = hs[1, ::-1]
+        return out, LayerTrace(inputs=xs, hs=hs, gates=gates)
+    size = min(t_len, PROJECTION_BLOCK)
+    buffer = np.empty((n_dir, size, batch, 3 * h_dim))
+    states = np.empty((n_dir, size, batch, h_dim)) if n_dir == 2 else None
     for t0 in range(0, t_len, PROJECTION_BLOCK):
-        block = xs[t0:t0 + PROJECTION_BLOCK]
-        gates = np.matmul(block.reshape(-1, d_in), params.W.T,
-                          out=buffer[:block.shape[0] * batch])
-        gates += params.b
-        h = _gru_steps(params, gates.reshape(block.shape[0], batch, -1), h,
-                       out[t0:t0 + PROJECTION_BLOCK])
-    return None
+        n = min(PROJECTION_BLOCK, t_len - t0)
+        _project(cells, xs, t0, buffer[:, :n])
+        if n_dir == 1:
+            h = _gru_steps(u, buffer[:, :n], h, out[None, t0:t0 + n])
+            continue
+        # h is the previous block's last row of ``states``; step 0 reads
+        # it before it writes row 0.
+        h = _gru_steps(u, buffer[:, :n], h, states[:, :n])
+        out[t0:t0 + n, :, :h_dim] = states[0, :n]
+        out[t_len - t0 - n:t_len - t0, :, h_dim:] = states[1, :n][::-1]
+    return out, None
 
 
-def _gru_bptt(params: GruLayerParams, trace: GruRunTrace, d_out: np.ndarray,
-              need_dx: bool, grads: GruLayerParams) -> Optional[np.ndarray]:
-    """BPTT through one directional run over a batch.
+def _layer_bptt(cells: tuple[GruLayerParams, ...], trace: LayerTrace,
+                d_out: np.ndarray, need_dx: bool,
+                grads: tuple[GruLayerParams, ...]) -> Optional[np.ndarray]:
+    """BPTT through one layer run over a batch, its D directions in one
+    time loop.
 
-    ``d_out`` is the loss gradient on every hidden output (T, B, H).
+    ``d_out`` is the loss gradient on the layer output (T, B, D*H).
     Writes the parameter gradients, summed over the batch, into the
-    arrays of ``grads`` and returns the gradient on the input sequences
-    when requested. Consumes the trace: it overwrites the candidate rows.
+    arrays of ``grads`` and returns the gradient on the layer input when
+    requested. Consumes the trace: it overwrites the candidate rows.
     """
-    t_len, batch, h_dim = trace.hs.shape
-    u_zr, u_h = params.U[:2 * h_dim], params.U[2 * h_dim:]
+    n_dir, t_len, batch, h_dim = trace.hs.shape
+    u = _recurrent_maps(cells)
+    u_zr, u_h = u[..., :2 * h_dim, :], u[..., 2 * h_dim:, :]
     hs = trace.hs
-    zero_h = np.zeros((batch, h_dim))
-    zs = trace.gates[:, :, :h_dim]
-    rs = trace.gates[:, :, h_dim:2 * h_dim]
-    cs = trace.gates[:, :, 2 * h_dim:]
+    zs = trace.gates[..., :h_dim]
+    rs = trace.gates[..., h_dim:2 * h_dim]
+    cs = trace.gates[..., 2 * h_dim:]
 
     # Gradients on the gate pre-activations: update, reset, candidate.
-    d_a = np.empty((t_len, batch, 3 * h_dim))
-    d_az, d_ar = d_a[:, :, :h_dim], d_a[:, :, h_dim:2 * h_dim]
-    d_azr, d_ac = d_a[:, :, :2 * h_dim], d_a[:, :, 2 * h_dim:]
+    d_a = np.empty((n_dir, t_len, batch, 3 * h_dim))
+    d_az, d_ar = d_a[..., :h_dim], d_a[..., h_dim:2 * h_dim]
+    d_azr, d_ac = d_a[..., :2 * h_dim], d_a[..., 2 * h_dim:]
     # The factors that do not depend on the carry, once over the whole
     # run; each is bit for bit its per-step expression. d_a holds
     # z(1 - z), r(1 - r) and 1 - c^2 until each step scales its row into
@@ -268,38 +323,54 @@ def _gru_bptt(params: GruLayerParams, trace: GruRunTrace, d_out: np.ndarray,
     d_ar *= rs
     np.multiply(cs, cs, out=d_ac)
     np.subtract(1.0, d_ac, out=d_ac)
-    np.subtract(cs[1:], hs[:-1], out=cs[1:])
-    carry = np.zeros((batch, h_dim))
+    np.subtract(cs[:, 1:], hs[:, :-1], out=cs[:, 1:])
+    # Per-step views; each direction's output gradient in its run's time
+    # order.
+    d_runs = d_out if n_dir == 1 else np.stack(
+        [d_out[:, :, :h_dim], d_out[::-1, :, h_dim:]], axis=1)
+    hs_t, zs_t, rs_t, cs_t, om_t = map(_steps, (hs, zs, rs, cs, one_minus_z))
+    d_az_t, d_ar_t, d_azr_t, d_ac_t = map(_steps, (d_az, d_ar, d_azr, d_ac))
+    zero = np.zeros(u.shape[:-2] + (batch, h_dim))
+    carry = zero
     for t in range(t_len - 1, -1, -1):
-        h_prev = hs[t - 1] if t > 0 else zero_h
-        dh = d_out[t] + carry
-        dac = np.multiply(dh * zs[t], d_ac[t], out=d_ac[t])
+        h_prev = hs_t[t - 1] if t > 0 else zero
+        dh = d_runs[t] + carry
+        dac = np.multiply(dh * zs_t[t], d_ac_t[t], out=d_ac_t[t])
         drh = dac @ u_h
-        np.multiply(dh * cs[t], d_az[t], out=d_az[t])
-        np.multiply(drh * h_prev, d_ar[t], out=d_ar[t])
-        carry = dh * one_minus_z[t] + drh * rs[t] + d_azr[t] @ u_zr
+        np.multiply(dh * cs_t[t], d_az_t[t], out=d_az_t[t])
+        np.multiply(drh * h_prev, d_ar_t[t], out=d_ar_t[t])
+        carry = dh * om_t[t] + drh * rs_t[t] + d_azr_t[t] @ u_zr
+    del d_runs, om_t  # om_t would keep 1 - z alive
 
     # Each weight gradient is one matmul over all T*B rows, stacked by
     # sequence and then summed over the batch, so a sequence's share does
     # not depend on which others share its batch. The recurrent maps skip
     # step 0, whose previous state is zero.
-    d_seq = d_a.transpose(1, 2, 0)  # (B, 3H, T)
+    d_seqs = [d_a[k].transpose(1, 2, 0) for k in range(n_dir)]  # (B, 3H, T)
     # r_t * h_{t-1} goes into the spent 1 - z buffer.
-    r_h_prev = np.multiply(rs[1:], hs[:-1], out=one_minus_z[1:])
-    np.sum(d_seq[:, 2 * h_dim:, 1:] @ r_h_prev.transpose(1, 0, 2), axis=0,
-           out=grads.U[2 * h_dim:])
-    del r_h_prev, one_minus_z
-    np.sum(d_seq[:, :2 * h_dim, 1:] @ hs[:-1].transpose(1, 0, 2), axis=0,
-           out=grads.U[:2 * h_dim])
-    # The backward direction's inputs are a time-reversed view; BLAS needs
-    # positive strides.
-    inputs = np.ascontiguousarray(trace.inputs)
-    np.sum(d_seq @ inputs.transpose(1, 0, 2), axis=0, out=grads.W)
-    np.sum(d_a.sum(axis=0), axis=0, out=grads.b)
+    r_h_prev = np.multiply(rs[:, 1:], hs[:, :-1], out=one_minus_z[:, 1:])
+    for d_seq, r_h, grad in zip(d_seqs, r_h_prev, grads):
+        np.sum(d_seq[:, 2 * h_dim:, 1:] @ r_h.transpose(1, 0, 2), axis=0,
+               out=grad.U[2 * h_dim:])
+    del r_h_prev, r_h, one_minus_z
+    for k, (d_seq, grad) in enumerate(zip(d_seqs, grads)):
+        np.sum(d_seq[:, :2 * h_dim, 1:] @ hs[k, :-1].transpose(1, 0, 2), axis=0,
+               out=grad.U[:2 * h_dim])
+        # Direction 1 ran over reversed time; BLAS needs positive strides.
+        inputs = np.ascontiguousarray(trace.inputs[::1 if k == 0 else -1])
+        np.sum(d_seq @ inputs.transpose(1, 0, 2), axis=0, out=grad.W)
+        np.sum(d_a[k].sum(axis=0), axis=0, out=grad.b)
     if not need_dx:
         return None
-    return (d_a.reshape(t_len * batch, 3 * h_dim) @ params.W).reshape(
-        t_len, batch, -1)
+    rows = t_len * batch
+    dx = (d_a[0].reshape(rows, 3 * h_dim) @ cells[0].W).reshape(t_len, batch, -1)
+    if n_dir == 2:
+        # Direction 1's share goes into the spent d_a of direction 0: above
+        # the first layer D_in = 2H, which fits in its 3H columns.
+        spent = d_a[0].reshape(-1)[:dx.size].reshape(rows, -1)
+        dxb = np.matmul(d_a[1].reshape(rows, 3 * h_dim), cells[1].W, out=spent)
+        dx += dxb.reshape(t_len, batch, -1)[::-1]
+    return dx
 
 
 # ---------------------------------------------------------------------------
@@ -355,30 +426,11 @@ def _upsample_k_backward(d_out: np.ndarray, source_t: int, k: int) -> np.ndarray
 # ---------------------------------------------------------------------------
 
 @dataclass
-class LayerTrace:
-    fwd: GruRunTrace
-    bwd: Optional[GruRunTrace] = None
-
-
-@dataclass
 class EncoderTrace:
     """Everything the encoder backward pass needs."""
 
     input_length: int
     layer_traces: list[LayerTrace] = field(default_factory=list)
-
-
-def _layer_backward(layer: EncoderLayer, trace: LayerTrace, d_out: np.ndarray,
-                    need_dx: bool, grads: EncoderLayer) -> Optional[np.ndarray]:
-    if layer.bwd is None:
-        return _gru_bptt(layer.fwd, trace.fwd, d_out, need_dx, grads.fwd)
-    h_dim = layer.fwd.hidden
-    dxf = _gru_bptt(layer.fwd, trace.fwd, d_out[:, :, :h_dim], need_dx, grads.fwd)
-    dxb = _gru_bptt(layer.bwd, trace.bwd, d_out[::-1, :, h_dim:], need_dx,
-                    grads.bwd)
-    if need_dx:
-        dxf += dxb[::-1]
-    return dxf
 
 
 def _check_batch(config: EncoderConfig, layers: list[EncoderLayer],
@@ -400,23 +452,16 @@ def _run_encoder(config: EncoderConfig, layers: list[EncoderLayer],
     """The encoder's layer loop over a checked (T, B, d) batch; appends
     each layer's trace to ``trace`` when one is given.
 
-    Each directional run writes its states into its half of the layer
-    output (the backward run through a time-reversed view), and each
-    layer's input is dropped once its output is built, unless the trace
-    holds it.
+    Each layer is one run of its stacked directions, and each layer's
+    input is dropped once its output is built, unless the trace holds it.
     """
     t_len, batch = xs.shape[:2]
-    h_dim = config.hidden
-    keep = trace is not None
     total = None
     seq = xs
     for depth, layer in enumerate(layers):
-        out = np.empty((seq.shape[0], batch, config.output_dim))
-        fwd = _gru_run(layer.fwd, seq, out[:, :, :h_dim], keep)
-        bwd = None if layer.bwd is None else _gru_run(
-            layer.bwd, seq[::-1], out[::-1, :, h_dim:], keep)
-        if keep:
-            trace.layer_traces.append(LayerTrace(fwd, bwd))
+        out, layer_trace = _layer_run(layer.cells, seq, trace is not None)
+        if trace is not None:
+            trace.layer_traces.append(layer_trace)
         if config.kind == "multiresolution":
             out = subsample2(out)
             if total is None:  # not before the first full-length output is freed
@@ -430,8 +475,8 @@ def _run_encoder(config: EncoderConfig, layers: list[EncoderLayer],
 def encoder_forward(config: EncoderConfig, layers: list[EncoderLayer],
                     xs: np.ndarray) -> tuple[np.ndarray, EncoderTrace]:
     """Encode a time-major (T, B, d) batch of equal-length sequences into
-    (T, B, output_dim) frame features with one recurrence per layer and
-    direction, keeping the trace that encoder_backward needs."""
+    (T, B, output_dim) frame features with one recurrence per layer,
+    keeping the trace that encoder_backward needs."""
     xs = _check_batch(config, layers, xs)
     trace = EncoderTrace(input_length=xs.shape[0])
     return _run_encoder(config, layers, xs, trace), trace
@@ -461,10 +506,11 @@ def encoder_backward(config: EncoderConfig, layers: list[EncoderLayer],
         ltr = trace.layer_traces.pop()
         if config.kind == "multiresolution":
             # The layer's pooled output feeds the sum and the next layer.
-            t_layer = ltr.fwd.hs.shape[0]
+            t_layer = ltr.inputs.shape[0]
             d_sub = _upsample_k_backward(d_hs, (t_layer + 1) // 2, i + 1)
             if i < len(layers) - 1:
                 d_sub += d
             d = _subsample2_backward(d_sub, t_layer)
-        d = _layer_backward(layers[i], ltr, d, i > 0, grads[i])
+            del d_sub  # not held through the layer's BPTT
+        d = _layer_bptt(layers[i].cells, ltr, d, i > 0, grads[i].cells)
     return grad

@@ -72,3 +72,11 @@ def parse_report(path: Path) -> list[dict]:
         if line:
             rows.append(dict(zip(head, line.split("\t"))))
     return rows
+
+
+def pin_cases(pins: dict) -> list:
+    """pytest params for a pin table keyed (kind, mr_bidir, shape). The
+    "small" cases keep the ids they had before the table had a shape."""
+    return [pytest.param(*key, id="-".join(
+                str(part) for part in (key[:2] if key[2] == "small" else key)))
+            for key in pins]

@@ -9,7 +9,13 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import raresed.cli  # noqa: F401  (loads every module the spans name)
+from fdcheck import random_utterance
+from raresed.detector import EventModel, batch_loss_and_gradients
+from raresed.recurrent import EncoderConfig
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -65,3 +71,32 @@ def test_every_package_name_the_benchmark_imports_resolves():
     missing = [f"{module}.{name}" for module, name in sorted(refs)
                if not hasattr(importlib.import_module(module), name)]
     assert not missing, f"the benchmark imports missing names: {missing}"
+
+
+@pytest.mark.parametrize("kind,mr_bidir", [("unidirectional", False),
+                                           ("bidirectional", False),
+                                           ("multiresolution", False),
+                                           ("multiresolution", True)])
+def test_encoder_span_counters_read_a_real_trace(monkeypatch, kind, mr_bidir):
+    # The traced run's encoder counters read the arguments and the trace
+    # of encoder_forward and encoder_backward; run them, through the
+    # benchmark's own tracer, on one real batch.
+    layers = load_layers(monkeypatch)
+    tracer = layers.Tracer()
+    for module, attr, span, count in layers.SPANS:
+        if span in ("recurrent.forward", "recurrent.backward"):
+            tracer.wrap(module, attr, span, count)
+    cfg = EncoderConfig(kind=kind, layers=2, hidden=3, input_dim=4,
+                        multires_bidirectional=mr_bidir)
+    rng = np.random.default_rng(61)
+    batch = [random_utterance(rng, 4, 7, positive=i == 0, id=str(i)) for i in range(2)]
+    try:
+        batch_loss_and_gradients(EventModel.initialize(cfg, seed=61), batch, 1.0, 2)
+    finally:
+        tracer.uninstall()
+    final = tracer.snapshot()
+    assert final["recurrent.forward"]["calls"] == 1
+    assert final["recurrent.backward"]["calls"] == 1
+    figures = layers.per_layer({}, final, rounds=1)
+    assert figures["recurrent.forward.frames"]["value"] > 0
+    assert figures["recurrent.gflop_per_s"]["value"] > 0

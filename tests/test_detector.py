@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import pin_cases
 from fdcheck import assert_gradients_match, random_utterance
 from oracles import forward, frame_posteriors, total_loss
 import raresed.detector as detector_module
@@ -319,22 +320,40 @@ class TestGradients:
         assert loss == pytest.approx(expected, abs=1e-15)
 
 
-# sha256 pins, recorded before the nine per-gate arrays of each cell were
-# stacked into W, U and b: the .sem bytes of EventModel.initialize(cfg,
-# seed=11), and the loss and gradient bytes of one mixed-length batch.
+# (hidden, input_dim, batch as (frames, positive) per utterance) of each
+# pin: "small" is a mixed-length batch, "desk" a minibatch of the desk
+# preset's size at its hidden width, H = 32.
+PIN_SHAPES = {"small": (3, 4, [(7, True), (9, False), (7, True)]),
+              "desk": (32, 40, [(150, i % 2 == 0) for i in range(10)])}
+# sha256 pins: the .sem bytes of EventModel.initialize(cfg, seed=11), and
+# the loss and gradient bytes of one batch. The small pins were recorded
+# before the nine per-gate arrays of each cell were stacked into W, U and
+# b, the desk pins while each direction ran its own time loop.
 PINS = {
-    ("unidirectional", False): (
+    ("unidirectional", False, "small"): (
         "48e6a924ffd724e636da9f97d92e9208f1522b9ff2f15bc61a60a12c10d4e128",
         "2e00650d38b52aa9d9a48ea4835322834870eca1b1b2acaa7b47e46a884f4244"),
-    ("bidirectional", False): (
+    ("bidirectional", False, "small"): (
         "f8ad84518172a75e515dfad176b22a9fc08d56bef065b78f2a9387876f8e5502",
         "2561315aed6772010e075e74034943deb64c638dd8d6743dcac5f9041c837701"),
-    ("multiresolution", False): (
+    ("multiresolution", False, "small"): (
         "00de2e4452ec29a1f1ccf447a133e5d4b5f029061298588a32de08858507a6fa",
         "b9da5ef5f345315a8dd009acfda439b7565721a03c8311ddd417b6f9de6df536"),
-    ("multiresolution", True): (
+    ("multiresolution", True, "small"): (
         "8c4782cec8157b4f2d641383d5bc249ca8f4e0d4ef72f3259b6d34104ad78d9e",
         "4a073f2fabc16f1ac19d110dc06fecabb97df0550501b0e9aa81c2f16d1ff210"),
+    ("unidirectional", False, "desk"): (
+        "6a9e51ac936a9193526676a2bad805bdfaec7dce57a6ac89540d475602f20385",
+        "ac66f86a8467c0a4bb3ded1a1243b20e2151cd5d4a89a25fe20f5243121afcc4"),
+    ("bidirectional", False, "desk"): (
+        "2f316ba7e6fa2c0e7dc275867f7b6d033147ed31c688d7cde37206c5a93a9608",
+        "a6a0d39a4e5badde64e5c737fb32de45046a4a3643dbf8f43740600f6357153d"),
+    ("multiresolution", False, "desk"): (
+        "bad9d42a9064097aaf252458d3e5fb6d3771bf62a495b23a2b0d68ecf94f16dc",
+        "03e2a21b137ee7d420b20b4704e6973b88cd5452aa623da7f5f679e908f4b6e6"),
+    ("multiresolution", True, "desk"): (
+        "ad2d5d6bc84ca15be2117f23701ac126ed09d12a4c800fa79ea5adada02c7b02",
+        "03d23fe23c95be4028472780640f0c11e4cddf7154a53d4d50ebc0446ad0579a"),
 }
 
 
@@ -391,22 +410,27 @@ class TestFlatParameters:
             with pytest.raises(ValueError):
                 EventModel(cfg, bad)
 
-    @pytest.mark.parametrize("kind,mr_bidir", BATCHED_KINDS)
-    def test_sem_bytes_of_initialized_model_pinned(self, kind, mr_bidir, tmp_path):
-        model = small_model(kind=kind, layers=2, mr_bidir=mr_bidir, seed=11)
+    @pytest.mark.parametrize("kind,mr_bidir,shape", pin_cases(PINS))
+    def test_sem_bytes_of_initialized_model_pinned(self, kind, mr_bidir, shape,
+                                                   tmp_path):
+        hidden, input_dim, _ = PIN_SHAPES[shape]
+        model = small_model(kind=kind, layers=2, hidden=hidden,
+                            input_dim=input_dim, mr_bidir=mr_bidir, seed=11)
         save_model(tmp_path / "m.sem", model)
         digest = hashlib.sha256((tmp_path / "m.sem").read_bytes()).hexdigest()
-        assert digest == PINS[kind, mr_bidir][0]
+        assert digest == PINS[kind, mr_bidir, shape][0]
 
-    @pytest.mark.parametrize("kind,mr_bidir", BATCHED_KINDS)
-    def test_loss_and_gradient_bytes_pinned(self, kind, mr_bidir):
-        model = small_model(kind=kind, layers=2, mr_bidir=mr_bidir, seed=11)
+    @pytest.mark.parametrize("kind,mr_bidir,shape", pin_cases(PINS))
+    def test_loss_and_gradient_bytes_pinned(self, kind, mr_bidir, shape):
+        hidden, input_dim, clips = PIN_SHAPES[shape]
+        model = small_model(kind=kind, layers=2, hidden=hidden,
+                            input_dim=input_dim, mr_bidir=mr_bidir, seed=11)
         rng = np.random.default_rng(23)
-        batch = [random_utterance(rng, 4, t, positive=pos, id=str(i))
-                 for i, (t, pos) in enumerate([(7, True), (9, False), (7, True)])]
+        batch = [random_utterance(rng, input_dim, t, positive=pos, id=str(i))
+                 for i, (t, pos) in enumerate(clips)]
         loss, grad = batch_loss_and_gradients(model, batch, 1.0, 2)
         digest = hashlib.sha256(np.float64(loss).tobytes() + grad.tobytes())
-        assert digest.hexdigest() == PINS[kind, mr_bidir][1]
+        assert digest.hexdigest() == PINS[kind, mr_bidir, shape][1]
 
 
 class TestDecision:
@@ -500,15 +524,31 @@ class TestLongestTrueRun:
         assert _longest_true_run(mask) == want
 
 
+# (hidden, input_dim, frames per clip) of each detection pin: "small" is a
+# mixed-length list, "desk" ten desk-length clips at H = 32.
+INFER_SHAPES = {"small": (3, 4, (11, 70, 11, 33, 70, 11, 5, 33)),
+                "desk": (32, 40, (150,) * 10)}
 INFER_PINS = {
-    ("unidirectional", False):
+    ("unidirectional", False, "small"):
         [(3, 6), (1, 15), (5, 11), (21, 33), None, (1, 9), (1, 5), None],
-    ("bidirectional", False):
+    ("bidirectional", False, "small"):
         [None, None, None, (5, 14), (27, 44), None, None, (23, 28)],
-    ("multiresolution", False):
+    ("multiresolution", False, "small"):
         [None, None, None, (5, 14), (3, 6), None, (5, 5), None],
-    ("multiresolution", True):
+    ("multiresolution", True, "small"):
         [None, (3, 16), (3, 8), None, (31, 40), None, (1, 2), (15, 24)],
+    ("unidirectional", False, "desk"):
+        [(76, 92), (75, 87), (117, 131), None, None, None, None, None,
+         (16, 28), (33, 45)],
+    ("bidirectional", False, "desk"):
+        [(47, 67), (36, 66), (70, 87), (3, 23), (118, 130), (65, 88),
+         (110, 141), (95, 108), (130, 148), (48, 65)],
+    ("multiresolution", False, "desk"):
+        [(91, 102), (1, 16), (135, 148), (3, 16), (23, 46), (75, 88),
+         (123, 136), (41, 54), (45, 66), (55, 64)],
+    ("multiresolution", True, "desk"):
+        [(55, 68), (101, 120), (67, 84), (67, 76), (37, 52), (1, 12),
+         (129, 150), (85, 102), (1, 14), (57, 70)],
 }
 
 
@@ -554,17 +594,19 @@ class TestBatchedInfer:
         assert infer(model, [x]) == [self.traced(model, x)]
         assert encode_slices == [(INFER_FRAMES + 1, 1)]
 
-    @pytest.mark.parametrize("kind,mr_bidir", BATCHED_KINDS)
-    def test_mixed_length_detections_pinned(self, kind, mr_bidir):
-        # (onset, offset) per clip, None for no event; recorded while
-        # encode had a layer loop of its own.
-        model = small_model(kind=kind, layers=2, seed=44, mr_bidir=mr_bidir)
+    @pytest.mark.parametrize("kind,mr_bidir,shape", pin_cases(INFER_PINS))
+    def test_mixed_length_detections_pinned(self, kind, mr_bidir, shape):
+        # (onset, offset) per clip, None for no event; the small pins were
+        # recorded while encode had a layer loop of its own, the desk pins
+        # while each direction ran its own time loop.
+        hidden, input_dim, lengths = INFER_SHAPES[shape]
+        model = small_model(kind=kind, layers=2, hidden=hidden,
+                            input_dim=input_dim, seed=44, mr_bidir=mr_bidir)
         rng = np.random.default_rng(44)
-        clips = [3.0 * rng.standard_normal((4, t))
-                 for t in (11, 70, 11, 33, 70, 11, 5, 33)]
+        clips = [3.0 * rng.standard_normal((input_dim, t)) for t in lengths]
         got = [(d.onset, d.offset) if d.present else None
                for d in infer(model, clips)]
-        assert got == INFER_PINS[kind, mr_bidir]
+        assert got == INFER_PINS[kind, mr_bidir, shape]
 
     def test_empty_and_bad_shapes(self):
         model = small_model(seed=43)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import pin_cases
 from oracles import (
     gru_cell_step,
     run_bidirectional,
@@ -299,15 +300,31 @@ class TestEncoderShapes:
             encoder_forward(cfg, zero_layers(cfg), np.ones((3, 1, 4)))
 
 
+# (hidden, input_dim, frames, batch) of each encode pin: "small" spans
+# nine projection blocks, "desk" is a desk-size batch at the desk preset's
+# hidden width and "long" one inference slice of 1304-frame clips (see
+# INFER_FRAMES).
+ENCODE_SHAPES = {"small": (4, 3, 131, 3), "desk": (32, 40, 150, 10),
+                 "long": (32, 40, 1304, 6)}
 ENCODE_PINS = {
-    ("unidirectional", False):
+    ("unidirectional", False, "small"):
         "439531e7b894277cd6beec44f4e313456f401a0c513f0985c7fca8471993faac",
-    ("bidirectional", False):
+    ("bidirectional", False, "small"):
         "80ef779e24e88748da7cdad4442417a622b328585043a5cbb49ff41c323b9e02",
-    ("multiresolution", False):
+    ("multiresolution", False, "small"):
         "5d37376b0bbebb2f3f43c92d71797943fa7d4832a0218d2cb046d1c1fb2f51ee",
-    ("multiresolution", True):
+    ("multiresolution", True, "small"):
         "8d9a5e29ce4676f47a33225abf1b75bb2651560fcf0cb3251d234fcd87e593f4",
+    ("unidirectional", False, "desk"):
+        "7174c71d06e09579592a784802dced8488242a9fbfe27c74808eba884a05556d",
+    ("bidirectional", False, "desk"):
+        "e5c5004f8cf3be0d5413705692555f075e317552ca01b883ca35117b1fb19f4e",
+    ("multiresolution", False, "desk"):
+        "72332683e271b50436953587403f1beefb55ee7ced0a2e89fdc6bead7c1e2756",
+    ("multiresolution", True, "desk"):
+        "fd99faaecdb2f47781ba80b19947350a9a800c55a05dce4588cf94e31a0e3645",
+    ("bidirectional", False, "long"):
+        "88b6cac3cb3c1ad617191603aba78435b6062aef19dbedcccb191b664c9b9196",
 }
 
 
@@ -332,20 +349,19 @@ class TestEncode:
             assert got.shape == (t_len, 3, cfg.output_dim)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("kind,bidir", [("unidirectional", False),
-                                            ("bidirectional", False),
-                                            ("multiresolution", False),
-                                            ("multiresolution", True)])
-    def test_output_bytes_pinned(self, kind, bidir):
-        # sha256 of the output of a depth-2 batch spanning nine projection
-        # blocks, recorded while encode had a layer loop of its own.
+    @pytest.mark.parametrize("kind,bidir,shape", pin_cases(ENCODE_PINS))
+    def test_output_bytes_pinned(self, kind, bidir, shape):
+        # sha256 of the output of a depth-2 batch; the small pins were
+        # recorded while encode had a layer loop of its own, the others
+        # while each direction ran its own time loop.
+        hidden, input_dim, frames, batch = ENCODE_SHAPES[shape]
         rng = np.random.default_rng(31)
-        cfg = EncoderConfig(kind=kind, layers=2, hidden=4, input_dim=3,
-                            multires_bidirectional=bidir)
+        cfg = EncoderConfig(kind=kind, layers=2, hidden=hidden,
+                            input_dim=input_dim, multires_bidirectional=bidir)
         layers = random_layers(cfg, rng)
-        xs = rng.standard_normal((131, 3, 3))
+        xs = rng.standard_normal((frames, batch, input_dim))
         digest = hashlib.sha256(encode(cfg, layers, xs).tobytes()).hexdigest()
-        assert digest == ENCODE_PINS[kind, bidir]
+        assert digest == ENCODE_PINS[kind, bidir, shape]
 
     def test_checks_like_encoder_forward(self):
         cfg = EncoderConfig(kind="unidirectional", layers=2, hidden=3, input_dim=2)
@@ -353,6 +369,50 @@ class TestEncode:
             encode(cfg, zero_layers(cfg)[:1], np.ones((3, 1, 2)))
         with pytest.raises(ValueError):
             encode(cfg, zero_layers(cfg), np.ones((3, 1, 4)))
+
+
+def held_arrays(obj) -> list[np.ndarray]:
+    """Every array a trace holds, through its lists and nested objects."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, list):
+        return [a for item in obj for a in held_arrays(item)]
+    if hasattr(obj, "__dict__"):
+        return [a for value in vars(obj).values() for a in held_arrays(value)]
+    return []
+
+
+def owner(a: np.ndarray) -> np.ndarray:
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+# numpy 2 moved byte_bounds into np.lib.array_utils.
+byte_bounds = getattr(np.lib, "array_utils", np).byte_bounds
+
+
+class TestTrace:
+    @pytest.mark.parametrize("kind,bidir", [("unidirectional", False),
+                                            ("bidirectional", False),
+                                            ("multiresolution", False),
+                                            ("multiresolution", True)])
+    def test_keeps_alive_only_what_it_holds(self, kind, bidir):
+        # The arrays that own the memory behind the trace's arrays hold no
+        # more bytes than the trace's arrays do, so no trace array is a
+        # view that keeps a wider buffer, such as a whole layer output,
+        # alive. Views of the same bytes (a sequence and its time
+        # reversal) count once.
+        rng = np.random.default_rng(51)
+        cfg = EncoderConfig(kind=kind, layers=2, hidden=4, input_dim=3,
+                            multires_bidirectional=bidir)
+        layers = random_layers(cfg, rng)
+        _, trace = encoder_forward(cfg, layers, rng.standard_normal((9, 2, 3)))
+        arrays = held_arrays(trace)
+        assert arrays
+        held = {byte_bounds(a): a.nbytes for a in arrays}
+        behind = {id(o): o.nbytes for o in map(owner, arrays)}
+        assert sum(behind.values()) <= sum(held.values())
 
 
 class TestConfigValidation:

@@ -85,6 +85,20 @@ class TestBuildFrameWindow:
             assert set(range(onset, offset + 1)) <= set(window)
 
 
+# sha256 of the best parameters and of the report of a 3-epoch run of
+# tiny_config with a one-layer encoder of each kind. The multiresolution
+# pins were recorded while ADAM still returned a new vector each step, the
+# bidirectional ones while each direction ran its own time loop.
+TRAINING_PINS = {
+    "multiresolution": (
+        "a5a616d698ec137c53ae5350bc945bf5d0723208ef7b1155719d0356792fcb9d",
+        "9d90a0edc3cc33cceb297d5d0a269cd7263418bc23755e4fc8985d08be37c4b6"),
+    "bidirectional": (
+        "4236a9ba4fbf0e4f4dd8681219b12cec1db40f81006e58e440c3f86b136481c2",
+        "9abe023532ae2111c84b5bd7ea0d49e05502a7f353afbb3acae9fe47c6c64ad6"),
+}
+
+
 class TestTrain:
     def test_zero_epoch_budget_keeps_init(self):
         trainset, devset = tiny_sets()
@@ -107,13 +121,12 @@ class TestTrain:
             assert sa.dev_er == sb.dev_er and sa.dev_f1 == sb.dev_f1
 
     def test_training_bytes_pinned(self):
-        # sha256 of the best parameters and of the report of a 3-epoch run,
-        # recorded while ADAM still returned a new vector each step.
-        report = train(tiny_config(epochs=3), *tiny_sets())
-        assert hashlib.sha256(report.best_params.tobytes()).hexdigest() == (
-            "a5a616d698ec137c53ae5350bc945bf5d0723208ef7b1155719d0356792fcb9d")
-        assert hashlib.sha256(format_report(report).encode()).hexdigest() == (
-            "9d90a0edc3cc33cceb297d5d0a269cd7263418bc23755e4fc8985d08be37c4b6")
+        for kind, pins in TRAINING_PINS.items():
+            encoder = EncoderConfig(kind=kind, layers=1, hidden=4, input_dim=6)
+            report = train(tiny_config(epochs=3, encoder=encoder), *tiny_sets())
+            got = (hashlib.sha256(report.best_params.tobytes()).hexdigest(),
+                   hashlib.sha256(format_report(report).encode()).hexdigest())
+            assert got == pins, kind
 
     def test_best_epoch_is_earliest_minimum(self):
         trainset, devset = tiny_sets()
