@@ -24,7 +24,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import BinaryIO, Optional
 
 import numpy as np
-import scipy.io.wavfile
 
 from .errors import InputError, ParseError
 from .numerics import as_f64
@@ -189,8 +188,13 @@ def synth_feature_utterance(config: SynthConfig, index: int,
     Same (config, index) always yields the same record, independent of
     the order utterances are generated in.
     """
+    return _synth_utterance(config, _scene_bank(config), index, id)
+
+
+def _synth_utterance(config: SynthConfig, bank: np.ndarray, index: int,
+                     id: Optional[str]) -> Utterance:
+    """synth_feature_utterance with the config's scene bank given."""
     rng = _utterance_rng(config.seed, index)
-    bank = _scene_bank(config)
     uid = id if id is not None else f"utt-{index:05d}"
 
     scene = int(rng.integers(N_SCENES))
@@ -223,9 +227,10 @@ def synth_feature_utterance(config: SynthConfig, index: int,
 def synth_dataset(config: SynthConfig, id_prefix: str = "utt",
                   start_index: int = 0) -> list[Utterance]:
     """Generate ``config.count`` utterances at indices start_index onwards."""
+    bank = _scene_bank(config)
     return [
-        synth_feature_utterance(config, start_index + i,
-                                id=f"{id_prefix}-{start_index + i:05d}")
+        _synth_utterance(config, bank, start_index + i,
+                         f"{id_prefix}-{start_index + i:05d}")
         for i in range(config.count)
     ]
 
@@ -338,6 +343,10 @@ def lfbe(waveform: np.ndarray, config: LfbeConfig) -> np.ndarray:
 
 def read_wav(path) -> tuple[int, np.ndarray]:
     """Read a mono PCM16 or float32 WAV; returns (rate, samples in [-1, 1])."""
+    # Imported here, not at module top: scipy.io loads hundreds of modules
+    # that only WAV input needs.
+    import scipy.io.wavfile
+
     try:
         rate, samples = scipy.io.wavfile.read(path)
     except FileNotFoundError:

@@ -274,7 +274,10 @@ def _group_heads(model: EventModel, group: Sequence["Utterance"], alpha: float,
 
     Each head reads a contiguous copy of its (T, h) slice: that gives it
     the memory layout of a batch of one, so its sums do not depend on its
-    batch.
+    batch. The encoder features it reads are the same bits in every
+    batch of two or more only where BLAS rounds a row of a product alike
+    whatever the row count, and equal only to rounding in a batch of one
+    (see recurrent._layer_bptt).
     """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
@@ -362,11 +365,11 @@ def decide_detection(p_utt: float, frame_p: np.ndarray, thres0: float = 0.5,
 # Frames encoded at once by infer: each equal-length group is cut into
 # slices of max(1, INFER_FRAMES // T) clips. Measured with infer on 40
 # bidirectional 2x32 clips of 1304 frames (d = 16), one BLAS thread,
-# 2-core VM: slices of 6 / 12 / 20 / 40 clips cost 8.7 / 6.4 / 5.2 /
-# 4.3 ms per clip and peak at 9.3 / 18.6 / 30.9 / 61.8 MB of numpy
+# 2-core VM: slices of 6 / 12 / 20 / 40 clips cost 6.0 / 4.1 / 3.1 /
+# 2.5 ms per clip and peak at 9.4 / 18.6 / 30.9 / 61.8 MB of numpy
 # arrays. The budget stays at 8192 frames (6 such clips) on purpose: a
 # larger slice trades peak memory for speed, a decision of its own. A
-# desk training minibatch (10 clips of 150 frames) peaks at 4.6 MB
+# desk training minibatch (10 clips of 150 frames) peaks at 4.3 MB
 # multiresolution and 12.3 MB bidirectional.
 INFER_FRAMES = 8192
 

@@ -17,6 +17,11 @@ Cell convention (fixed here for reproducibility):
     c_t = tanh(W_h x_t + U_h (r_t * h_{t-1}) + b_h)
     h_t = (1 - z_t) * h_{t-1} + z_t * c_t
 
+The steps compute sigmoid(a) as tanh(a / 2) / 2 + 1/2, where a / 2 is
+made exactly from halved update/reset projections and maps, and the
+state update as h_t = h_{t-1} + z_t * (c_t - h_{t-1}); both round
+differently from the forms above, within a few units in the last place.
+
 Sequences run time-major in batches: the encoder takes (T, B, d) arrays
 of B equal-length sequences. Each layer is one run of its D directions
 (D = 2 in a bidirectional encoder and in a multiresolution one with
@@ -181,62 +186,76 @@ class LayerTrace:
     gates: np.ndarray   # (D, T, B, 3H): update gate, reset gate, candidate
 
 
-def _recurrent_maps(cells: tuple[GruLayerParams, ...]) -> np.ndarray:
-    """The cells' recurrent maps U as one array: a stacked (D, 3H, H)
-    copy when D = 2, and the cell's own (3H, H) when D = 1, so that a
-    one-cell layer steps plain (B, H) arrays."""
-    if len(cells) == 1:
-        return cells[0].U
-    return np.stack([cell.U for cell in cells])
+def _stack_maps(maps: list[np.ndarray]) -> np.ndarray:
+    """One map per cell as one C-contiguous array: stacked (D, m, n) when
+    D = 2, and the cell's own (m, n) map when D = 1, so that a one-cell
+    layer steps plain (B, H) arrays. Both give the same bits: each
+    direction's product runs on the same contiguous operands."""
+    return np.ascontiguousarray(maps[0] if len(maps) == 1 else np.stack(maps))
 
 
 def _steps(a: np.ndarray) -> np.ndarray:
     """A (D, T, ...) array as views indexed by time step: (T, D, ...), or
-    (T, ...) when D = 1, matching the maps of _recurrent_maps."""
+    (T, ...) when D = 1, matching the maps of _stack_maps."""
     return a[0] if a.shape[0] == 1 else a.swapaxes(0, 1)
 
 
-def _gru_steps(u: np.ndarray, gates: np.ndarray, h: np.ndarray,
-               hs: np.ndarray) -> np.ndarray:
-    """Step a layer's cells, with recurrent maps ``u`` (see
-    _recurrent_maps), through ``gates`` (D, n, B, 3H), which holds the
-    input projections plus biases, from the state ``h``.
+def _matmul(state: np.ndarray):
+    """The product a step loop uses on ``state``: np.dot for a plain
+    (B, H) state, where it costs less per call than np.matmul, which a
+    stacked (D, B, H) state needs."""
+    return np.dot if state.ndim == 2 else np.matmul
+
+
+def _gru_steps(maps: tuple[np.ndarray, np.ndarray], gates: np.ndarray,
+               h: np.ndarray, hs: np.ndarray) -> np.ndarray:
+    """Step a layer's cells, with ``maps`` their transposed recurrent
+    maps (see _stack_maps), the (D, H, 2H) update/reset one halved and
+    the (D, H, H) candidate one, through ``gates`` (D, n, B, 3H), which
+    holds the input projections plus biases with the update/reset columns
+    halved (see _project), from the state ``h``.
 
     Step t overwrites its rows of ``gates`` with the gate activations and
     writes its states to ``hs[:, t]`` (``hs`` is (D, n, B, H)); returns
     the last state. Each step does one (B, 2H) gate product and one
-    (B, H) candidate product per direction, each one matmul over the
-    stacked directions. The stable sigmoid of numerics.sigmoid is inlined
-    as where(a >= 0, 1, e) / (1 + e) with e = exp(-|a|).
+    (B, H) candidate product per direction, each one call over the
+    stacked directions, and twelve numpy calls in all: the gates are
+    sigmoid(a) = tanh(a / 2) / 2 + 1/2 of the halved pre-activation,
+    and the state is h + z (c - h).
     """
-    h_dim = u.shape[-1]
-    u_zr_t = u[..., :2 * h_dim, :].swapaxes(-1, -2)
-    u_h_t = u[..., 2 * h_dim:, :].swapaxes(-1, -2)
-    # Per-step views, sliced once.
+    u_zr, u_h = maps
+    h_dim = u_h.shape[-1]
+    mm = _matmul(h)
+    # Per-step views, sliced once; the gate arithmetic runs on a
+    # contiguous temporary and only its result goes into the strided rows.
     gates, hs = _steps(gates), _steps(hs)
-    zr, zs = gates[..., :2 * h_dim], gates[..., :h_dim]
-    rs, cs = gates[..., h_dim:2 * h_dim], gates[..., 2 * h_dim:]
-    for t in range(gates.shape[0]):
-        a = zr[t] + h @ u_zr_t
-        e = np.exp(-np.abs(a))
-        np.divide(np.where(a >= 0.0, 1.0, e), 1.0 + e, out=zr[t])
-        z = zs[t]
-        c = np.tanh(cs[t] + (rs[t] * h) @ u_h_t, out=cs[t])
-        h = np.add((1.0 - z) * h, z * c, out=hs[t])
+    steps = zip(gates[..., :2 * h_dim], gates[..., :h_dim],
+                gates[..., h_dim:2 * h_dim], gates[..., 2 * h_dim:], hs)
+    for zr, z, r, c, h_out in steps:
+        a = zr + mm(h, u_zr)
+        np.tanh(a, out=a)
+        a *= 0.5
+        np.add(a, 0.5, out=zr)
+        np.tanh(c + mm(r * h, u_h), out=c)
+        h = np.add(h, z * (c - h), out=h_out)
     return h
 
 
 def _project(cells: tuple[GruLayerParams, ...], xs: np.ndarray, t0: int,
              gates: np.ndarray) -> None:
     """Fill ``gates`` (D, n, B, 3H) with the input projections plus
-    biases of run steps t0..t0+n-1: direction 0 reads ``xs`` forward in
-    time, direction 1 backward."""
+    biases of run steps t0..t0+n-1, the update and reset columns halved
+    for _gru_steps: direction 0 reads ``xs`` forward in time, direction 1
+    backward. Halving is exact, so the halved pre-activation is bit for
+    bit half of the whole one."""
     rows = gates.shape[1] * gates.shape[2]
+    h_dim = gates.shape[3] // 3
     for k, cell in enumerate(cells):
         block = (xs if k == 0 else xs[::-1])[t0:t0 + gates.shape[1]]
         projected = np.matmul(block.reshape(rows, -1), cell.W.T,
                               out=gates[k].reshape(rows, -1))
         projected += cell.b
+        projected[:, :2 * h_dim] *= 0.5
 
 
 # Time steps whose input projections a trace-free run computes at once,
@@ -260,14 +279,15 @@ def _layer_run(cells: tuple[GruLayerParams, ...], xs: np.ndarray,
     """
     t_len, batch, _ = xs.shape
     n_dir, h_dim = len(cells), cells[0].hidden
-    u = _recurrent_maps(cells)
-    h = np.zeros(u.shape[:-2] + (batch, h_dim))
+    maps = (_stack_maps([0.5 * cell.U[:2 * h_dim].T for cell in cells]),
+            _stack_maps([cell.U[2 * h_dim:].T for cell in cells]))
+    h = np.zeros(maps[1].shape[:-2] + (batch, h_dim))
     out = np.empty((t_len, batch, n_dir * h_dim))
     if keep:
         gates = np.empty((n_dir, t_len, batch, 3 * h_dim))
         _project(cells, xs, 0, gates)
         hs = out[None] if n_dir == 1 else np.empty((n_dir, t_len, batch, h_dim))
-        _gru_steps(u, gates, h, hs)
+        _gru_steps(maps, gates, h, hs)
         if n_dir == 2:
             out[:, :, :h_dim] = hs[0]
             out[:, :, h_dim:] = hs[1, ::-1]
@@ -279,11 +299,11 @@ def _layer_run(cells: tuple[GruLayerParams, ...], xs: np.ndarray,
         n = min(PROJECTION_BLOCK, t_len - t0)
         _project(cells, xs, t0, buffer[:, :n])
         if n_dir == 1:
-            h = _gru_steps(u, buffer[:, :n], h, out[None, t0:t0 + n])
+            h = _gru_steps(maps, buffer[:, :n], h, out[None, t0:t0 + n])
             continue
         # h is the previous block's last row of ``states``; step 0 reads
         # it before it writes row 0.
-        h = _gru_steps(u, buffer[:, :n], h, states[:, :n])
+        h = _gru_steps(maps, buffer[:, :n], h, states[:, :n])
         out[t0:t0 + n, :, :h_dim] = states[0, :n]
         out[t_len - t0 - n:t_len - t0, :, h_dim:] = states[1, :n][::-1]
     return out, None
@@ -298,12 +318,21 @@ def _layer_bptt(cells: tuple[GruLayerParams, ...], trace: LayerTrace,
     ``d_out`` is the loss gradient on the layer output (T, B, D*H).
     Writes the parameter gradients, summed over the batch, into the
     arrays of ``grads`` and returns the gradient on the layer input when
-    requested. Consumes the trace: it overwrites the candidate rows.
+    requested. Consumes the trace: it overwrites the update and
+    candidate rows.
+
+    No product or sum mixes sequences before the batch sum, so a
+    sequence's share is the same bits in every batch of two or more
+    wherever BLAS rounds a row of a product alike whatever the row
+    count: OpenBLAS does at small widths, but may switch gemm kernels
+    with the matrix size, and runs the one-row products of a batch of
+    one as gemv, which rounds differently.
     """
     n_dir, t_len, batch, h_dim = trace.hs.shape
-    u = _recurrent_maps(cells)
-    u_zr, u_h = u[..., :2 * h_dim, :], u[..., 2 * h_dim:, :]
+    u_zr = _stack_maps([cell.U[:2 * h_dim] for cell in cells])
+    u_h = _stack_maps([cell.U[2 * h_dim:] for cell in cells])
     hs = trace.hs
+    zr = trace.gates[..., :2 * h_dim]
     zs = trace.gates[..., :h_dim]
     rs = trace.gates[..., h_dim:2 * h_dim]
     cs = trace.gates[..., 2 * h_dim:]
@@ -313,47 +342,52 @@ def _layer_bptt(cells: tuple[GruLayerParams, ...], trace: LayerTrace,
     d_az, d_ar = d_a[..., :h_dim], d_a[..., h_dim:2 * h_dim]
     d_azr, d_ac = d_a[..., :2 * h_dim], d_a[..., 2 * h_dim:]
     # The factors that do not depend on the carry, once over the whole
-    # run; each is bit for bit its per-step expression. d_a holds
-    # z(1 - z), r(1 - r) and 1 - c^2 until each step scales its row into
-    # the gradient, and the candidate rows of the trace become c - h_prev
-    # (row 0 keeps c: h_prev is zero there).
-    one_minus_z = np.subtract(1.0, zs)
-    np.multiply(zs, one_minus_z, out=d_az)
-    np.subtract(1.0, rs, out=d_ar)
-    d_ar *= rs
+    # run. d_a holds z(1 - c^2), (c - h_prev) z(1 - z) and h_prev r(1 - r)
+    # until each step scales its row into the gradient (h_prev is zero
+    # at step 0). The trace's candidate rows end as r h_prev, which the
+    # gradient of U_h reads, and its update rows as 1 - z, so that its
+    # update/reset rows hold the direct carry factors [1 - z | r].
     np.multiply(cs, cs, out=d_ac)
     np.subtract(1.0, d_ac, out=d_ac)
+    d_ac *= zs
+    np.subtract(1.0, zs, out=d_az)
+    d_az *= zs
     np.subtract(cs[:, 1:], hs[:, :-1], out=cs[:, 1:])
+    d_az *= cs
+    r_h_prev = np.multiply(hs[:, :-1], rs[:, 1:], out=cs[:, 1:])
+    np.subtract(1.0, rs[:, 1:], out=d_ar[:, 1:])
+    d_ar[:, 1:] *= r_h_prev
+    d_ar[:, 0] = 0.0
+    np.subtract(1.0, zs, out=zs)
     # Per-step views; each direction's output gradient in its run's time
-    # order.
+    # order. dh and the reset path's d(r h_prev) sit side by side in dhr,
+    # so that one multiply scales both gate rows and one the direct
+    # carry terms: eight numpy calls a step. np.dot cannot write into the
+    # strided half of dhr, so that product is always np.matmul.
     d_runs = d_out if n_dir == 1 else np.stack(
         [d_out[:, :, :h_dim], d_out[::-1, :, h_dim:]], axis=1)
-    hs_t, zs_t, rs_t, cs_t, om_t = map(_steps, (hs, zs, rs, cs, one_minus_z))
-    d_az_t, d_ar_t, d_azr_t, d_ac_t = map(_steps, (d_az, d_ar, d_azr, d_ac))
-    zero = np.zeros(u.shape[:-2] + (batch, h_dim))
-    carry = zero
-    for t in range(t_len - 1, -1, -1):
-        h_prev = hs_t[t - 1] if t > 0 else zero
-        dh = d_runs[t] + carry
-        dac = np.multiply(dh * zs_t[t], d_ac_t[t], out=d_ac_t[t])
-        drh = dac @ u_h
-        np.multiply(dh * cs_t[t], d_az_t[t], out=d_az_t[t])
-        np.multiply(drh * h_prev, d_ar_t[t], out=d_ar_t[t])
-        carry = dh * om_t[t] + drh * rs_t[t] + d_azr_t[t] @ u_zr
-    del d_runs, om_t  # om_t would keep 1 - z alive
+    steps = zip(*(_steps(a)[::-1] for a in (zr, d_azr, d_ac)), d_runs[::-1])
+    dhr, direct = np.empty((2,) + u_h.shape[:-2] + (batch, 2 * h_dim))
+    dh, drh = dhr[..., :h_dim], dhr[..., h_dim:]
+    via_z, via_r = direct[..., :h_dim], direct[..., h_dim:]
+    carry = np.zeros(dh.shape)
+    mm = _matmul(carry)
+    for zr_t, d_azr_t, d_ac_t, d_run in steps:
+        np.add(d_run, carry, out=dh)
+        np.matmul(np.multiply(dh, d_ac_t, out=d_ac_t), u_h, out=drh)
+        np.multiply(dhr, zr_t, out=direct)
+        carry = np.add(via_z, via_r)
+        carry += mm(np.multiply(dhr, d_azr_t, out=d_azr_t), u_zr)
+    del d_runs, d_run, steps  # the last d_run would keep a D = 2 stack alive
 
     # Each weight gradient is one matmul over all T*B rows, stacked by
-    # sequence and then summed over the batch, so a sequence's share does
-    # not depend on which others share its batch. The recurrent maps skip
-    # step 0, whose previous state is zero.
+    # sequence and then summed over the batch, so no sum mixes sequences
+    # before the batch sum. The recurrent maps skip step 0, whose previous
+    # state is zero.
     d_seqs = [d_a[k].transpose(1, 2, 0) for k in range(n_dir)]  # (B, 3H, T)
-    # r_t * h_{t-1} goes into the spent 1 - z buffer.
-    r_h_prev = np.multiply(rs[:, 1:], hs[:, :-1], out=one_minus_z[:, 1:])
-    for d_seq, r_h, grad in zip(d_seqs, r_h_prev, grads):
-        np.sum(d_seq[:, 2 * h_dim:, 1:] @ r_h.transpose(1, 0, 2), axis=0,
-               out=grad.U[2 * h_dim:])
-    del r_h_prev, r_h, one_minus_z
     for k, (d_seq, grad) in enumerate(zip(d_seqs, grads)):
+        np.sum(d_seq[:, 2 * h_dim:, 1:] @ r_h_prev[k].transpose(1, 0, 2), axis=0,
+               out=grad.U[2 * h_dim:])
         np.sum(d_seq[:, :2 * h_dim, 1:] @ hs[k, :-1].transpose(1, 0, 2), axis=0,
                out=grad.U[:2 * h_dim])
         # Direction 1 ran over reversed time; BLAS needs positive strides.

@@ -486,3 +486,18 @@ def test_module_entry_point_runs_the_cli():
                           capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
     assert "usage: raresed" in done.stdout
+
+
+def test_cli_import_leaves_scipy_io_and_special_unloaded():
+    # scipy.io is only needed for WAV input (read_wav imports it when
+    # called); loading it with the CLI would add about 23 MB of peak RSS
+    # to every command, and scipy.special about 24 MB.
+    src = str(Path(raresed.__file__).resolve().parents[1])
+    code = ("import sys; import raresed.cli; print(' '.join(sorted(m for m in "
+            "sys.modules if m.split('.')[:2] in (['scipy', 'io'], "
+            "['scipy', 'special']))))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src},
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []

@@ -97,9 +97,14 @@ class TestSynth:
         cfg = desk_synth(count=6)
         forward_order = [synth_feature_utterance(cfg, i) for i in range(6)]
         reverse_order = [synth_feature_utterance(cfg, i) for i in reversed(range(6))]
-        for ua, ub in zip(forward_order, reversed(reverse_order)):
+        # synth_dataset builds the scene bank once, not per utterance.
+        dataset = synth_dataset(cfg, id_prefix="utt")
+        for ua, ub, uc in zip(forward_order, reversed(reverse_order), dataset,
+                              strict=True):
             assert np.array_equal(ua.features, ub.features)
             assert ua.y == ub.y
+            assert np.array_equal(ua.features, uc.features)
+            assert (ua.id, ua.y, ua.meta) == (uc.id, uc.y, uc.meta)
 
     def test_positive_rate_tracks_fraction(self):
         data = synth_dataset(desk_synth(count=400, positive_fraction=0.5))

@@ -308,23 +308,23 @@ ENCODE_SHAPES = {"small": (4, 3, 131, 3), "desk": (32, 40, 150, 10),
                  "long": (32, 40, 1304, 6)}
 ENCODE_PINS = {
     ("unidirectional", False, "small"):
-        "439531e7b894277cd6beec44f4e313456f401a0c513f0985c7fca8471993faac",
+        "14bb676d3d55fe79a8fa8c34eb3400996c46b51eacf4db2c122eb2e2a3307c27",
     ("bidirectional", False, "small"):
-        "80ef779e24e88748da7cdad4442417a622b328585043a5cbb49ff41c323b9e02",
+        "90087f16e002de40b497aac069e84ecbd4d3b8a5fd15626d1e87ede4dae5a8a4",
     ("multiresolution", False, "small"):
-        "5d37376b0bbebb2f3f43c92d71797943fa7d4832a0218d2cb046d1c1fb2f51ee",
+        "aedfb49adfd082feb741db4377aa75e2f53bca7da70952050374e0bcca0b1e16",
     ("multiresolution", True, "small"):
-        "8d9a5e29ce4676f47a33225abf1b75bb2651560fcf0cb3251d234fcd87e593f4",
+        "9bd0fe7f0a69a602991f0de5e7e22880c59e64e597ed90b688b72eabcda85a9f",
     ("unidirectional", False, "desk"):
-        "7174c71d06e09579592a784802dced8488242a9fbfe27c74808eba884a05556d",
+        "86cae55561df0af9c0d02ebe2e82536923d714788c51a6e2c120591504ed3f83",
     ("bidirectional", False, "desk"):
-        "e5c5004f8cf3be0d5413705692555f075e317552ca01b883ca35117b1fb19f4e",
+        "eaef12edc5eeb7cd6d566ca9db2ea9ee08f3e0121523581e6ffa4a7969f710df",
     ("multiresolution", False, "desk"):
-        "72332683e271b50436953587403f1beefb55ee7ced0a2e89fdc6bead7c1e2756",
+        "cd417105c283b98c3aed05b4384eaaa2d39255a25e94902001d13283713b1762",
     ("multiresolution", True, "desk"):
-        "fd99faaecdb2f47781ba80b19947350a9a800c55a05dce4588cf94e31a0e3645",
+        "f99610b699a83ed7434599017e81e03bf9d8ddc2c7b798aecf7ecf566597b8b2",
     ("bidirectional", False, "long"):
-        "88b6cac3cb3c1ad617191603aba78435b6062aef19dbedcccb191b664c9b9196",
+        "8b8f65104b635ac94f5a2084fe2c7a7ef7a55051d999595bbb8eb23a221ed364",
 }
 
 
@@ -351,9 +351,9 @@ class TestEncode:
 
     @pytest.mark.parametrize("kind,bidir,shape", pin_cases(ENCODE_PINS))
     def test_output_bytes_pinned(self, kind, bidir, shape):
-        # sha256 of the output of a depth-2 batch; the small pins were
-        # recorded while encode had a layer loop of its own, the others
-        # while each direction ran its own time loop.
+        # sha256 of the output of a depth-2 batch, recorded when the gates
+        # became tanh of the halved pre-activation, which moved the last
+        # bits of the output.
         hidden, input_dim, frames, batch = ENCODE_SHAPES[shape]
         rng = np.random.default_rng(31)
         cfg = EncoderConfig(kind=kind, layers=2, hidden=hidden,
