@@ -267,10 +267,10 @@ def _utterance_groups(batch: Sequence["Utterance"]) -> list[list["Utterance"]]:
 
 
 def _group_heads(model: EventModel, group: Sequence["Utterance"], alpha: float,
-                 margin: int, need_grad: bool):
+                 margin: int):
     """One recurrence over equal-length utterances, then each utterance's
-    head. Returns the group's summed loss, the encoder trace and, when
-    ``need_grad``, d(loss)/d(encoder output) (T, B, h) and d(loss)/dw.
+    head. Returns the group's summed loss, the encoder trace,
+    d(loss)/d(encoder output) (T, B, h) and d(loss)/dw.
 
     Each head reads a contiguous copy of its (T, h) slice: that gives it
     the memory layout of a batch of one, so its sums do not depend on its
@@ -283,27 +283,16 @@ def _group_heads(model: EventModel, group: Sequence["Utterance"], alpha: float,
         raise ValueError("alpha must be nonnegative")
     xs = np.stack([utt.features.T for utt in group], axis=1)
     hs, enc_trace = encoder_forward(model.config, model.layers, xs)
-    d_hs = np.empty_like(hs) if need_grad else None
+    d_hs = np.empty_like(hs)
     grad_w = np.zeros_like(model.w)
     loss = 0.0
     for b, utt in enumerate(group):
         _, trace = _frame_head(model, np.ascontiguousarray(hs[:, b]))
         utterance_posterior(model, trace)
         loss += _trace_loss(trace, utt, alpha, margin)
-        if need_grad:
-            d_hs[:, b], d_w = _head_backward(model, trace, utt, alpha, margin)
-            grad_w += d_w
+        d_hs[:, b], d_w = _head_backward(model, trace, utt, alpha, margin)
+        grad_w += d_w
     return loss, enc_trace, d_hs, grad_w
-
-
-def batch_loss(model: EventModel, batch: Sequence["Utterance"], alpha: float,
-               margin: int = DEFAULT_WINDOW_MARGIN) -> float:
-    """Mean total loss over the batch, forward only: the same value as
-    batch_loss_and_gradients, with no BPTT."""
-    total = 0.0
-    for group in _utterance_groups(batch):
-        total += _group_heads(model, group, alpha, margin, need_grad=False)[0]
-    return total / len(batch)
 
 
 def batch_loss_and_gradients(model: EventModel, batch: Sequence["Utterance"],
@@ -319,8 +308,7 @@ def batch_loss_and_gradients(model: EventModel, batch: Sequence["Utterance"],
     n_enc = model.config.param_count
     grad = np.zeros(model.param_count)
     for group in _utterance_groups(batch):
-        loss, enc_trace, d_hs, grad_w = _group_heads(model, group, alpha, margin,
-                                                     need_grad=True)
+        loss, enc_trace, d_hs, grad_w = _group_heads(model, group, alpha, margin)
         total += loss
         grad[:n_enc] += encoder_backward(model.config, model.layers, enc_trace, d_hs)
         grad[n_enc:] += grad_w
@@ -365,12 +353,12 @@ def decide_detection(p_utt: float, frame_p: np.ndarray, thres0: float = 0.5,
 # Frames encoded at once by infer: each equal-length group is cut into
 # slices of max(1, INFER_FRAMES // T) clips. Measured with infer on 40
 # bidirectional 2x32 clips of 1304 frames (d = 16), one BLAS thread,
-# 2-core VM: slices of 6 / 12 / 20 / 40 clips cost 6.0 / 4.1 / 3.1 /
-# 2.5 ms per clip and peak at 9.4 / 18.6 / 30.9 / 61.8 MB of numpy
+# 2-core VM: slices of 6 / 12 / 20 / 40 clips cost 4.8 / 3.5 / 2.7 /
+# 2.2 ms per clip and peak at 9.4 / 18.7 / 31.2 / 62.3 MB of numpy
 # arrays. The budget stays at 8192 frames (6 such clips) on purpose: a
 # larger slice trades peak memory for speed, a decision of its own. A
-# desk training minibatch (10 clips of 150 frames) peaks at 4.3 MB
-# multiresolution and 12.3 MB bidirectional.
+# desk training minibatch (10 clips of 150 frames, d = 40) peaks at
+# 4.5 MB multiresolution and 12.0 MB bidirectional.
 INFER_FRAMES = 8192
 
 

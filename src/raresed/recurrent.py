@@ -31,6 +31,19 @@ time-reversed input, and each step does one matmul per recurrent
 product over the stacked (D, H, 2H) and (D, H, H) maps, which numpy runs
 as one gemm per direction, so each direction keeps its own sums. A
 unidirectional layer runs the same code with the direction axis dropped.
+
+A layer keeps its gates in two dense buffers, update/reset rows
+(..., B, 2H) and candidate rows (..., B, H), so that the gate rows a
+time step reads and writes, forward and in BPTT, are contiguous blocks;
+only the update and reset halves of a (B, 2H) row are strided views.
+Each direction's input projection is one (rows, 3H) gemm, made into a
+scratch buffer and copied out into the two. A traced run keeps each
+direction's buffers side by side in one row of T*B*3H values, where
+BPTT, once its carry loop is done, writes the (T, B, 3H) gradient rows
+that the input-side gradients read. A trace-free run keeps its buffers
+step-major, (n, D, B, .), so that one step of all D directions is one
+dense block.
+
 Training and inference share one forward pass, which takes an optional
 trace:
 
@@ -179,11 +192,27 @@ def draw_encoder(layers: list[EncoderLayer], rng: np.random.Generator) -> None:
 class LayerTrace:
     """Activations of one layer run over a batch, time-major. Direction k
     of the layer's D directions is in its own time order: direction 1 runs
-    over reversed time."""
+    over reversed time.
+
+    Row k of ``gates`` holds direction k's gate activations as two dense
+    blocks (see _gate_views): its update/reset rows (T, B, 2H), then its
+    candidate rows (T, B, H). BPTT reuses the row for the direction's
+    (T, B, 3H) gradient rows once it no longer needs the activations.
+    """
 
     inputs: np.ndarray  # (T, B, D_in), in input time order
     hs: np.ndarray      # (D, T, B, H)
-    gates: np.ndarray   # (D, T, B, 3H): update gate, reset gate, candidate
+    gates: np.ndarray   # (D, T*B*3H)
+
+
+def _gate_views(block: np.ndarray, t_len: int, batch: int,
+                h_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The update/reset (D, T, B, 2H) and candidate (D, T, B, H) views of
+    a (D, T*B*3H) gate block: each direction's row holds its update/reset
+    rows, then its candidate rows."""
+    n_dir, split = block.shape[0], t_len * batch * 2 * h_dim
+    return (block[:, :split].reshape(n_dir, t_len, batch, 2 * h_dim),
+            block[:, split:].reshape(n_dir, t_len, batch, h_dim))
 
 
 def _stack_maps(maps: list[np.ndarray]) -> np.ndarray:
@@ -207,55 +236,55 @@ def _matmul(state: np.ndarray):
     return np.dot if state.ndim == 2 else np.matmul
 
 
-def _gru_steps(maps: tuple[np.ndarray, np.ndarray], gates: np.ndarray,
-               h: np.ndarray, hs: np.ndarray) -> np.ndarray:
+def _gru_steps(maps: tuple[np.ndarray, np.ndarray], zr: np.ndarray,
+               c: np.ndarray, h: np.ndarray, hs: np.ndarray) -> np.ndarray:
     """Step a layer's cells, with ``maps`` their transposed recurrent
     maps (see _stack_maps), the (D, H, 2H) update/reset one halved and
-    the (D, H, H) candidate one, through ``gates`` (D, n, B, 3H), which
-    holds the input projections plus biases with the update/reset columns
-    halved (see _project), from the state ``h``.
+    the (D, H, H) candidate one, from the state ``h``. ``zr`` (D, n, B, 2H)
+    and ``c`` (D, n, B, H) hold the input projections plus biases, the
+    update/reset ones halved (see _project).
 
-    Step t overwrites its rows of ``gates`` with the gate activations and
-    writes its states to ``hs[:, t]`` (``hs`` is (D, n, B, H)); returns
-    the last state. Each step does one (B, 2H) gate product and one
-    (B, H) candidate product per direction, each one call over the
-    stacked directions, and twelve numpy calls in all: the gates are
-    sigmoid(a) = tanh(a / 2) / 2 + 1/2 of the halved pre-activation,
-    and the state is h + z (c - h).
+    Step t overwrites its rows of ``zr`` and ``c`` with the gate
+    activations and writes its states to ``hs[:, t]`` (``hs`` is
+    (D, n, B, H)); returns the last state. Each step does one (B, 2H)
+    gate product and one (B, H) candidate product per direction, each one
+    call over the stacked directions, and twelve numpy calls in all: the
+    gates are sigmoid(a) = tanh(a / 2) / 2 + 1/2 of the halved
+    pre-activation, and the state is h + z (c - h).
     """
     u_zr, u_h = maps
     h_dim = u_h.shape[-1]
     mm = _matmul(h)
-    # Per-step views, sliced once; the gate arithmetic runs on a
-    # contiguous temporary and only its result goes into the strided rows.
-    gates, hs = _steps(gates), _steps(hs)
-    steps = zip(gates[..., :2 * h_dim], gates[..., :h_dim],
-                gates[..., h_dim:2 * h_dim], gates[..., 2 * h_dim:], hs)
-    for zr, z, r, c, h_out in steps:
-        a = zr + mm(h, u_zr)
+    zr, c, hs = _steps(zr), _steps(c), _steps(hs)
+    for zr_t, z, r, c_t, h_out in zip(zr, zr[..., :h_dim], zr[..., h_dim:], c, hs):
+        a = zr_t + mm(h, u_zr)
         np.tanh(a, out=a)
         a *= 0.5
-        np.add(a, 0.5, out=zr)
-        np.tanh(c + mm(r * h, u_h), out=c)
-        h = np.add(h, z * (c - h), out=h_out)
+        np.add(a, 0.5, out=zr_t)
+        np.tanh(c_t + mm(r * h, u_h), out=c_t)
+        h = np.add(h, z * (c_t - h), out=h_out)
     return h
 
 
 def _project(cells: tuple[GruLayerParams, ...], xs: np.ndarray, t0: int,
-             gates: np.ndarray) -> None:
-    """Fill ``gates`` (D, n, B, 3H) with the input projections plus
-    biases of run steps t0..t0+n-1, the update and reset columns halved
-    for _gru_steps: direction 0 reads ``xs`` forward in time, direction 1
-    backward. Halving is exact, so the halved pre-activation is bit for
+             zr: np.ndarray, c: np.ndarray, scratch: np.ndarray) -> None:
+    """Fill ``zr`` (D, n, B, 2H) and ``c`` (D, n, B, H) with the input
+    projections plus biases of run steps t0..t0+n-1, the update and reset
+    ones halved for _gru_steps: direction 0 reads ``xs`` forward in time,
+    direction 1 backward. Each direction's projection is one (n*B, 3H)
+    gemm into ``scratch``, whose columns are then copied into the two
+    buffers. Halving is exact, so the halved pre-activation is bit for
     bit half of the whole one."""
-    rows = gates.shape[1] * gates.shape[2]
-    h_dim = gates.shape[3] // 3
+    n, batch = zr.shape[1:3]
+    rows, zr_cols = n * batch, zr.shape[3]
     for k, cell in enumerate(cells):
-        block = (xs if k == 0 else xs[::-1])[t0:t0 + gates.shape[1]]
-        projected = np.matmul(block.reshape(rows, -1), cell.W.T,
-                              out=gates[k].reshape(rows, -1))
+        block = (xs if k == 0 else xs[::-1])[t0:t0 + n]
+        projected = np.matmul(block.reshape(rows, -1), cell.W.T, out=scratch[:rows])
         projected += cell.b
-        projected[:, :2 * h_dim] *= 0.5
+        projected = projected.reshape(n, batch, -1)
+        zr[k] = projected[..., :zr_cols]
+        c[k] = projected[..., zr_cols:]
+    zr *= 0.5
 
 
 # Time steps whose input projections a trace-free run computes at once,
@@ -271,11 +300,13 @@ def _layer_run(cells: tuple[GruLayerParams, ...], xs: np.ndarray,
     input time order, and with ``keep`` the layer's trace.
 
     With ``keep``, the input projections of every step are made at once
-    and the gate activations overwrite them in place. For D = 1 the
-    states are the output; for D = 2 they are kept contiguous and in run
-    order, as BPTT's weight-gradient matmuls need, and copied into the
-    two halves of the output. Without ``keep``, projections are made
-    PROJECTION_BLOCK steps at a time and nothing is kept.
+    and the gate activations overwrite them in place, in the trace's
+    direction-major gate block. For D = 1 the states are the output; for
+    D = 2 they are kept contiguous and in run order, as BPTT's
+    weight-gradient matmuls need, and copied into the two halves of the
+    output. Without ``keep``, projections are made PROJECTION_BLOCK steps
+    at a time into step-major buffers, where one step of the D directions
+    is one dense (D, B, .) block, and nothing is kept.
     """
     t_len, batch, _ = xs.shape
     n_dir, h_dim = len(cells), cells[0].hidden
@@ -284,29 +315,103 @@ def _layer_run(cells: tuple[GruLayerParams, ...], xs: np.ndarray,
     h = np.zeros(maps[1].shape[:-2] + (batch, h_dim))
     out = np.empty((t_len, batch, n_dir * h_dim))
     if keep:
-        gates = np.empty((n_dir, t_len, batch, 3 * h_dim))
-        _project(cells, xs, 0, gates)
+        gates = np.empty((n_dir, t_len * batch * 3 * h_dim))
+        zr, c = _gate_views(gates, t_len, batch, h_dim)
+        _project(cells, xs, 0, zr, c, np.empty((t_len * batch, 3 * h_dim)))
         hs = out[None] if n_dir == 1 else np.empty((n_dir, t_len, batch, h_dim))
-        _gru_steps(maps, gates, h, hs)
+        _gru_steps(maps, zr, c, h, hs)
         if n_dir == 2:
             out[:, :, :h_dim] = hs[0]
             out[:, :, h_dim:] = hs[1, ::-1]
         return out, LayerTrace(inputs=xs, hs=hs, gates=gates)
     size = min(t_len, PROJECTION_BLOCK)
-    buffer = np.empty((n_dir, size, batch, 3 * h_dim))
-    states = np.empty((n_dir, size, batch, h_dim)) if n_dir == 2 else None
+    zr, c = (np.empty((size, n_dir, batch, width)).swapaxes(0, 1)
+             for width in (2 * h_dim, h_dim))
+    states = np.empty((size, n_dir, batch, h_dim)).swapaxes(0, 1) if n_dir == 2 else None
+    scratch = np.empty((size * batch, 3 * h_dim))
     for t0 in range(0, t_len, PROJECTION_BLOCK):
         n = min(PROJECTION_BLOCK, t_len - t0)
-        _project(cells, xs, t0, buffer[:, :n])
+        _project(cells, xs, t0, zr[:, :n], c[:, :n], scratch)
         if n_dir == 1:
-            h = _gru_steps(maps, buffer[:, :n], h, out[None, t0:t0 + n])
+            h = _gru_steps(maps, zr[:, :n], c[:, :n], h, out[None, t0:t0 + n])
             continue
         # h is the previous block's last row of ``states``; step 0 reads
         # it before it writes row 0.
-        h = _gru_steps(maps, buffer[:, :n], h, states[:, :n])
+        h = _gru_steps(maps, zr[:, :n], c[:, :n], h, states[:, :n])
         out[t0:t0 + n, :, :h_dim] = states[0, :n]
         out[t_len - t0 - n:t_len - t0, :, h_dim:] = states[1, :n][::-1]
     return out, None
+
+
+def _gate_gradients(cells: tuple[GruLayerParams, ...], trace: LayerTrace,
+                    d_out: np.ndarray,
+                    grads: tuple[GruLayerParams, ...]) -> np.ndarray:
+    """BPTT's time loop: writes the recurrent-map gradients into ``grads``
+    and returns the gradients on the gate pre-activations as (D, T, B, 3H)
+    rows in the trace's spent gate block. Its own buffers are freed on
+    return, before the input-side gradients are made."""
+    n_dir, t_len, batch, h_dim = trace.hs.shape
+    u_zr = _stack_maps([cell.U[:2 * h_dim] for cell in cells])
+    u_h = _stack_maps([cell.U[2 * h_dim:] for cell in cells])
+    hs = trace.hs
+    zr, cs = _gate_views(trace.gates, t_len, batch, h_dim)
+    zs, rs = zr[..., :h_dim], zr[..., h_dim:]
+
+    # Gradients on the update/reset and candidate pre-activations, laid
+    # out like the trace's gates. The factors that do not depend on the
+    # carry come first, once over the whole run: d_zr and d_c hold
+    # (c - h_prev) z(1 - z), h_prev r(1 - r) and z(1 - c^2) until each
+    # step scales its row into the gradient (h_prev is zero at step 0).
+    # The trace's candidate rows end as r h_prev, which the gradient of
+    # U_h reads, and its update rows as 1 - z, so that its update/reset
+    # rows hold the direct carry factors [1 - z | r].
+    d_zr, d_c = np.empty(zr.shape), np.empty(cs.shape)
+    d_az, d_ar = d_zr[..., :h_dim], d_zr[..., h_dim:]
+    np.multiply(cs, cs, out=d_c)
+    np.subtract(1.0, d_c, out=d_c)
+    d_c *= zs
+    np.subtract(1.0, zr, out=d_zr)
+    d_az *= zs
+    np.subtract(cs[:, 1:], hs[:, :-1], out=cs[:, 1:])
+    d_az *= cs
+    r_h_prev = np.multiply(hs[:, :-1], rs[:, 1:], out=cs[:, 1:])
+    d_ar[:, 1:] *= r_h_prev
+    d_ar[:, 0] = 0.0
+    np.subtract(1.0, zs, out=zs)
+    # Per-step views; each direction's output gradient in its run's time
+    # order. dh and the reset path's d(r h_prev) sit side by side in dhr,
+    # so that one multiply scales both gate rows and one the direct
+    # carry terms: eight numpy calls a step. np.dot cannot write into the
+    # strided half of dhr, so that product is always np.matmul.
+    d_runs = d_out if n_dir == 1 else np.stack(
+        [d_out[:, :, :h_dim], d_out[::-1, :, h_dim:]], axis=1)
+    steps = zip(*(_steps(a)[::-1] for a in (zr, d_zr, d_c)), d_runs[::-1])
+    dhr, direct = np.empty((2,) + u_h.shape[:-2] + (batch, 2 * h_dim))
+    dh, drh = dhr[..., :h_dim], dhr[..., h_dim:]
+    via_z, via_r = direct[..., :h_dim], direct[..., h_dim:]
+    carry = np.zeros(dh.shape)
+    mm = _matmul(carry)
+    for zr_t, d_zr_t, d_c_t, d_run in steps:
+        np.add(d_run, carry, out=dh)
+        np.matmul(np.multiply(dh, d_c_t, out=d_c_t), u_h, out=drh)
+        np.multiply(dhr, zr_t, out=direct)
+        carry = np.add(via_z, via_r)
+        carry += mm(np.multiply(dhr, d_zr_t, out=d_zr_t), u_zr)
+
+    # One matmul over all T*B rows per map, stacked by sequence and then
+    # summed over the batch, so no sum mixes sequences before the batch
+    # sum. The maps skip step 0, whose previous state is zero.
+    for k, grad in enumerate(grads):
+        np.sum(d_c[k].transpose(1, 2, 0)[..., 1:] @ r_h_prev[k].transpose(1, 0, 2),
+               axis=0, out=grad.U[2 * h_dim:])
+        np.sum(d_zr[k].transpose(1, 2, 0)[..., 1:] @ hs[k, :-1].transpose(1, 0, 2),
+               axis=0, out=grad.U[:2 * h_dim])
+    # The activations are spent: the gradient rows take their place, in
+    # the (T, B, 3H) rows the input-side gradients read.
+    d_a = trace.gates.reshape(n_dir, t_len, batch, 3 * h_dim)
+    d_a[..., :2 * h_dim] = d_zr
+    d_a[..., 2 * h_dim:] = d_c
+    return d_a
 
 
 def _layer_bptt(cells: tuple[GruLayerParams, ...], trace: LayerTrace,
@@ -318,8 +423,7 @@ def _layer_bptt(cells: tuple[GruLayerParams, ...], trace: LayerTrace,
     ``d_out`` is the loss gradient on the layer output (T, B, D*H).
     Writes the parameter gradients, summed over the batch, into the
     arrays of ``grads`` and returns the gradient on the layer input when
-    requested. Consumes the trace: it overwrites the update and
-    candidate rows.
+    requested. Consumes the trace: it overwrites the gate block.
 
     No product or sum mixes sequences before the batch sum, so a
     sequence's share is the same bits in every batch of two or more
@@ -328,81 +432,25 @@ def _layer_bptt(cells: tuple[GruLayerParams, ...], trace: LayerTrace,
     with the matrix size, and runs the one-row products of a batch of
     one as gemv, which rounds differently.
     """
-    n_dir, t_len, batch, h_dim = trace.hs.shape
-    u_zr = _stack_maps([cell.U[:2 * h_dim] for cell in cells])
-    u_h = _stack_maps([cell.U[2 * h_dim:] for cell in cells])
-    hs = trace.hs
-    zr = trace.gates[..., :2 * h_dim]
-    zs = trace.gates[..., :h_dim]
-    rs = trace.gates[..., h_dim:2 * h_dim]
-    cs = trace.gates[..., 2 * h_dim:]
-
-    # Gradients on the gate pre-activations: update, reset, candidate.
-    d_a = np.empty((n_dir, t_len, batch, 3 * h_dim))
-    d_az, d_ar = d_a[..., :h_dim], d_a[..., h_dim:2 * h_dim]
-    d_azr, d_ac = d_a[..., :2 * h_dim], d_a[..., 2 * h_dim:]
-    # The factors that do not depend on the carry, once over the whole
-    # run. d_a holds z(1 - c^2), (c - h_prev) z(1 - z) and h_prev r(1 - r)
-    # until each step scales its row into the gradient (h_prev is zero
-    # at step 0). The trace's candidate rows end as r h_prev, which the
-    # gradient of U_h reads, and its update rows as 1 - z, so that its
-    # update/reset rows hold the direct carry factors [1 - z | r].
-    np.multiply(cs, cs, out=d_ac)
-    np.subtract(1.0, d_ac, out=d_ac)
-    d_ac *= zs
-    np.subtract(1.0, zs, out=d_az)
-    d_az *= zs
-    np.subtract(cs[:, 1:], hs[:, :-1], out=cs[:, 1:])
-    d_az *= cs
-    r_h_prev = np.multiply(hs[:, :-1], rs[:, 1:], out=cs[:, 1:])
-    np.subtract(1.0, rs[:, 1:], out=d_ar[:, 1:])
-    d_ar[:, 1:] *= r_h_prev
-    d_ar[:, 0] = 0.0
-    np.subtract(1.0, zs, out=zs)
-    # Per-step views; each direction's output gradient in its run's time
-    # order. dh and the reset path's d(r h_prev) sit side by side in dhr,
-    # so that one multiply scales both gate rows and one the direct
-    # carry terms: eight numpy calls a step. np.dot cannot write into the
-    # strided half of dhr, so that product is always np.matmul.
-    d_runs = d_out if n_dir == 1 else np.stack(
-        [d_out[:, :, :h_dim], d_out[::-1, :, h_dim:]], axis=1)
-    steps = zip(*(_steps(a)[::-1] for a in (zr, d_azr, d_ac)), d_runs[::-1])
-    dhr, direct = np.empty((2,) + u_h.shape[:-2] + (batch, 2 * h_dim))
-    dh, drh = dhr[..., :h_dim], dhr[..., h_dim:]
-    via_z, via_r = direct[..., :h_dim], direct[..., h_dim:]
-    carry = np.zeros(dh.shape)
-    mm = _matmul(carry)
-    for zr_t, d_azr_t, d_ac_t, d_run in steps:
-        np.add(d_run, carry, out=dh)
-        np.matmul(np.multiply(dh, d_ac_t, out=d_ac_t), u_h, out=drh)
-        np.multiply(dhr, zr_t, out=direct)
-        carry = np.add(via_z, via_r)
-        carry += mm(np.multiply(dhr, d_azr_t, out=d_azr_t), u_zr)
-    del d_runs, d_run, steps  # the last d_run would keep a D = 2 stack alive
-
-    # Each weight gradient is one matmul over all T*B rows, stacked by
-    # sequence and then summed over the batch, so no sum mixes sequences
-    # before the batch sum. The recurrent maps skip step 0, whose previous
-    # state is zero.
-    d_seqs = [d_a[k].transpose(1, 2, 0) for k in range(n_dir)]  # (B, 3H, T)
-    for k, (d_seq, grad) in enumerate(zip(d_seqs, grads)):
-        np.sum(d_seq[:, 2 * h_dim:, 1:] @ r_h_prev[k].transpose(1, 0, 2), axis=0,
-               out=grad.U[2 * h_dim:])
-        np.sum(d_seq[:, :2 * h_dim, 1:] @ hs[k, :-1].transpose(1, 0, 2), axis=0,
-               out=grad.U[:2 * h_dim])
+    d_a = _gate_gradients(cells, trace, d_out, grads)
+    n_dir, t_len, batch, g = d_a.shape
+    # Each input-side gradient is one matmul over all T*B gradient rows of
+    # a direction, as each direction's input projection was one gemm.
+    for k, grad in enumerate(grads):
         # Direction 1 ran over reversed time; BLAS needs positive strides.
         inputs = np.ascontiguousarray(trace.inputs[::1 if k == 0 else -1])
-        np.sum(d_seq @ inputs.transpose(1, 0, 2), axis=0, out=grad.W)
+        np.sum(d_a[k].transpose(1, 2, 0) @ inputs.transpose(1, 0, 2), axis=0,
+               out=grad.W)
         np.sum(d_a[k].sum(axis=0), axis=0, out=grad.b)
     if not need_dx:
         return None
     rows = t_len * batch
-    dx = (d_a[0].reshape(rows, 3 * h_dim) @ cells[0].W).reshape(t_len, batch, -1)
+    dx = (d_a[0].reshape(rows, g) @ cells[0].W).reshape(t_len, batch, -1)
     if n_dir == 2:
         # Direction 1's share goes into the spent d_a of direction 0: above
         # the first layer D_in = 2H, which fits in its 3H columns.
         spent = d_a[0].reshape(-1)[:dx.size].reshape(rows, -1)
-        dxb = np.matmul(d_a[1].reshape(rows, 3 * h_dim), cells[1].W, out=spent)
+        dxb = np.matmul(d_a[1].reshape(rows, g), cells[1].W, out=spent)
         dx += dxb.reshape(t_len, batch, -1)[::-1]
     return dx
 
@@ -450,9 +498,44 @@ def _add_upsampled(total: np.ndarray, seq: np.ndarray, k: int) -> None:
         total[whole * span:] += seq[whole]
 
 
+def _pairwise_sum(a: np.ndarray) -> np.ndarray:
+    """The sum over axis 1 of an (N, m, ...) array, m >= 1, in the order
+    numpy's pairwise summation adds m terms: one after another below 8
+    terms, in 8 interleaved partial sums up to 128, by halves beyond."""
+    m = a.shape[1]
+    if m < 8:
+        total = a[:, 0] if m == 1 else a[:, 0] + a[:, 1]
+        for i in range(2, m):
+            total += a[:, i]
+        return total
+    if m <= 128:
+        whole = m - m % 8
+        p = a[:, :8].copy()
+        for i in range(8, whole, 8):
+            p += a[:, i:i + 8]
+        total = ((p[:, 0] + p[:, 1]) + (p[:, 2] + p[:, 3])) + ((p[:, 4] + p[:, 5])
+                                                               + (p[:, 6] + p[:, 7]))
+        for i in range(whole, m):
+            total += a[:, i]
+        return total
+    half = m // 2 - m // 2 % 8
+    return _pairwise_sum(a[:, :half]) + _pairwise_sum(a[:, half:])
+
+
 def _upsample_k_backward(d_out: np.ndarray, source_t: int, k: int) -> np.ndarray:
-    bounds = np.arange(source_t) * (2 ** k)
-    return np.add.reduceat(d_out, bounds, axis=0)
+    """The gradient of _add_upsampled: d_out summed over each 2^k-frame
+    span, the last span possibly shorter. Each span adds its first frame
+    to the pairwise sum of the rest, as np.add.reduceat does, so the sums
+    are its bits, with whole spans summed as one reshaped view."""
+    span = 2 ** k
+    whole = d_out.shape[0] // span
+    d_in = np.empty((source_t,) + d_out.shape[1:])
+    spans = d_out[:whole * span].reshape((whole, span) + d_out.shape[1:])
+    np.add(spans[:, 0], _pairwise_sum(spans[:, 1:]), out=d_in[:whole])
+    if source_t > whole:
+        tail = d_out[whole * span:]
+        d_in[whole] = tail[0] if len(tail) == 1 else tail[0] + _pairwise_sum(tail[None, 1:])[0]
+    return d_in
 
 
 # ---------------------------------------------------------------------------

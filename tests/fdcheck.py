@@ -14,7 +14,13 @@ from __future__ import annotations
 import numpy as np
 
 from raresed.data import Utterance
-from raresed.detector import EventModel, batch_loss, batch_loss_and_gradients
+from raresed.detector import (
+    DEFAULT_WINDOW_MARGIN,
+    EventModel,
+    _group_heads,
+    _utterance_groups,
+    batch_loss_and_gradients,
+)
 
 FD_STEP = 1e-5
 REL_TOL = 1e-4
@@ -33,6 +39,17 @@ def random_utterance(rng: np.random.Generator, dim: int, t_len: int,
     onset = int(rng.integers(1, t_len + 1))
     offset = int(rng.integers(onset, t_len + 1))
     return Utterance.positive(id, features, onset, offset)
+
+
+def batch_loss(model: EventModel, batch, alpha: float,
+               margin: int = DEFAULT_WINDOW_MARGIN) -> float:
+    """Mean total loss over the batch with no BPTT: the loss
+    batch_loss_and_gradients returns, from the same groups in the same
+    order."""
+    total = 0.0
+    for group in _utterance_groups(batch):
+        total += _group_heads(model, group, alpha, margin)[0]
+    return total / len(batch)
 
 
 def fd_gradient_errors(model: EventModel, batch, alpha: float, margin: int,

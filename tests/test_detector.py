@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import pin_cases
-from fdcheck import assert_gradients_match, random_utterance
+from fdcheck import assert_gradients_match, batch_loss, random_utterance
 from oracles import forward, frame_posteriors, total_loss
 import raresed.detector as detector_module
 from raresed.data import Utterance
@@ -15,7 +15,6 @@ from raresed.detector import (
     EventModel,
     ForwardTrace,
     attention_weights,
-    batch_loss,
     batch_loss_and_gradients,
     decide_detection,
     frame_loss,

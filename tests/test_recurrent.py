@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,8 +16,10 @@ from raresed.recurrent import (
     EncoderConfig,
     EncoderLayer,
     GruLayerParams,
+    _upsample_k_backward,
     draw_encoder,
     encode,
+    encoder_backward,
     encoder_forward,
     layer_views,
     subsample2,
@@ -222,6 +225,25 @@ class TestUpsample:
         assert np.array_equal(upsample_replicate(subsample2(seq), 11), seq)
 
 
+class TestUpsampleBackward:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 8])
+    def test_same_bits_as_reduceat(self, k):
+        # Spans of 2, 4 and 8 frames add one term after another; 16 and 32
+        # take numpy's eight partial sums and 256 its halving. Magnitudes
+        # spread over 1e-17..1e17 and signed zeros make any other order
+        # of additions show.
+        rng = np.random.default_rng(40 + k)
+        span = 2 ** k
+        for t_len in sorted(set(range(1, 41)) | {2 * span - 1, 2 * span, 3 * span - 1}):
+            d_out = rng.standard_normal((t_len, 2, 3)) * 10.0 ** rng.integers(-17, 18, (t_len, 2, 3))
+            d_out[rng.random(d_out.shape) < 0.1] = -0.0
+            source_t = -(-t_len // span)
+            want = np.add.reduceat(d_out, np.arange(source_t) * span, axis=0)
+            got = _upsample_k_backward(d_out, source_t, k)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (span, t_len)
+
+
 def multires_config(layers, hidden, input_dim, bidir=False):
     return EncoderConfig(kind="multiresolution", layers=layers, hidden=hidden,
                          input_dim=input_dim, multires_bidirectional=bidir)
@@ -413,6 +435,53 @@ class TestTrace:
         held = {byte_bounds(a): a.nbytes for a in arrays}
         behind = {id(o): o.nbytes for o in map(owner, arrays)}
         assert sum(behind.values()) <= sum(held.values())
+
+
+# tracemalloc peaks in bytes of a depth-2, H 32 encoder on a (300, 10, 16)
+# batch, inputs and output gradient made before tracing starts: a traced
+# forward pass plus BPTT, and a forward-only encode. Recorded when each
+# layer's gates were one interleaved (..., B, 3H) buffer; a peak may rise
+# by at most MEMORY_SLACK over its pin.
+MEMORY_PINS = {
+    ("unidirectional", False): (9_324_336, 1_819_952),
+    ("bidirectional", False): (21_874_128, 3_588_144),
+    ("multiresolution", False): (7_019_608, 1_921_112),
+    ("multiresolution", True): (14_961_656, 3_588_256),
+}
+MEMORY_SLACK = 1.05
+
+
+def traced_peak(run) -> int:
+    """The tracemalloc peak, in bytes, of ``run()``."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    @pytest.mark.parametrize("kind,bidir", list(MEMORY_PINS))
+    def test_peaks_stay_at_their_pins(self, kind, bidir):
+        rng = np.random.default_rng(61)
+        cfg = EncoderConfig(kind=kind, layers=2, hidden=32, input_dim=16,
+                            multires_bidirectional=bidir)
+        layers = random_layers(cfg, rng)
+        xs = rng.standard_normal((300, 10, 16))
+        d_hs = rng.standard_normal((300, 10, cfg.output_dim))
+
+        def train():
+            encoder_backward(cfg, layers, encoder_forward(cfg, layers, xs)[1], d_hs)
+
+        def infer():
+            encode(cfg, layers, xs)
+
+        train()  # first calls may allocate once-only state
+        infer()
+        peaks = (traced_peak(train), traced_peak(infer))
+        for peak, pin in zip(peaks, MEMORY_PINS[kind, bidir]):
+            assert peak <= MEMORY_SLACK * pin, (peaks, MEMORY_PINS[kind, bidir])
 
 
 class TestConfigValidation:
