@@ -31,6 +31,7 @@ from .recurrent import (
     EncoderLayer,
     draw_encoder,
     encode,
+    encode_bytes,
     encoder_backward,
     encoder_forward,
     layer_views,
@@ -103,8 +104,8 @@ class EventModel:
 class ForwardTrace:
     """Cached activations of one utterance forward pass.
 
-    Filled in stages: _frame_head stores the encoder outputs and p_t;
-    utterance_posterior adds attention, embedding, and p.
+    Filled in stages: the training head stores the encoder outputs and
+    p_t; utterance_posterior adds attention, embedding, and p.
     """
 
     hidden: np.ndarray            # (T, h)
@@ -128,11 +129,6 @@ class Detection:
                 raise ValueError("present detection needs onset and offset")
             if not 1 <= self.onset <= self.offset:
                 raise ValueError(f"bad boundary {self.onset}..{self.offset}")
-
-
-def _frame_head(model: EventModel, hs: np.ndarray) -> tuple[np.ndarray, ForwardTrace]:
-    p = sigmoid(hs @ model.w)
-    return p, ForwardTrace(hidden=hs, frame_posteriors=p)
 
 
 def attention_weights(p: np.ndarray) -> np.ndarray:
@@ -287,7 +283,8 @@ def _group_heads(model: EventModel, group: Sequence["Utterance"], alpha: float,
     grad_w = np.zeros_like(model.w)
     loss = 0.0
     for b, utt in enumerate(group):
-        _, trace = _frame_head(model, np.ascontiguousarray(hs[:, b]))
+        h = np.ascontiguousarray(hs[:, b])
+        trace = ForwardTrace(hidden=h, frame_posteriors=sigmoid(h @ model.w))
         utterance_posterior(model, trace)
         loss += _trace_loss(trace, utt, alpha, margin)
         d_hs[:, b], d_w = _head_backward(model, trace, utt, alpha, margin)
@@ -350,26 +347,31 @@ def decide_detection(p_utt: float, frame_p: np.ndarray, thres0: float = 0.5,
     return Detection(present=True, onset=run[0] + 1, offset=run[1] + 1)
 
 
-# Frames encoded at once by infer: each equal-length group is cut into
-# slices of max(1, INFER_FRAMES // T) clips. Measured with infer on 40
-# bidirectional 2x32 clips of 1304 frames (d = 16), one BLAS thread,
-# 2-core VM: slices of 6 / 12 / 20 / 40 clips cost 4.8 / 3.5 / 2.7 /
-# 2.2 ms per clip and peak at 9.4 / 18.7 / 31.2 / 62.3 MB of numpy
-# arrays. The budget stays at 8192 frames (6 such clips) on purpose: a
-# larger slice trades peak memory for speed, a decision of its own. A
-# desk training minibatch (10 clips of 150 frames, d = 40) peaks at
-# 4.5 MB multiresolution and 12.0 MB bidirectional.
-INFER_FRAMES = 8192
+# Bytes of encoder arrays one slice of infer may hold, as
+# recurrent.encode_bytes counts them: each equal-length group of clips is
+# cut into the fewest slices of at most max(1, INFER_BYTES //
+# encode_bytes(config, T)) clips, with sizes that differ by at most one.
+# 9 MiB holds 10 bidirectional 2x32 clips of 1304 frames (d = 16, 0.90 MB
+# each): measured with infer on 40 of them, one BLAS thread, 2-core VM,
+# slices of 6 / 10 / 20 / 40 clips cost 8.8 / 7.0 / 5.5 / 5.0 ms per clip
+# and peak at 5.5 / 9.1 / 18.1 / 36.0 MB of numpy arrays. The desk
+# preset's dev set (100 clips of 150 frames) runs in two slices of 50 and
+# peaks at 4.5 MB (multiresolution) or 7.6 MB (bidirectional); a desk
+# training minibatch peaks at 4.2 or 11.6 MB.
+INFER_BYTES = 9 * 2**20
 
 
 def infer(model: EventModel, clips: Sequence[np.ndarray], thres0: float = 0.5,
           thres1: float = 0.5) -> list[Detection]:
     """Detections for a sequence of (d, T) feature matrices, in input order.
 
-    Clips of equal frame count are encoded together, INFER_FRAMES frames
-    at a time, by the forward-only encoder; each clip then gets the
-    attention head on a contiguous copy of its (T, h) slice, as in
-    training, and the two-level thresholding rule.
+    Clips of equal frame count are run together, in slices of at most
+    INFER_BYTES, through the forward-only encoder, which returns only
+    the frame logits s_t = w . h_t. Each clip then gets the attention
+    head from a contiguous copy of its logits, p_t = sigmoid(s_t),
+    a = p / (sum(p) + eps) and p_utt = sigmoid(a . s), which equal the
+    training head's posteriors to rounding, and the two-level
+    thresholding rule.
     """
     clips = [as_f64(x) for x in clips]
     for x in clips:
@@ -380,17 +382,16 @@ def infer(model: EventModel, clips: Sequence[np.ndarray], thres0: float = 0.5,
             )
     detections: list[Optional[Detection]] = [None] * len(clips)
     for group in _length_groups(x.shape[1] for x in clips):
-        size = max(1, INFER_FRAMES // clips[group[0]].shape[1])
-        for start in range(0, len(group), size):
-            part = group[start:start + size]
-            hs = encode(model.config, model.layers,
-                        np.stack([clips[i].T for i in part], axis=1))
+        most = max(1, INFER_BYTES // encode_bytes(model.config, clips[group[0]].shape[1]))
+        count = -(-len(group) // most)
+        for k in range(count):
+            part = group[k * len(group) // count:(k + 1) * len(group) // count]
+            logits = encode(model.config, model.layers,
+                            np.stack([clips[i].T for i in part], axis=1), model.w)
             for b, i in enumerate(part):
-                _, trace = _frame_head(model, np.ascontiguousarray(hs[:, b]))
-                utterance_posterior(model, trace)
-                detections[i] = decide_detection(
-                    trace.utterance_posterior, trace.frame_posteriors,
-                    thres0, thres1)
-            # Free this slice's features before the next slice is encoded.
-            del hs, trace
+                s = np.ascontiguousarray(logits[:, b])
+                p = sigmoid(s)
+                p_utt = sigmoid(float(attention_weights(p) @ s))
+                detections[i] = decide_detection(p_utt, p, thres0, thres1)
+            del logits  # not held while the next slice is encoded
     return detections  # type: ignore[return-value]

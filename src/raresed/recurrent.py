@@ -52,9 +52,14 @@ trace:
   consumes it, stepping each layer's directions back in one loop, and
   returns the parameter gradients, summed over the batch, as one flat
   vector laid out like the parameters (see ``layer_views``).
-* ``encode`` runs it without one, for inference: the same features to
-  rounding, with the input projections made a block of steps at a time
-  and nothing kept.
+* ``encode`` runs it without one, for inference, and returns only the
+  frame logits w . h_t for the classifier w, which is all the detector's
+  head reads: both its posteriors are sigmoids of logits. The input
+  projections are made a block of steps at a time and nothing is kept;
+  a unidirectional or bidirectional top layer reduces each block of
+  states with w and never holds its output, and a multiresolution
+  encoder sums the upsampled logits of each layer's pooled output.
+  ``encode_bytes`` gives the bytes one sequence adds to such a pass.
 """
 
 from __future__ import annotations
@@ -292,8 +297,8 @@ def _project(cells: tuple[GruLayerParams, ...], xs: np.ndarray, t0: int,
 PROJECTION_BLOCK = 16
 
 
-def _layer_run(cells: tuple[GruLayerParams, ...], xs: np.ndarray,
-               keep: bool) -> tuple[np.ndarray, Optional[LayerTrace]]:
+def _layer_run(cells: tuple[GruLayerParams, ...], xs: np.ndarray, keep: bool,
+               w: Optional[np.ndarray] = None) -> tuple[np.ndarray, Optional[LayerTrace]]:
     """Run a layer's D cells over a (T, B, D_in) batch of equal-length
     float64 sequences, each from a zero initial state, in one time loop.
     Returns the (T, B, D*H) layer output, with direction 1's half in
@@ -306,15 +311,18 @@ def _layer_run(cells: tuple[GruLayerParams, ...], xs: np.ndarray,
     weight-gradient matmuls need, and copied into the two halves of the
     output. Without ``keep``, projections are made PROJECTION_BLOCK steps
     at a time into step-major buffers, where one step of the D directions
-    is one dense (D, B, .) block, and nothing is kept.
+    is one dense (D, B, .) block, and nothing is kept. Given the
+    classifier ``w`` (D*H,) as well, it returns the (T, B) logits
+    h_t . w in place of the output, which it never allocates: each
+    block's states are reduced with their direction's half of ``w``.
     """
     t_len, batch, _ = xs.shape
     n_dir, h_dim = len(cells), cells[0].hidden
     maps = (_stack_maps([0.5 * cell.U[:2 * h_dim].T for cell in cells]),
             _stack_maps([cell.U[2 * h_dim:].T for cell in cells]))
     h = np.zeros(maps[1].shape[:-2] + (batch, h_dim))
-    out = np.empty((t_len, batch, n_dir * h_dim))
     if keep:
+        out = np.empty((t_len, batch, n_dir * h_dim))
         gates = np.empty((n_dir, t_len * batch * 3 * h_dim))
         zr, c = _gate_views(gates, t_len, batch, h_dim)
         _project(cells, xs, 0, zr, c, np.empty((t_len * batch, 3 * h_dim)))
@@ -325,21 +333,25 @@ def _layer_run(cells: tuple[GruLayerParams, ...], xs: np.ndarray,
             out[:, :, h_dim:] = hs[1, ::-1]
         return out, LayerTrace(inputs=xs, hs=hs, gates=gates)
     size = min(t_len, PROJECTION_BLOCK)
-    zr, c = (np.empty((size, n_dir, batch, width)).swapaxes(0, 1)
-             for width in (2 * h_dim, h_dim))
-    states = np.empty((size, n_dir, batch, h_dim)).swapaxes(0, 1) if n_dir == 2 else None
+    zr, c, states = (np.empty((size, n_dir, batch, width)).swapaxes(0, 1)
+                     for width in (2 * h_dim, h_dim, h_dim))
     scratch = np.empty((size * batch, 3 * h_dim))
+    out = np.empty((t_len, batch, n_dir * h_dim)) if w is None else np.zeros((t_len, batch))
     for t0 in range(0, t_len, PROJECTION_BLOCK):
         n = min(PROJECTION_BLOCK, t_len - t0)
         _project(cells, xs, t0, zr[:, :n], c[:, :n], scratch)
-        if n_dir == 1:
-            h = _gru_steps(maps, zr[:, :n], c[:, :n], h, out[None, t0:t0 + n])
-            continue
         # h is the previous block's last row of ``states``; step 0 reads
         # it before it writes row 0.
         h = _gru_steps(maps, zr[:, :n], c[:, :n], h, states[:, :n])
-        out[t0:t0 + n, :, :h_dim] = states[0, :n]
-        out[t_len - t0 - n:t_len - t0, :, h_dim:] = states[1, :n][::-1]
+        for k in range(n_dir):
+            # Direction 1's block holds input steps T-t0-n..T-t0-1, reversed.
+            at = slice(t0, t0 + n) if k == 0 else slice(t_len - t0 - n, t_len - t0)
+            rows = states[k, :n] if k == 0 else states[k, :n][::-1]
+            if w is None:
+                out[at, :, k * h_dim:(k + 1) * h_dim] = rows
+            else:
+                # Both directions add into zeros: s0 + s1 in either order.
+                out[at] += rows @ w[k * h_dim:(k + 1) * h_dim]
     return out, None
 
 
@@ -565,26 +577,33 @@ def _check_batch(config: EncoderConfig, layers: list[EncoderLayer],
 
 
 def _run_encoder(config: EncoderConfig, layers: list[EncoderLayer],
-                 xs: np.ndarray, trace: Optional[EncoderTrace]) -> np.ndarray:
-    """The encoder's layer loop over a checked (T, B, d) batch; appends
-    each layer's trace to ``trace`` when one is given.
+                 xs: np.ndarray, trace: Optional[EncoderTrace],
+                 w: Optional[np.ndarray] = None) -> np.ndarray:
+    """The encoder's layer loop over a checked (T, B, d) batch. With a
+    trace, appends each layer's trace to it and returns the
+    (T, B, output_dim) features; without one, returns the (T, B) frame
+    logits of the classifier ``w``.
 
     Each layer is one run of its stacked directions, and each layer's
     input is dropped once its output is built, unless the trace holds it.
     """
     t_len, batch = xs.shape[:2]
+    multires = config.kind == "multiresolution"
     total = None
     seq = xs
     for depth, layer in enumerate(layers):
-        out, layer_trace = _layer_run(layer.cells, seq, trace is not None)
+        top = trace is None and not multires and depth == len(layers) - 1
+        out, layer_trace = _layer_run(layer.cells, seq, trace is not None,
+                                      w if top else None)
         if trace is not None:
             trace.layer_traces.append(layer_trace)
-        if config.kind == "multiresolution":
+        if multires:
             out = subsample2(out)
+            stream = out if trace is not None else out @ w
             if total is None:  # not before the first full-length output is freed
-                total = np.zeros((t_len, batch, config.output_dim))
+                total = np.zeros((t_len,) + stream.shape[1:])
             # Layer at this depth has been pooled depth+1 times in total.
-            _add_upsampled(total, out, depth + 1)
+            _add_upsampled(total, stream, depth + 1)
         seq = out
     return seq if total is None else total
 
@@ -599,11 +618,40 @@ def encoder_forward(config: EncoderConfig, layers: list[EncoderLayer],
     return _run_encoder(config, layers, xs, trace), trace
 
 
-def encode(config: EncoderConfig, layers: list[EncoderLayer],
-           xs: np.ndarray) -> np.ndarray:
-    """Forward-only encoder_forward: the same (T, B, output_dim) features
-    of a (T, B, d) batch, with no trace."""
-    return _run_encoder(config, layers, _check_batch(config, layers, xs), None)
+def encode(config: EncoderConfig, layers: list[EncoderLayer], xs: np.ndarray,
+           w: np.ndarray) -> np.ndarray:
+    """The (T, B) frame logits h_t . w of a (T, B, d) batch, for the
+    encoder_forward features h_t and the classifier ``w``
+    (output_dim,), equal to rounding; forward only, with no trace."""
+    w = as_f64(w)
+    if w.shape != (config.output_dim,):
+        raise ValueError(f"classifier has shape {w.shape}, encoder output "
+                         f"needs ({config.output_dim},)")
+    return _run_encoder(config, layers, _check_batch(config, layers, xs), None, w)
+
+
+def encode_bytes(config: EncoderConfig, t_len: int) -> int:
+    """The bytes one sequence of ``t_len`` frames adds to an encode batch:
+    its input frames, the layer outputs live at once (a layer's input and
+    output in a stack of three or more; the first layer's output and its
+    pooled output in a multiresolution stack), its logits, and its share
+    of a layer run's PROJECTION_BLOCK-step buffers and of one step's
+    temporaries."""
+    h_dim, dirs, width = config.hidden, config.directions, config.output_dim
+    if config.kind == "multiresolution":
+        outputs = (t_len + (t_len + 1) // 2) * width
+    else:
+        outputs = min(config.layers - 1, 2) * t_len * width
+    widest_input = max(config.input_dim, width if config.layers > 1 else 0)
+    # A block step: update/reset, candidate and state rows per direction,
+    # one direction's projection scratch, direction 1's time-reversed copy
+    # of its input and the block's logits. Per direction, up to 6H values
+    # of the products of two steps: a step makes its gate sums before the
+    # last step's are dropped.
+    blocks = (min(t_len, PROJECTION_BLOCK)
+              * (4 * dirs * h_dim + 3 * h_dim + (dirs - 1) * widest_input + 1)
+              + 6 * dirs * h_dim)
+    return 8 * (t_len * config.input_dim + outputs + t_len + blocks)
 
 
 def encoder_backward(config: EncoderConfig, layers: list[EncoderLayer],

@@ -279,6 +279,10 @@ def load_model(path) -> tuple[EventModel, dict]:
         raise ParseError(f"{path}: trailing bytes after the parameter block "
                          f"(from byte {pos + count * 8})")
     params = np.frombuffer(blob, dtype="<f8", offset=pos).astype(np.float64)
+    bad = np.flatnonzero(~np.isfinite(params))
+    if bad.size:
+        raise ParseError(f"{path}: parameter {bad[0]} (bytes {pos + 8 * bad[0]}-"
+                         f"{pos + 8 * bad[0] + 7}) is {params[bad[0]]!r}, not finite")
     return EventModel(config, params), header
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -80,3 +81,13 @@ def pin_cases(pins: dict) -> list:
     return [pytest.param(*key, id="-".join(
                 str(part) for part in (key[:2] if key[2] == "small" else key)))
             for key in pins]
+
+
+def traced_peak(run) -> int:
+    """The tracemalloc peak, in bytes, of ``run()``."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

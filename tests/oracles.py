@@ -15,7 +15,6 @@ from raresed.detector import (
     DEFAULT_WINDOW_MARGIN,
     EventModel,
     ForwardTrace,
-    _frame_head,
     _trace_loss,
     utterance_posterior,
 )
@@ -114,7 +113,8 @@ def frame_posteriors(model: EventModel,
             f"({model.config.input_dim}, T)"
         )
     hs, _ = encoder_forward(model.config, model.layers, features.T[:, None, :])
-    return _frame_head(model, hs[:, 0])
+    p = sigmoid(hs[:, 0] @ model.w)
+    return p, ForwardTrace(hidden=hs[:, 0], frame_posteriors=p)
 
 
 def forward(model: EventModel, features: np.ndarray) -> ForwardTrace:

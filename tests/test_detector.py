@@ -4,13 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import pin_cases
+from conftest import pin_cases, traced_peak
 from fdcheck import assert_gradients_match, batch_loss, random_utterance
 from oracles import forward, frame_posteriors, total_loss
 import raresed.detector as detector_module
 from raresed.data import Utterance
 from raresed.detector import (
-    INFER_FRAMES,
+    INFER_BYTES,
     Detection,
     EventModel,
     ForwardTrace,
@@ -24,7 +24,12 @@ from raresed.detector import (
     utterance_loss,
     utterance_posterior,
 )
-from raresed.recurrent import EncoderConfig, encoder_backward, encoder_forward
+from raresed.recurrent import (
+    EncoderConfig,
+    encode_bytes,
+    encoder_backward,
+    encoder_forward,
+)
 from raresed.train import save_model
 
 
@@ -589,9 +594,9 @@ def encode_slices(monkeypatch):
     slices = []
     encode = detector_module.encode
 
-    def spy(config, layers, xs):
+    def spy(config, layers, xs, w):
         slices.append(xs.shape[:2])
-        return encode(config, layers, xs)
+        return encode(config, layers, xs, w)
 
     monkeypatch.setattr(detector_module, "encode", spy)
     return slices
@@ -607,23 +612,29 @@ class TestBatchedInfer:
     def test_mixed_lengths_in_input_order(self, monkeypatch, encode_slices):
         model = small_model(kind="bidirectional", layers=2, seed=41)
         rng = np.random.default_rng(41)
-        # Twelve 11-frame clips (slices of 60 // 11 = 5) interleaved with
-        # three 70-frame clips, each longer than the frame budget.
+        # Twelve 11-frame clips, at most five to a slice, interleaved with
+        # three 70-frame clips, at most two to a slice: each group is cut
+        # into the fewest slices, whose sizes differ by at most one.
+        budget = 5 * encode_bytes(model.config, 11)
+        assert 2 * encode_bytes(model.config, 70) <= budget < 3 * encode_bytes(model.config, 70)
         lengths = [11, 70, 11, 11, 11, 11, 70, 11, 11, 11, 11, 11, 11, 11, 70]
         clips = [3.0 * rng.standard_normal((4, t)) for t in lengths]
-        monkeypatch.setattr(detector_module, "INFER_FRAMES", 60)
+        monkeypatch.setattr(detector_module, "INFER_BYTES", budget)
         got = infer(model, clips)
-        assert encode_slices == [(11, 5), (11, 5), (11, 2), (70, 1), (70, 1), (70, 1)]
+        assert encode_slices == [(11, 4), (11, 4), (11, 4), (70, 1), (70, 2)]
         single = [infer(model, [x])[0] for x in clips]
         assert got == single
         assert got == [self.traced(model, x) for x in clips]
         assert any(d.present for d in got) and not all(d.present for d in got)
 
-    def test_clip_longer_than_budget_runs_alone(self, encode_slices):
+    def test_clip_longer_than_budget_runs_alone(self, monkeypatch, encode_slices):
         model = small_model(seed=42)
-        x = np.random.default_rng(42).standard_normal((4, INFER_FRAMES + 1))
-        assert infer(model, [x]) == [self.traced(model, x)]
-        assert encode_slices == [(INFER_FRAMES + 1, 1)]
+        rng = np.random.default_rng(42)
+        clips = [rng.standard_normal((4, 300)) for _ in range(2)]
+        monkeypatch.setattr(detector_module, "INFER_BYTES",
+                            encode_bytes(model.config, 300) - 1)
+        assert infer(model, clips) == [self.traced(model, x) for x in clips]
+        assert encode_slices == [(300, 1), (300, 1)]
 
     @pytest.mark.parametrize("kind,mr_bidir,shape", pin_cases(INFER_PINS))
     def test_mixed_length_detections_pinned(self, kind, mr_bidir, shape):
@@ -646,3 +657,49 @@ class TestBatchedInfer:
             infer(model, [np.ones((5, 3))])
         with pytest.raises(ValueError):
             infer(model, [np.ones((4, 0))])
+
+
+# An infer call's arrays that do not grow with its slices, over the
+# INFER_BYTES a slice may hold: the stacked recurrent maps, the initial
+# states, the detections and one clip's head.
+INFER_SLACK = 2**18
+# tracemalloc peaks in bytes of infer with a depth-2, H 32 model on
+# d = 16 clips, recorded while infer encoded INFER_FRAMES = 8192 frames
+# at a time into features, with the slices INFER_BYTES cuts: the desk dev
+# set (100 clips of 150 frames) and the long-infer clips (40 of 1304
+# frames). A peak may not rise above its pin.
+INFER_MEMORY_PINS = {
+    ("multiresolution", 100, 150): (6_639_712, [(150, 50)] * 2),
+    ("bidirectional", 100, 150): (12_290_664, [(150, 50)] * 2),
+    ("bidirectional", 40, 1304): (9_421_656, [(1304, 10)] * 4),
+}
+
+
+def infer_peak(model, clips) -> int:
+    infer(model, clips[:1])  # first calls may allocate once-only state
+    return traced_peak(lambda: infer(model, clips))
+
+
+class TestInferMemory:
+    @pytest.mark.parametrize("frames", [150, 1304])
+    @pytest.mark.parametrize("kind,mr_bidir", [("unidirectional", False),
+                                               ("bidirectional", False),
+                                               ("multiresolution", False),
+                                               ("multiresolution", True)])
+    def test_full_slice_stays_in_budget(self, kind, mr_bidir, frames):
+        model = small_model(kind=kind, layers=2, hidden=32, input_dim=16,
+                            mr_bidir=mr_bidir)
+        count = INFER_BYTES // encode_bytes(model.config, frames)
+        rng = np.random.default_rng(45)
+        clips = [rng.standard_normal((16, frames)) for _ in range(count)]
+        assert infer_peak(model, clips) <= INFER_BYTES + INFER_SLACK
+
+    @pytest.mark.parametrize("kind,count,frames", list(INFER_MEMORY_PINS))
+    def test_peak_at_most_its_pin(self, kind, count, frames, encode_slices):
+        model = small_model(kind=kind, layers=2, hidden=32, input_dim=16)
+        rng = np.random.default_rng(46)
+        clips = [rng.standard_normal((16, frames)) for _ in range(count)]
+        peak = infer_peak(model, clips)
+        pin, slices = INFER_MEMORY_PINS[kind, count, frames]
+        assert peak <= pin, peak
+        assert encode_slices[1:] == slices

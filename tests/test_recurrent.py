@@ -1,11 +1,10 @@
 import hashlib
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import pin_cases
+from conftest import pin_cases, traced_peak
 from oracles import (
     gru_cell_step,
     run_bidirectional,
@@ -324,34 +323,34 @@ class TestEncoderShapes:
 
 # (hidden, input_dim, frames, batch) of each encode pin: "small" spans
 # nine projection blocks, "desk" is a desk-size batch at the desk preset's
-# hidden width and "long" one inference slice of 1304-frame clips (see
-# INFER_FRAMES).
+# hidden width and "long" one inference slice of 1304-frame clips at the
+# desk preset's input width (see detector.INFER_BYTES).
 ENCODE_SHAPES = {"small": (4, 3, 131, 3), "desk": (32, 40, 150, 10),
-                 "long": (32, 40, 1304, 6)}
+                 "long": (32, 16, 1304, 10)}
 ENCODE_PINS = {
     ("unidirectional", False, "small"):
-        "14bb676d3d55fe79a8fa8c34eb3400996c46b51eacf4db2c122eb2e2a3307c27",
+        "3312d9fffc2c3e4cd8c711da21977ec0b1f4be727a83b4737992433e5231a38a",
     ("bidirectional", False, "small"):
-        "90087f16e002de40b497aac069e84ecbd4d3b8a5fd15626d1e87ede4dae5a8a4",
+        "c47132dbf2295461ad9ca03cdc3526b4c3017da5c4e65c159ea656312ddff768",
     ("multiresolution", False, "small"):
-        "aedfb49adfd082feb741db4377aa75e2f53bca7da70952050374e0bcca0b1e16",
+        "78d8292d830d5cc520530f14ff60f0a4931a0c47137a742fceac46b36679d301",
     ("multiresolution", True, "small"):
-        "9bd0fe7f0a69a602991f0de5e7e22880c59e64e597ed90b688b72eabcda85a9f",
+        "5b3e4a9b32ba8bcb5a750bba20b5dfffdc65cc9fd453f624e80166a3a21523a4",
     ("unidirectional", False, "desk"):
-        "86cae55561df0af9c0d02ebe2e82536923d714788c51a6e2c120591504ed3f83",
+        "64965ba2905b861ccc8325f6e6b049969aab50f48ba16ae9071c68861eea4a77",
     ("bidirectional", False, "desk"):
-        "eaef12edc5eeb7cd6d566ca9db2ea9ee08f3e0121523581e6ffa4a7969f710df",
+        "16a6d498a8260ec9412cdd621cbab3ae347a3b1054324c93294af381bb16ee5f",
     ("multiresolution", False, "desk"):
-        "cd417105c283b98c3aed05b4384eaaa2d39255a25e94902001d13283713b1762",
+        "4847e71faf0d5f984dc90441861467927c8b4ccb4be8ef838e02d6cbf2507a9e",
     ("multiresolution", True, "desk"):
-        "f99610b699a83ed7434599017e81e03bf9d8ddc2c7b798aecf7ecf566597b8b2",
+        "6dd3e257b30ff1610bd9b79a9d1bb5686e4a23fa680e9697f2392ff9c2aa85f9",
     ("bidirectional", False, "long"):
-        "8b8f65104b635ac94f5a2084fe2c7a7ef7a55051d999595bbb8eb23a221ed364",
+        "b8fe97e2e41ab17d9ce16edf8432a05a59e0e35de374f5c13538cb25a466bac6",
 }
 
 
 class TestEncode:
-    """The forward-only pass against the traced one."""
+    """The forward-only logits against the traced features."""
 
     @pytest.mark.parametrize("kind,bidir", [("unidirectional", False),
                                             ("bidirectional", False),
@@ -362,35 +361,39 @@ class TestEncode:
         cfg = EncoderConfig(kind=kind, layers=2, hidden=4, input_dim=3,
                             multires_bidirectional=bidir)
         layers = random_layers(cfg, rng)
+        w = rng.uniform(-1.0, 1.0, cfg.output_dim)
         # Odd lengths give the pooling a trailing frame; 131 spans three
         # projection blocks.
         for t_len in (1, 7, 13, 131):
             xs = rng.standard_normal((t_len, 3, 3))
             want, _ = encoder_forward(cfg, layers, xs)
-            got = encode(cfg, layers, xs)
-            assert got.shape == (t_len, 3, cfg.output_dim)
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+            got = encode(cfg, layers, xs, w)
+            assert got.shape == (t_len, 3)
+            np.testing.assert_allclose(got, want @ w, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("kind,bidir,shape", pin_cases(ENCODE_PINS))
     def test_output_bytes_pinned(self, kind, bidir, shape):
-        # sha256 of the output of a depth-2 batch, recorded when the gates
-        # became tanh of the halved pre-activation, which moved the last
-        # bits of the output.
+        # sha256 of the logits of a depth-2 batch, recorded when encode
+        # came to return logits in place of features.
         hidden, input_dim, frames, batch = ENCODE_SHAPES[shape]
         rng = np.random.default_rng(31)
         cfg = EncoderConfig(kind=kind, layers=2, hidden=hidden,
                             input_dim=input_dim, multires_bidirectional=bidir)
         layers = random_layers(cfg, rng)
         xs = rng.standard_normal((frames, batch, input_dim))
-        digest = hashlib.sha256(encode(cfg, layers, xs).tobytes()).hexdigest()
+        w = rng.uniform(-1.0, 1.0, cfg.output_dim)
+        digest = hashlib.sha256(encode(cfg, layers, xs, w).tobytes()).hexdigest()
         assert digest == ENCODE_PINS[kind, bidir, shape]
 
     def test_checks_like_encoder_forward(self):
         cfg = EncoderConfig(kind="unidirectional", layers=2, hidden=3, input_dim=2)
+        layers, w = zero_layers(cfg), np.ones(3)
         with pytest.raises(ValueError):
-            encode(cfg, zero_layers(cfg)[:1], np.ones((3, 1, 2)))
+            encode(cfg, layers[:1], np.ones((3, 1, 2)), w)
         with pytest.raises(ValueError):
-            encode(cfg, zero_layers(cfg), np.ones((3, 1, 4)))
+            encode(cfg, layers, np.ones((3, 1, 4)), w)
+        with pytest.raises(ValueError):
+            encode(cfg, layers, np.ones((3, 1, 2)), np.ones(4))
 
 
 def held_arrays(obj) -> list[np.ndarray]:
@@ -440,8 +443,9 @@ class TestTrace:
 # tracemalloc peaks in bytes of a depth-2, H 32 encoder on a (300, 10, 16)
 # batch, inputs and output gradient made before tracing starts: a traced
 # forward pass plus BPTT, and a forward-only encode. Recorded when each
-# layer's gates were one interleaved (..., B, 3H) buffer; a peak may rise
-# by at most MEMORY_SLACK over its pin.
+# layer's gates were one interleaved (..., B, 3H) buffer and encode
+# returned the features, not the logits; a peak may rise by at most
+# MEMORY_SLACK over its pin.
 MEMORY_PINS = {
     ("unidirectional", False): (9_324_336, 1_819_952),
     ("bidirectional", False): (21_874_128, 3_588_144),
@@ -449,16 +453,6 @@ MEMORY_PINS = {
     ("multiresolution", True): (14_961_656, 3_588_256),
 }
 MEMORY_SLACK = 1.05
-
-
-def traced_peak(run) -> int:
-    """The tracemalloc peak, in bytes, of ``run()``."""
-    tracemalloc.start()
-    try:
-        run()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 class TestMemory:
@@ -475,7 +469,7 @@ class TestMemory:
             encoder_backward(cfg, layers, encoder_forward(cfg, layers, xs)[1], d_hs)
 
         def infer():
-            encode(cfg, layers, xs)
+            encode(cfg, layers, xs, np.ones(cfg.output_dim))
 
         train()  # first calls may allocate once-only state
         infer()

@@ -339,6 +339,18 @@ class TestModelIO:
             load_model(path)
 
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_rejected(self, tmp_path, value):
+        encoder = EncoderConfig(kind="unidirectional", layers=1, hidden=1,
+                                input_dim=1)
+        model = EventModel.initialize(encoder, seed=2)
+        model.params[2] = value
+        path = tmp_path / "m.sem"
+        save_model(path, model)
+        with pytest.raises(ParseError, match="parameter 2 .* not finite"):
+            load_model(path)
+
+
 class TestReporting:
     def test_report_format(self):
         trainset, devset = tiny_sets(count=10, dev=5)
