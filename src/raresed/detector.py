@@ -254,6 +254,25 @@ def _length_groups(lengths: Iterable[int]) -> list[list[int]]:
     return list(groups.values())
 
 
+def _clip_shape(clip) -> tuple[int, ...]:
+    """Shape of a clip's features: a clip is a (d, T) array, or an
+    utterance or stored record, whose shape is known without reading."""
+    if isinstance(clip, np.ndarray):
+        return clip.shape
+    return clip.dim, clip.n_frames
+
+
+def _stack(clips: Sequence) -> np.ndarray:
+    """The (T, B, d) stack of equal-length clips. Each clip's features
+    are copied into their slot as they are read, so a stored record's
+    features are held only for that copy."""
+    dim, t_len = _clip_shape(clips[0])
+    xs = np.empty((t_len, len(clips), dim))
+    for b, clip in enumerate(clips):
+        xs[:, b] = (clip if isinstance(clip, np.ndarray) else clip.features).T
+    return xs
+
+
 def _utterance_groups(batch: Sequence["Utterance"]) -> list[list["Utterance"]]:
     """Split a batch into groups of equal frame count (see _length_groups)."""
     if not batch:
@@ -277,8 +296,7 @@ def _group_heads(model: EventModel, group: Sequence["Utterance"], alpha: float,
     """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    xs = np.stack([utt.features.T for utt in group], axis=1)
-    hs, enc_trace = encoder_forward(model.config, model.layers, xs)
+    hs, enc_trace = encoder_forward(model.config, model.layers, _stack(group))
     d_hs = np.empty_like(hs)
     grad_w = np.zeros_like(model.w)
     loss = 0.0
@@ -361,9 +379,11 @@ def decide_detection(p_utt: float, frame_p: np.ndarray, thres0: float = 0.5,
 INFER_BYTES = 9 * 2**20
 
 
-def infer(model: EventModel, clips: Sequence[np.ndarray], thres0: float = 0.5,
+def infer(model: EventModel, clips: Sequence, thres0: float = 0.5,
           thres1: float = 0.5) -> list[Detection]:
-    """Detections for a sequence of (d, T) feature matrices, in input order.
+    """Detections for a sequence of clips, in input order. A clip is a
+    (d, T) feature array, or an utterance; a stored record's features
+    are read from its file only while its slice is stacked.
 
     Clips of equal frame count are run together, in slices of at most
     INFER_BYTES, through the forward-only encoder, which returns only
@@ -373,21 +393,21 @@ def infer(model: EventModel, clips: Sequence[np.ndarray], thres0: float = 0.5,
     training head's posteriors to rounding, and the two-level
     thresholding rule.
     """
-    clips = [as_f64(x) for x in clips]
-    for x in clips:
-        if x.ndim != 2 or x.shape[0] != model.config.input_dim or x.shape[1] < 1:
+    shapes = [_clip_shape(x) for x in clips]
+    for shape in shapes:
+        if len(shape) != 2 or shape[0] != model.config.input_dim or shape[1] < 1:
             raise ValueError(
-                f"features have shape {x.shape}, model expects "
+                f"features have shape {shape}, model expects "
                 f"({model.config.input_dim}, T) with T >= 1"
             )
     detections: list[Optional[Detection]] = [None] * len(clips)
-    for group in _length_groups(x.shape[1] for x in clips):
-        most = max(1, INFER_BYTES // encode_bytes(model.config, clips[group[0]].shape[1]))
+    for group in _length_groups(shape[1] for shape in shapes):
+        most = max(1, INFER_BYTES // encode_bytes(model.config, shapes[group[0]][1]))
         count = -(-len(group) // most)
         for k in range(count):
             part = group[k * len(group) // count:(k + 1) * len(group) // count]
             logits = encode(model.config, model.layers,
-                            np.stack([clips[i].T for i in part], axis=1), model.w)
+                            _stack([clips[i] for i in part]), model.w)
             for b, i in enumerate(part):
                 s = np.ascontiguousarray(logits[:, b])
                 p = sigmoid(s)

@@ -57,6 +57,8 @@ class TrainConfig:
                              f"got {self.stepsize!r}")
         if self.batch_size < 1:
             raise InputError("minibatch size must be at least 1")
+        if self.seed < 0:
+            raise InputError(f"seed must be nonnegative, got {self.seed!r}")
         if self.margin < 0:
             raise InputError("frame-window margin must be nonnegative")
         if self.epochs < 0:
@@ -103,8 +105,7 @@ def evaluate_model(model: EventModel, dataset: Sequence[Utterance],
                    collar_s: float = DEFAULT_COLLAR_S) -> tuple[float, float, MetricCounts]:
     """Run inference over a dataset and score against its own labels."""
     detections = dict(zip((utt.id for utt in dataset),
-                          infer(model, [utt.features for utt in dataset],
-                                thres0, thres1)))
+                          infer(model, dataset, thres0, thres1)))
     refs = reference_annotations(dataset, frame_shift_s)
     return evaluate_dataset(refs, detections, frame_shift_s, collar_s)
 
@@ -115,7 +116,8 @@ def train(config: TrainConfig, trainset: Sequence[Utterance],
 
     The returned snapshot is from the epoch with the lowest dev ER
     (earliest on ties); with an epoch budget of 0 it is the initialized
-    model.
+    model. From a loaded `.sed`, features are read one minibatch, or one
+    dev slice, at a time.
     """
     if not trainset or not devset:
         raise InputError("train and dev sets must be nonempty")

@@ -211,7 +211,8 @@ class TestC6ArchitectureTrend:
             cfg = SynthConfig(count=count, positive_fraction=0.5, frames=150,
                               dim=16, ebr_db=(0.0,), duration_frames=(20, 40),
                               seed=7)
-            return synth_dataset(cfg, id_prefix=prefix, start_index=start)
+            # Held in memory: synth_dataset regenerates on every access.
+            return list(synth_dataset(cfg, id_prefix=prefix, start_index=start))
 
         trainset = make(200, 0, "train")
         devset = make(80, 200, "dev")

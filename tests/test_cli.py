@@ -128,6 +128,97 @@ class TestSynth:
         assert (out / "train.sed").read_bytes() == (replay_out / "train.sed").read_bytes()
 
 
+class TestConfigChecks:
+    """Settings are checked, not coerced, and a bad one exits 2 naming
+    its field before anything is generated or trained."""
+
+    @pytest.mark.parametrize("edit,flags,field", [
+        ({}, ["--seed", "-1"], "seed"),
+        ({"seed": -5}, [], "seed"),
+        ({"background_seed": -1}, [], "background_seed"),
+        ({"train_count": 2.5}, [], "data.train_count"),
+        ({"frames": "30"}, [], "data.frames"),
+        ({"dim": True}, [], "data.dim"),
+        ({"positive_fraction": "0.5"}, [], "data.positive_fraction"),
+        ({"duration_frames": [5, 10.5]}, [], "data.duration_frames"),
+        ({"ebr_db": 12.0}, [], "data.ebr_db"),
+    ])
+    def test_bad_data_setting_exits_2_before_synth(self, tmp_path, capsys,
+                                                   edit, flags, field):
+        cfg = json.loads(json.dumps(TINY))
+        cfg["data"].update(edit)
+        out = tmp_path / "o"
+        code = main(["synth", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out), *flags])
+        assert code == 2
+        assert field in capsys.readouterr().err
+        assert not (out / "train.sed").exists()
+
+    @pytest.mark.parametrize("edit,flags,field", [
+        ({}, ["--seed", "-1"], "seed"),
+        ({"seed": -1}, [], "seed"),
+        ({"encoder": {"multires_bidirectional": "false"}}, [],
+         "train.encoder.multires_bidirectional"),
+        ({"encoder": {"multires_bidirectional": 0}}, [],
+         "train.encoder.multires_bidirectional"),
+        ({"encoder": {"layers": 1.9}}, [], "train.encoder.layers"),
+        ({"encoder": {"hidden": "4"}}, [], "train.encoder.hidden"),
+        ({"encoder": {"kind": 3}}, [], "train.encoder.kind"),
+        ({"epochs": True}, [], "train.epochs"),
+        ({"batch_size": "5"}, [], "train.batch_size"),
+        ({"alpha": "1.0"}, [], "train.alpha"),
+        ({"margin": 10.5}, [], "train.margin"),
+        ({"thres0": False}, [], "train.thres0"),
+        ({"stepsize": None}, [], "train.stepsize"),
+    ])
+    def test_bad_train_setting_exits_2_before_training(self, tmp_path, capsys,
+                                                       monkeypatch, edit, flags,
+                                                       field):
+        _, data = synth_tiny(tmp_path)
+        cfg = json.loads(json.dumps(TINY))
+        encoder = edit.pop("encoder", {})
+        cfg["train"].update(edit)
+        cfg["train"]["encoder"].update(encoder)
+        monkeypatch.setattr(cli_module, "train", None)  # must not be reached
+        out = tmp_path / "run"
+        code = main(["train", "--config", write_config(tmp_path, cfg, "bad.json"),
+                     "--train-data", str(data / "train.sed"),
+                     "--dev-data", str(data / "dev.sed"), "--out", str(out),
+                     *flags])
+        assert code == 2
+        assert field in capsys.readouterr().err
+        assert not (out / "model.sem").exists()
+
+    def test_integral_numbers_serve_for_integers_and_floats(self, tmp_path):
+        cfg = json.loads(json.dumps(TINY))
+        cfg["data"].update(train_count=10.0, frames=30.0)
+        cfg["train"].update(alpha=1, epochs=1.0, stepsize=0.002, thres0=0.5)
+        cfg["eval"]["collar_s"] = 1
+        config = write_config(tmp_path, cfg, "integral.json")
+        data = tmp_path / "data"
+        assert main(["synth", "--config", config, "--out", str(data)]) == 0
+        (tmp_path / "plain").mkdir()
+        _, want = synth_tiny(tmp_path / "plain")
+        assert (data / "train.sed").read_bytes() == (want / "train.sed").read_bytes()
+        assert main(["train", "--config", config,
+                     "--train-data", str(data / "train.sed"),
+                     "--dev-data", str(data / "dev.sed"),
+                     "--out", str(tmp_path / "run")]) == 0
+
+    @pytest.mark.parametrize("command", ["synth", "train"])
+    def test_section_that_is_not_an_object_exits_2(self, tmp_path, capsys, command):
+        _, data = synth_tiny(tmp_path)
+        cfg = json.loads(json.dumps(TINY))
+        cfg["eval"] = 5
+        config = write_config(tmp_path, cfg, "bad.json")
+        out = str(tmp_path / "run")
+        argv = (["synth", "--config", config, "--out", out] if command == "synth" else
+                ["train", "--config", config, "--train-data", str(data / "train.sed"),
+                 "--dev-data", str(data / "dev.sed"), "--out", out])
+        assert main(argv) == 2
+        assert "eval" in capsys.readouterr().err
+
+
 class TestTrainCommand:
     def test_writes_artifacts(self, tmp_path):
         config, data = synth_tiny(tmp_path)

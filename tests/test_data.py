@@ -268,7 +268,7 @@ class TestDatasetIO:
     def test_empty_dataset(self, tmp_path):
         path = tmp_path / "empty.sed"
         save_dataset(path, [])
-        assert load_dataset(path) == []
+        assert list(load_dataset(path)) == []
 
     def test_truncated_record_names_index(self, tmp_path):
         data = synth_dataset(desk_synth(count=3))
@@ -319,4 +319,71 @@ class TestDatasetIO:
     def test_malformed_record_names_it(self, tmp_path, fields, message):
         path = sed_file(tmp_path / "d.sed", sed_record(), sed_record(**fields))
         with pytest.raises(ParseError, match=f"record 1: .*{message}"):
+            load_dataset(path)
+
+
+class TestStreaming:
+    """Synthetic sets are generated on access, and a loaded `.sed` keeps
+    only record headers, reading features from the file when asked."""
+
+    def test_synth_dataset_indexes_like_a_list(self):
+        cfg = desk_synth(count=5)
+        data = synth_dataset(cfg, id_prefix="s", start_index=3)
+        held = [synth_feature_utterance(cfg, i, f"s-{i:05d}") for i in range(3, 8)]
+        assert len(data) == 5
+        for got, want in zip([data[0], data[-1], *data[1:3]],
+                             [held[0], held[-1], *held[1:3]], strict=True):
+            assert (got.id, got.y, got.meta) == (want.id, want.y, want.meta)
+            assert np.array_equal(got.features, want.features)
+        with pytest.raises(IndexError):
+            data[5]
+
+    def test_save_returns_the_headers_load_keeps(self, tmp_path):
+        data = synth_dataset(desk_synth(count=6))
+        path = tmp_path / "d.sed"
+        written = save_dataset(path, data)
+        loaded = load_dataset(path)
+        fields = ("id", "y", "dim", "n_frames", "onset", "offset", "meta", "pos")
+        assert [[getattr(r, f) for f in fields] for r in written] \
+            == [[getattr(r, f) for f in fields] for r in loaded]
+        for utt, record in zip(data, loaded, strict=True):
+            assert np.array_equal(record.features, utt.features)
+            assert np.array_equal(record.frame_labels, utt.frame_labels) \
+                if utt.y else record.frame_labels is None
+
+    def test_reads_share_one_handle_inside_with(self, tmp_path, monkeypatch):
+        path = tmp_path / "d.sed"
+        save_dataset(path, synth_dataset(desk_synth(count=4)))
+        dataset = load_dataset(path)
+        opened = []
+
+        def spy(*args, **kwargs):
+            opened.append(real_open(*args, **kwargs))
+            return opened[-1]
+
+        real_open = open
+        monkeypatch.setattr("builtins.open", spy)
+        with dataset:
+            for record in dataset:
+                record.features
+        assert len(opened) == 1 and opened[0].closed
+        dataset[0].features  # outside ``with``, a read opens the file itself
+        assert len(opened) == 2 and opened[1].closed
+
+    def test_file_cut_after_loading_names_the_record(self, tmp_path):
+        path = tmp_path / "d.sed"
+        save_dataset(path, synth_dataset(desk_synth(count=3)))
+        dataset = load_dataset(path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:-50])
+        assert np.isfinite(dataset[1].features).all()
+        with pytest.raises(ParseError, match="record 2: unexpected end of file"):
+            with dataset:
+                dataset[2].features
+
+    def test_bad_record_after_good_ones_fails_the_load(self, tmp_path):
+        # Validation is one pass over every record before any is used.
+        path = sed_file(tmp_path / "d.sed", sed_record(), sed_record(),
+                        sed_record(features=[0.0, 0.0, math.inf, 0.0]))
+        with pytest.raises(ParseError, match="record 2: .*non-finite"):
             load_dataset(path)

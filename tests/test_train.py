@@ -8,13 +8,14 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import parse_report
+import raresed.detector as detector_module
+from conftest import parse_report, traced_peak
 from oracles import forward
-from raresed.data import SynthConfig, Utterance, load_dataset, synth_dataset
-from raresed.detector import EventModel, decide_detection, frame_window
+from raresed.data import SynthConfig, Utterance, load_dataset, save_dataset, synth_dataset
+from raresed.detector import EventModel, decide_detection, frame_window, infer
 from raresed.errors import DataMismatchError, InputError, ParseError
 from raresed.metrics import evaluate_dataset
-from raresed.recurrent import EncoderConfig
+from raresed.recurrent import EncoderConfig, encode_bytes
 from raresed.train import (
     TrainConfig,
     alpha_sweep,
@@ -31,11 +32,12 @@ from raresed.train import (
 def tiny_sets(seed=31, count=30, dev=15, frames=50, dim=6):
     cfg = SynthConfig(count=count, positive_fraction=0.5, frames=frames, dim=dim,
                       ebr_db=(12.0,), duration_frames=(6, 12), seed=seed)
-    trainset = synth_dataset(cfg, id_prefix="tr", start_index=0)
+    # Held in memory: synth_dataset regenerates on every access.
+    trainset = list(synth_dataset(cfg, id_prefix="tr", start_index=0))
     dev_cfg = SynthConfig(count=dev, positive_fraction=0.5, frames=frames,
                           dim=dim, ebr_db=(12.0,), duration_frames=(6, 12),
                           seed=seed)
-    devset = synth_dataset(dev_cfg, id_prefix="dv", start_index=count)
+    devset = list(synth_dataset(dev_cfg, id_prefix="dv", start_index=count))
     return trainset, devset
 
 
@@ -230,11 +232,11 @@ class TestAlphaSweep:
         # lands within 0.05 of the grid's best dev ER.
         cfg = SynthConfig(count=150, positive_fraction=0.5, frames=150, dim=16,
                           ebr_db=(12.0,), duration_frames=(20, 40), seed=11)
-        trainset = synth_dataset(cfg, id_prefix="tr", start_index=0)
-        devset = synth_dataset(
+        trainset = list(synth_dataset(cfg, id_prefix="tr", start_index=0))
+        devset = list(synth_dataset(
             SynthConfig(count=50, positive_fraction=0.5, frames=150, dim=16,
                         ebr_db=(12.0,), duration_frames=(20, 40), seed=11),
-            id_prefix="dv", start_index=150)
+            id_prefix="dv", start_index=150))
         encoder = EncoderConfig(kind="multiresolution", layers=2, hidden=32,
                                 input_dim=16)
         config = TrainConfig(encoder=encoder, alpha=1.0, batch_size=10,
@@ -399,3 +401,49 @@ def test_train_submodule_is_not_shadowed():
 
     assert isinstance(module, types.ModuleType)
     assert module.train is train
+
+
+# One desk minibatch of features: 10 clips of 16 x 150 float64.
+MINIBATCH_BYTES = 10 * 16 * 150 * 8
+# What one stored record may add to the peak: its header object, id and
+# metadata, and its share of dev scoring's per-clip results (detection,
+# reference and annotation). A held record would add its 19.2 KB of
+# features.
+RECORD_ALLOWANCE = 1024
+
+
+class TestStreamingMemory:
+    def test_peak_does_not_grow_with_the_dataset(self, tmp_path, monkeypatch):
+        # Load, one training epoch with dev scoring, then infer, on n and
+        # on 4n desk-shaped clips per split. Slices hold ten clips at both
+        # sizes, so only what is kept per record may grow.
+        assert 10 * RECORD_ALLOWANCE < MINIBATCH_BYTES // 10
+        encoder = EncoderConfig(kind="multiresolution", layers=2, hidden=32,
+                                input_dim=16)
+        config = TrainConfig(encoder=encoder, batch_size=10, stepsize=0.002,
+                             epochs=1, seed=5)
+        monkeypatch.setattr(detector_module, "INFER_BYTES",
+                            10 * encode_bytes(encoder, 150))
+
+        def peak(count: int) -> int:
+            paths = []
+            for split, start in (("train", 0), ("dev", count)):
+                cfg = SynthConfig(count=count, positive_fraction=0.5, frames=150,
+                                  dim=16, ebr_db=(12.0,), duration_frames=(20, 40),
+                                  seed=5)
+                paths.append(tmp_path / f"{split}-{count}.sed")
+                save_dataset(paths[-1], synth_dataset(cfg, split, start))
+
+            def run():
+                with load_dataset(paths[0]) as trainset, \
+                        load_dataset(paths[1]) as devset:
+                    model = best_model(train(config, trainset, devset))
+                    infer(model, devset)
+
+            run()  # first calls may allocate once-only state
+            return traced_peak(run)
+
+        n = 20
+        small, large = peak(n), peak(4 * n)
+        assert large - small < MINIBATCH_BYTES + 2 * 3 * n * RECORD_ALLOWANCE, \
+            (small, large)
