@@ -4,7 +4,7 @@ attention-linked utterance/frame losses, and event-based scoring."""
 __version__ = "0.1.0"
 
 from .data import LfbeConfig, SynthConfig, Utterance, lfbe, load_dataset, save_dataset
-from .detector import Detection, EventModel, ForwardTrace, infer
+from .detector import Detection, EventModel, infer
 from .metrics import EventAnnotation, MetricCounts, error_rate, evaluate_dataset, f1_score
 from .numerics import AdamState, adam_step, sigmoid
 from .recurrent import EncoderConfig, GruLayerParams
@@ -16,7 +16,6 @@ __all__ = [
     "EncoderConfig",
     "EventAnnotation",
     "EventModel",
-    "ForwardTrace",
     "GruLayerParams",
     "LfbeConfig",
     "MetricCounts",

@@ -160,9 +160,15 @@ def _checked(value, kind: type, name: str):
         raise InputError(f"config field {name!r} must be {_KIND_NAMES[kind]}, "
                          f"got {value!r}")
     try:
-        return kind(value)
+        value = kind(value)
     except OverflowError:
         raise InputError(f"config field {name!r} is out of range: {value!r}")
+    # Integer settings are counts, sizes and seeds: 2**32 bounds each far
+    # beyond any run, and every count and size fits the u32 fields of the
+    # .sed layout.
+    if kind is int and not -2**32 < value < 2**32:
+        raise InputError(f"config field {name!r} is out of range: {value!r}")
+    return value
 
 
 def _synth_config(cfg: dict, which: str, seed_override: Optional[int]) -> SynthConfig:
@@ -509,6 +515,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except DataMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print("error: the settings or inputs need more memory than is free",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -51,6 +51,10 @@ class Utterance:
     meta: dict = dc_field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        # Ids are the first field of an annotation line: a tab or a line
+        # break (anything str.splitlines breaks at) would split the line.
+        if "\t" in self.id or self.id.splitlines() not in ([], [self.id]):
+            raise ValueError(f"id {self.id!r} holds a tab or a line break")
         self.features = as_f64(self.features)
         if self.features.ndim != 2 or 0 in self.features.shape:
             raise ValueError(f"features must be a nonempty (d, T) matrix, "
@@ -123,6 +127,7 @@ def _event_labels(onset: int, offset: int, t_len: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 N_SCENES = 15
+EBR_LIMIT_DB = 300.0
 _BACKGROUND_NOISE_SIGMA = 1.0
 
 
@@ -150,8 +155,16 @@ class SynthConfig:
             raise InputError("positive fraction must lie in [0, 1]")
         if self.frames < 1 or self.dim < 1:
             raise InputError("frames and dim must be positive")
+        if self.frames * self.dim >= 2**32:
+            raise InputError(f"a clip of {self.frames} frames of {self.dim} "
+                             f"values is too large (2**32 values or more)")
         if not self.ebr_db:
             raise InputError("need at least one EBR choice")
+        # An event 300 dB above its background is 10**15 times louder: the
+        # background is lost in the float64 features beyond that.
+        if not all(-EBR_LIMIT_DB <= ebr <= EBR_LIMIT_DB for ebr in self.ebr_db):
+            raise InputError(f"each EBR must lie within +-{EBR_LIMIT_DB:g} dB, "
+                             f"got {list(self.ebr_db)!r}")
         lo, hi = self.duration_frames
         if not 1 <= lo <= hi <= self.frames:
             raise InputError(
@@ -551,6 +564,7 @@ def load_dataset(path) -> SedDataset:
         if version != DATASET_VERSION:
             raise ParseError(f"header: unsupported version {version}")
         buffer = np.empty(0, dtype="<f8")
+        ids: set[str] = set()
         for rec in range(count):
             where = f"record {rec}"
             (id_len,) = struct.unpack("<I", _read_exact(fh, 4, where, size))
@@ -592,6 +606,10 @@ def load_dataset(path) -> SedDataset:
                     raise ValueError(f"bad label byte {y}")
             except ValueError as exc:
                 raise ParseError(f"{where}: {exc}")
+            # Outputs and scoring are keyed by id.
+            if uid in ids:
+                raise ParseError(f"{where}: repeats the id {uid!r}")
+            ids.add(uid)
             dataset.records.append(SedRecord(uid, y, dim, t_len, onset or None,
                                              offset or None, meta, pos, dataset))
         trailing = fh.read(1)

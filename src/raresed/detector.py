@@ -3,19 +3,24 @@ posterior, the combined loss, its exact gradients, and inference.
 
 One classifier vector w serves both prediction levels. Per frame,
 p_t = sigmoid(w . h_t) scores frame t; the p_t normalized over the
-utterance become attention weights that pool the frame features into an
-utterance embedding, scored again by w. Training minimizes
+utterance become attention weights a_t that pool the frame features into
+an utterance embedding, scored again by w. Both posteriors are sigmoids
+of the frame logits s_t = w . h_t: p_t = sigmoid(s_t), and, since
+w . sum_t a_t h_t = sum_t a_t s_t, p_utt = sigmoid(sum_t a_t s_t). So one
+head over a batch's (B, T) logits serves training and inference.
+Training minimizes
 
-    loss = utterance_loss + alpha * frame_loss,
+    loss = utterance term + alpha * frame term,
 
 where the frame term is a mean cross-entropy over a window around the
 labeled event (only for positive utterances), and the utterance term is
 the cross-entropy of the pooled posterior.
 
-Gradients are fully analytic: backpropagation through both uses of w,
-through the attention normalization (quotient rule), and through the
-recurrent encoder (BPTT, including the pooling of the multi-resolution
-stack). The test suite checks them against central finite differences.
+Gradients are fully analytic. The head's gradient on the logits, g_t,
+gives d(loss)/dh_t = g_t w and d(loss)/dw = sum_t g_t h_t; BPTT carries
+it through the recurrent encoder, including the pooling of the
+multi-resolution stack. The test suite checks them against central
+finite differences.
 """
 
 from __future__ import annotations
@@ -100,21 +105,6 @@ class EventModel:
         return EventModel(self.config, np.array(vec, dtype=np.float64))
 
 
-@dataclass
-class ForwardTrace:
-    """Cached activations of one utterance forward pass.
-
-    Filled in stages: the training head stores the encoder outputs and
-    p_t; utterance_posterior adds attention, embedding, and p.
-    """
-
-    hidden: np.ndarray            # (T, h)
-    frame_posteriors: np.ndarray  # (T,)
-    attention: Optional[np.ndarray] = None
-    embedding: Optional[np.ndarray] = None
-    utterance_posterior: Optional[float] = None
-
-
 @dataclass(frozen=True)
 class Detection:
     """Inference outcome; onset/offset are 1-based inclusive frame indices."""
@@ -131,40 +121,6 @@ class Detection:
                 raise ValueError(f"bad boundary {self.onset}..{self.offset}")
 
 
-def attention_weights(p: np.ndarray) -> np.ndarray:
-    """Frame posteriors normalized over the utterance.
-
-    a_t = p_t / (sum_s p_s + eps); the guard keeps the weights defined
-    for all-zero posteriors and the sum strictly within [0, 1].
-    """
-    p = as_f64(p)
-    if p.ndim != 1 or p.shape[0] < 1:
-        raise ValueError("attention_weights expects a nonempty vector")
-    return p / (p.sum() + ATTENTION_EPS)
-
-
-def utterance_posterior(model: EventModel, trace: ForwardTrace) -> float:
-    """Pool frames with attention and classify the embedding with w.
-
-    Stores attention, embedding, and the posterior on the trace.
-    """
-    if trace.attention is None:
-        trace.attention = attention_weights(trace.frame_posteriors)
-    trace.embedding = trace.attention @ trace.hidden
-    trace.utterance_posterior = sigmoid(float(model.w @ trace.embedding))
-    return trace.utterance_posterior
-
-
-def _clamped_log(p: np.ndarray) -> np.ndarray:
-    return np.log(np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR))
-
-
-def utterance_loss(p: float, y: int) -> float:
-    """Cross-entropy of the utterance posterior against the binary label."""
-    p = np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR)
-    return float(-(y * np.log(p) + (1 - y) * np.log(1.0 - p)))
-
-
 def frame_window(onset: int, offset: int, margin: int, t_len: int) -> range:
     """1-based inclusive window [onset - margin, offset + margin] clipped
     to the utterance."""
@@ -173,76 +129,6 @@ def frame_window(onset: int, offset: int, margin: int, t_len: int) -> range:
     if margin < 0:
         raise ValueError("margin must be nonnegative")
     return range(max(1, onset - margin), min(t_len, offset + margin) + 1)
-
-
-def frame_loss(trace: ForwardTrace, utt: "Utterance",
-               window: Iterable[int]) -> float:
-    """Mean frame cross-entropy over the window; 0 for negative utterances.
-
-    Frame labels are meaningless when no event occurs, so the frame term
-    is only measured on positives.
-    """
-    if utt.y == 0:
-        return 0.0
-    idx = np.fromiter(window, dtype=np.int64)
-    if idx.size == 0:
-        raise ValueError("frame_loss needs a nonempty window for positives")
-    t_len = trace.frame_posteriors.shape[0]
-    if idx.min() < 1 or idx.max() > t_len:
-        raise ValueError(
-            f"window touches frames outside [1, {t_len}]: "
-            f"{idx.min()}..{idx.max()}"
-        )
-    p = trace.frame_posteriors[idx - 1]
-    y = as_f64(utt.frame_labels)[idx - 1]
-    ll = y * _clamped_log(p) + (1.0 - y) * _clamped_log(1.0 - p)
-    return float(-np.mean(ll))
-
-
-def _trace_loss(trace: ForwardTrace, utt: "Utterance", alpha: float,
-                margin: int) -> float:
-    loss = utterance_loss(trace.utterance_posterior, utt.y)
-    if utt.y == 1:
-        window = frame_window(utt.onset, utt.offset, margin,
-                              trace.frame_posteriors.shape[0])
-        loss += alpha * frame_loss(trace, utt, window)
-    return loss
-
-
-def _head_backward(model: EventModel, trace: ForwardTrace, utt: "Utterance",
-                   alpha: float, margin: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exact gradient of one utterance's total loss on its encoder output
-    (T, h) and on the classifier w."""
-    hs = trace.hidden
-    p = trace.frame_posteriors
-    a = trace.attention
-    t_len = p.shape[0]
-
-    # Utterance branch. d(loss)/d(logit) of a sigmoid cross-entropy is
-    # posterior - label, so the clamp never enters the gradient path.
-    gu = trace.utterance_posterior - utt.y
-    grad_w = gu * trace.embedding
-    d_embed = gu * model.w
-
-    # Pooling h_bar = sum_t a_t h_t.
-    d_a = hs @ d_embed
-    d_hs = np.outer(a, d_embed)
-
-    # Attention normalization a_t = p_t / (sum p + eps), quotient rule.
-    denom = p.sum() + ATTENTION_EPS
-    d_p = d_a / denom - (d_a @ p) / (denom * denom)
-
-    # Frame logits receive the attention chain plus the frame loss.
-    d_s = d_p * (p * (1.0 - p))
-    if utt.y == 1:
-        window = frame_window(utt.onset, utt.offset, margin, t_len)
-        idx = np.arange(window.start - 1, window.stop - 1)
-        labels = as_f64(utt.frame_labels)[idx]
-        d_s[idx] += alpha * (p[idx] - labels) / idx.size
-
-    grad_w = grad_w + hs.T @ d_s
-    d_hs += np.outer(d_s, model.w)
-    return d_hs, grad_w
 
 
 def _length_groups(lengths: Iterable[int]) -> list[list[int]]:
@@ -273,40 +159,78 @@ def _stack(clips: Sequence) -> np.ndarray:
     return xs
 
 
-def _utterance_groups(batch: Sequence["Utterance"]) -> list[list["Utterance"]]:
-    """Split a batch into groups of equal frame count (see _length_groups)."""
-    if not batch:
-        raise ValueError("batch must be nonempty")
-    return [[batch[i] for i in group]
-            for group in _length_groups(utt.n_frames for utt in batch)]
+def attend(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                         np.ndarray]:
+    """The forward half of the head over (B, T) frame logits, each row
+    one sequence: frame posteriors p = sigmoid(s), the utterance
+    posteriors sigmoid(sum_t a_t s_t) (B,), the attention weights
+    a = p / denom and the denominators denom = sum_t p_t + eps (B,).
+
+    Every sum runs along a row, so a sequence gets the same bits in
+    every batch, and the same as a batch of one.
+    """
+    p = sigmoid(logits)
+    denom = p.sum(axis=1) + ATTENTION_EPS
+    a = p / denom[:, None]
+    p_utt = sigmoid((a[:, None] @ logits[:, :, None])[:, 0, 0])
+    return p, p_utt, a, denom
+
+
+def head(logits: np.ndarray, y: np.ndarray, scale: np.ndarray,
+         labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each sequence's loss (B,) and its gradient g (B, T) on the frame
+    logits (B, T), for utterance labels y (B,), frame-term weights
+    ``scale`` (B, T) and frame labels (B, T).
+
+    The loss is the cross-entropy of the utterance posterior plus the
+    frame cross-entropies weighted by ``scale``: alpha / |window| over a
+    positive's event window, 0 elsewhere. With u = sum_t a_t s_t,
+    dL/du = p_utt - y, and the attention normalization gives
+    du/ds_t = a_t + (s_t - u) p_t (1 - p_t) / denom, so
+    g = (p_utt - y) (a + (s - u) p (1 - p) / denom) + scale (p - labels).
+    The clamp before the logs never enters the gradient.
+    """
+    p, p_utt, a, denom = attend(logits)
+    u = (a * logits).sum(axis=1)
+    q_utt = np.clip(p_utt, PROB_FLOOR, 1.0 - PROB_FLOOR)
+    q = np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR)
+    loss = -(y * np.log(q_utt) + (1.0 - y) * np.log(1.0 - q_utt))
+    loss -= (scale * (labels * np.log(q)
+                      + (1.0 - labels) * np.log(1.0 - q))).sum(axis=1)
+    g = ((p_utt - y)[:, None] * (a + (logits - u[:, None]) * (p * (1.0 - p))
+                                 / denom[:, None])
+         + scale * (p - labels))
+    return loss, g
 
 
 def _group_heads(model: EventModel, group: Sequence["Utterance"], alpha: float,
                  margin: int):
-    """One recurrence over equal-length utterances, then each utterance's
-    head. Returns the group's summed loss, the encoder trace,
-    d(loss)/d(encoder output) (T, B, h) and d(loss)/dw.
+    """One recurrence over equal-length utterances, then the head over
+    their logits s = h . w. Returns each utterance's loss (B,), the
+    encoder trace, d(loss)/d(encoder output) (T, B, h) and d(loss)/dw.
 
-    Each head reads a contiguous copy of its (T, h) slice: that gives it
-    the memory layout of a batch of one, so its sums do not depend on its
-    batch. The encoder features it reads are the same bits in every
-    batch of two or more only where BLAS rounds a row of a product alike
-    whatever the row count, and equal only to rounding in a batch of one
-    (see recurrent._layer_bptt).
+    The head's gradient is rank one: d(loss)/dh_t = g_t w and
+    d(loss)/dw = sum_t g_t h_t, which stacks one share per sequence
+    before summing over the batch, as encoder_backward does. So no
+    product or sum mixes sequences before that batch sum.
     """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     hs, enc_trace = encoder_forward(model.config, model.layers, _stack(group))
-    d_hs = np.empty_like(hs)
-    grad_w = np.zeros_like(model.w)
-    loss = 0.0
+    t_len, count = hs.shape[:2]
+    seqs = hs.transpose(1, 0, 2)  # (B, T, h) view
+    y = np.array([utt.y for utt in group], dtype=np.float64)
+    scale = np.zeros((count, t_len))
+    labels = np.zeros((count, t_len))
     for b, utt in enumerate(group):
-        h = np.ascontiguousarray(hs[:, b])
-        trace = ForwardTrace(hidden=h, frame_posteriors=sigmoid(h @ model.w))
-        utterance_posterior(model, trace)
-        loss += _trace_loss(trace, utt, alpha, margin)
-        d_hs[:, b], d_w = _head_backward(model, trace, utt, alpha, margin)
-        grad_w += d_w
+        if utt.y == 1:
+            window = frame_window(utt.onset, utt.offset, margin, t_len)
+            scale[b, window.start - 1:window.stop - 1] = alpha / len(window)
+            labels[b, utt.onset - 1:utt.offset] = 1.0
+    loss, g = head(seqs @ model.w, y, scale, labels)
+    d_hs = np.empty_like(hs)
+    np.multiply(g.T[:, :, None], model.w, out=d_hs)
+    grad_w = (g[:, None] @ seqs)[:, 0].sum(axis=0)
     return loss, enc_trace, d_hs, grad_w
 
 
@@ -316,15 +240,19 @@ def batch_loss_and_gradients(model: EventModel, batch: Sequence["Utterance"],
     """Mean total loss over the batch and its gradient, laid out like
     model.params.
 
-    Each group of equal-length utterances runs one batched recurrence
-    forward and one BPTT; group gradients are added in group order.
+    Each group of equal-length utterances (see _length_groups) runs one
+    batched recurrence forward and one BPTT; group gradients are added
+    in group order.
     """
+    if not batch:
+        raise ValueError("batch must be nonempty")
     total = 0.0
     n_enc = model.config.param_count
     grad = np.zeros(model.param_count)
-    for group in _utterance_groups(batch):
-        loss, enc_trace, d_hs, grad_w = _group_heads(model, group, alpha, margin)
-        total += loss
+    for group in _length_groups(utt.n_frames for utt in batch):
+        loss, enc_trace, d_hs, grad_w = _group_heads(
+            model, [batch[i] for i in group], alpha, margin)
+        total += float(loss.sum())
         grad[:n_enc] += encoder_backward(model.config, model.layers, enc_trace, d_hs)
         grad[n_enc:] += grad_w
     n = len(batch)
@@ -387,11 +315,9 @@ def infer(model: EventModel, clips: Sequence, thres0: float = 0.5,
 
     Clips of equal frame count are run together, in slices of at most
     INFER_BYTES, through the forward-only encoder, which returns only
-    the frame logits s_t = w . h_t. Each clip then gets the attention
-    head from a contiguous copy of its logits, p_t = sigmoid(s_t),
-    a = p / (sum(p) + eps) and p_utt = sigmoid(a . s), which equal the
-    training head's posteriors to rounding, and the two-level
-    thresholding rule.
+    the frame logits s_t = w . h_t. The forward half of the training
+    head (attend) gives each slice's posteriors, and each clip gets the
+    two-level thresholding rule.
     """
     shapes = [_clip_shape(x) for x in clips]
     for shape in shapes:
@@ -408,10 +334,9 @@ def infer(model: EventModel, clips: Sequence, thres0: float = 0.5,
             part = group[k * len(group) // count:(k + 1) * len(group) // count]
             logits = encode(model.config, model.layers,
                             _stack([clips[i] for i in part]), model.w)
+            p, p_utt = attend(np.ascontiguousarray(logits.T))[:2]
             for b, i in enumerate(part):
-                s = np.ascontiguousarray(logits[:, b])
-                p = sigmoid(s)
-                p_utt = sigmoid(float(attention_weights(p) @ s))
-                detections[i] = decide_detection(p_utt, p, thres0, thres1)
-            del logits  # not held while the next slice is encoded
+                detections[i] = decide_detection(float(p_utt[b]), p[b],
+                                                 thres0, thres1)
+            del logits, p  # not held while the next slice is encoded
     return detections  # type: ignore[return-value]

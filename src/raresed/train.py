@@ -57,6 +57,9 @@ class TrainConfig:
                              f"got {self.stepsize!r}")
         if self.batch_size < 1:
             raise InputError("minibatch size must be at least 1")
+        if self.encoder.param_count >= 2**32:
+            raise InputError(f"an encoder of {self.encoder.param_count} "
+                             f"parameters is too large (2**32 or more)")
         if self.seed < 0:
             raise InputError(f"seed must be nonnegative, got {self.seed!r}")
         if self.margin < 0:

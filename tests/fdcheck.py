@@ -18,7 +18,7 @@ from raresed.detector import (
     DEFAULT_WINDOW_MARGIN,
     EventModel,
     _group_heads,
-    _utterance_groups,
+    _length_groups,
     batch_loss_and_gradients,
 )
 
@@ -47,8 +47,9 @@ def batch_loss(model: EventModel, batch, alpha: float,
     batch_loss_and_gradients returns, from the same groups in the same
     order."""
     total = 0.0
-    for group in _utterance_groups(batch):
-        total += _group_heads(model, group, alpha, margin)[0]
+    for group in _length_groups(utt.n_frames for utt in batch):
+        total += float(_group_heads(model, [batch[i] for i in group], alpha,
+                                    margin)[0].sum())
     return total / len(batch)
 
 

@@ -1,7 +1,8 @@
 """Reference forms the tests compare the package against: the GRU cell
 equations one step at a time, one layer run over a single (T, D_in)
 sequence, the replicating upsample of a pooled sequence, and the
-detector's forward pass and loss for one utterance.
+detector's head for one utterance: its forward pass, its loss and their
+exact gradient, with the utterance embedding formed explicitly.
 
 The package runs batches through one encoder loop and never calls these;
 each is written in the most direct form its tests need.
@@ -9,14 +10,17 @@ each is written in the most direct form its tests need.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Iterable, Optional
+
 import numpy as np
 
 from raresed.detector import (
+    ATTENTION_EPS,
     DEFAULT_WINDOW_MARGIN,
+    PROB_FLOOR,
     EventModel,
-    ForwardTrace,
-    _trace_loss,
-    utterance_posterior,
+    frame_window,
 )
 from raresed.numerics import as_f64, sigmoid
 from raresed.recurrent import (
@@ -100,6 +104,136 @@ def upsample_replicate(seq: np.ndarray, target_t: int) -> np.ndarray:
     return out
 
 
+@dataclass
+class ForwardTrace:
+    """Cached activations of one utterance forward pass.
+
+    Filled in stages: frame_posteriors stores the encoder outputs and
+    p_t; utterance_posterior adds attention, embedding, and p.
+    """
+
+    hidden: np.ndarray            # (T, h)
+    frame_posteriors: np.ndarray  # (T,)
+    attention: Optional[np.ndarray] = None
+    embedding: Optional[np.ndarray] = None
+    utterance_posterior: Optional[float] = None
+
+
+def attention_weights(p: np.ndarray) -> np.ndarray:
+    """Frame posteriors normalized over the utterance.
+
+    a_t = p_t / (sum_s p_s + eps); the guard keeps the weights defined
+    for all-zero posteriors and the sum strictly within [0, 1].
+    """
+    p = as_f64(p)
+    if p.ndim != 1 or p.shape[0] < 1:
+        raise ValueError("attention_weights expects a nonempty vector")
+    return p / (p.sum() + ATTENTION_EPS)
+
+
+def utterance_posterior(model: EventModel, trace: ForwardTrace) -> float:
+    """Pool frames with attention and classify the embedding with w.
+
+    Stores attention, embedding, and the posterior on the trace.
+    """
+    if trace.attention is None:
+        trace.attention = attention_weights(trace.frame_posteriors)
+    trace.embedding = trace.attention @ trace.hidden
+    trace.utterance_posterior = sigmoid(float(model.w @ trace.embedding))
+    return trace.utterance_posterior
+
+
+def _clamped_log(p: np.ndarray) -> np.ndarray:
+    return np.log(np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR))
+
+
+def utterance_loss(p: float, y: int) -> float:
+    """Cross-entropy of the utterance posterior against the binary label."""
+    p = np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR)
+    return float(-(y * np.log(p) + (1 - y) * np.log(1.0 - p)))
+
+
+def frame_loss(trace: ForwardTrace, utt, window: Iterable[int]) -> float:
+    """Mean frame cross-entropy over the window; 0 for negative utterances.
+
+    Frame labels are meaningless when no event occurs, so the frame term
+    is only measured on positives.
+    """
+    if utt.y == 0:
+        return 0.0
+    idx = np.fromiter(window, dtype=np.int64)
+    if idx.size == 0:
+        raise ValueError("frame_loss needs a nonempty window for positives")
+    t_len = trace.frame_posteriors.shape[0]
+    if idx.min() < 1 or idx.max() > t_len:
+        raise ValueError(
+            f"window touches frames outside [1, {t_len}]: "
+            f"{idx.min()}..{idx.max()}"
+        )
+    p = trace.frame_posteriors[idx - 1]
+    y = as_f64(utt.frame_labels)[idx - 1]
+    ll = y * _clamped_log(p) + (1.0 - y) * _clamped_log(1.0 - p)
+    return float(-np.mean(ll))
+
+
+def trace_loss(trace: ForwardTrace, utt, alpha: float, margin: int) -> float:
+    """utterance_loss + alpha * frame_loss of a trace whose utterance
+    posterior is filled in."""
+    loss = utterance_loss(trace.utterance_posterior, utt.y)
+    if utt.y == 1:
+        window = frame_window(utt.onset, utt.offset, margin,
+                              trace.frame_posteriors.shape[0])
+        loss += alpha * frame_loss(trace, utt, window)
+    return loss
+
+
+def head_backward(model: EventModel, trace: ForwardTrace, utt, alpha: float,
+                  margin: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact gradient of one utterance's total loss on its encoder output
+    (T, h) and on the classifier w, through the embedding."""
+    hs = trace.hidden
+    p = trace.frame_posteriors
+    a = trace.attention
+    t_len = p.shape[0]
+
+    # Utterance branch. d(loss)/d(logit) of a sigmoid cross-entropy is
+    # posterior - label, so the clamp never enters the gradient path.
+    gu = trace.utterance_posterior - utt.y
+    grad_w = gu * trace.embedding
+    d_embed = gu * model.w
+
+    # Pooling h_bar = sum_t a_t h_t.
+    d_a = hs @ d_embed
+    d_hs = np.outer(a, d_embed)
+
+    # Attention normalization a_t = p_t / (sum p + eps), quotient rule.
+    denom = p.sum() + ATTENTION_EPS
+    d_p = d_a / denom - (d_a @ p) / (denom * denom)
+
+    # Frame logits receive the attention chain plus the frame loss.
+    d_s = d_p * (p * (1.0 - p))
+    if utt.y == 1:
+        window = frame_window(utt.onset, utt.offset, margin, t_len)
+        idx = np.arange(window.start - 1, window.stop - 1)
+        labels = as_f64(utt.frame_labels)[idx]
+        d_s[idx] += alpha * (p[idx] - labels) / idx.size
+
+    grad_w = grad_w + hs.T @ d_s
+    d_hs += np.outer(d_s, model.w)
+    return d_hs, grad_w
+
+
+def utterance_head(model: EventModel, hidden: np.ndarray, utt, alpha: float,
+                   margin: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """One utterance's loss and its gradients on its (T, h) encoder output
+    and on w, from a trace of that output."""
+    h = np.ascontiguousarray(hidden)
+    trace = ForwardTrace(hidden=h, frame_posteriors=sigmoid(h @ model.w))
+    utterance_posterior(model, trace)
+    loss = trace_loss(trace, utt, alpha, margin)
+    return (loss, *head_backward(model, trace, utt, alpha, margin))
+
+
 def frame_posteriors(model: EventModel,
                      features: np.ndarray) -> tuple[np.ndarray, ForwardTrace]:
     """p_t = sigmoid(w . h_t) for every frame of a (d, T) feature matrix.
@@ -130,4 +264,4 @@ def total_loss(model: EventModel, utt, alpha: float,
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     trace = forward(model, utt.features)
-    return _trace_loss(trace, utt, alpha, margin), trace
+    return trace_loss(trace, utt, alpha, margin), trace

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -rA` to see the per-criterion
 lines alongside the pass/fail verdicts.
 """
 
+import hashlib
 import math
 import time
 
@@ -199,6 +200,35 @@ class TestC4C5DeskTraining:
         assert fifth < first
         print(f"\n[C5] optimization sanity PASS: epoch-5 loss {fifth:.4f} < "
               f"epoch-1 loss {first:.4f}")
+
+
+# sha256 of the desk preset's artefacts at its committed seeds, the same
+# at one and at two BLAS threads. A design change must leave them
+# byte-identical; a change that moves them re-records them and says why.
+DESK_DIGESTS = {
+    ("desk_data", "train"): "063cb3cd4183127f502047fd146ac9aedcac76af55f5b367c6571aabd0481f9f",
+    ("desk_data", "dev"): "14c98d68140449f4b21c2684a7bbb4e2862dbf1cf7f7e5de4a99cf416ac66500",
+    ("desk_data", "dev_ref"): "12b4d9d293be4d94d55932db844c4f686997a59af4e4c49d5207294a27c03f39",
+    ("desk_data", "train_ref"): "aeba736650fc31c499c1f9f2a6cba1f440c936860d5f50cfbea152c65262007d",
+    ("desk_run", "detections"): "565d39e4df5bce69ccf72c6cece31fd7b896e89e686937de9a1960c536a669e1",
+}
+# (dev_er, dev_f1, best) of each epoch of the desk report; best epoch 3.
+DESK_REPORT = ([("0.3389830508474576", "82.45614035087719", "0"),
+                ("0.01694915254237288", "99.15966386554622", "0"),
+                ("0.0", "100.0", "1")]
+               + [("0.0", "100.0", "0")] * 12)
+
+
+class TestDeskArtefactsPinned:
+    def test_desk_artefacts_byte_identical(self, desk_data, desk_run):
+        fixtures = {"desk_data": desk_data, "desk_run": desk_run}
+        for (fixture, name), want in DESK_DIGESTS.items():
+            got = hashlib.sha256(fixtures[fixture][name].read_bytes()).hexdigest()
+            assert got == want, name
+        rows = parse_report(desk_run["report"])
+        assert [(r["dev_er"], r["dev_f1"], r["best"]) for r in rows] == DESK_REPORT
+        print(f"\n[pins] desk artefacts PASS: {len(DESK_DIGESTS)} files "
+              f"byte-identical, dev ER/F1 of {len(rows)} epochs unchanged")
 
 
 class TestC6ArchitectureTrend:

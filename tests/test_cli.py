@@ -56,6 +56,19 @@ def bad_frame_shift_config(tmp_path, raw):
     return str(path)
 
 
+def tiny_model(tmp_path, zero_w=False):
+    """A model for TINY's features, saved to tmp_path."""
+    encoder = EncoderConfig(kind="multiresolution", layers=1, hidden=4,
+                            input_dim=5)
+    model = EventModel.initialize(encoder, seed=3)
+    if zero_w:
+        model.w[:] = 0.0
+    config = TrainConfig(encoder=encoder, seed=3)
+    path = tmp_path / "model.sem"
+    save_model(path, model, config)
+    return path
+
+
 def read_table(path):
     lines = path.read_text().splitlines()
     head = lines[0].split("\t")
@@ -142,6 +155,11 @@ class TestConfigChecks:
         ({"positive_fraction": "0.5"}, [], "data.positive_fraction"),
         ({"duration_frames": [5, 10.5]}, [], "data.duration_frames"),
         ({"ebr_db": 12.0}, [], "data.ebr_db"),
+        ({"ebr_db": [12.0, 1e300]}, [], "EBR"),
+        ({"ebr_db": [float("nan")]}, [], "EBR"),
+        ({"train_count": 1e300}, [], "data.train_count"),
+        ({"frames": 2**32}, [], "data.frames"),
+        ({"dim": 2**31}, [], "too large"),
     ])
     def test_bad_data_setting_exits_2_before_synth(self, tmp_path, capsys,
                                                    edit, flags, field):
@@ -170,6 +188,8 @@ class TestConfigChecks:
         ({"margin": 10.5}, [], "train.margin"),
         ({"thres0": False}, [], "train.thres0"),
         ({"stepsize": None}, [], "train.stepsize"),
+        ({"epochs": 1e300}, [], "train.epochs"),
+        ({"encoder": {"hidden": 2**20}}, [], "parameters"),
     ])
     def test_bad_train_setting_exits_2_before_training(self, tmp_path, capsys,
                                                        monkeypatch, edit, flags,
@@ -188,6 +208,15 @@ class TestConfigChecks:
         assert code == 2
         assert field in capsys.readouterr().err
         assert not (out / "model.sem").exists()
+
+    def test_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli_module, "synth_dataset", exhausted)
+        config = write_config(tmp_path, TINY)
+        assert main(["synth", "--config", config, "--out", str(tmp_path / "o")]) == 2
+        assert "memory" in capsys.readouterr().err
 
     def test_integral_numbers_serve_for_integers_and_floats(self, tmp_path):
         cfg = json.loads(json.dumps(TINY))
@@ -343,20 +372,9 @@ class TestTrainCommand:
 
 
 class TestInferCommand:
-    def model_path(self, tmp_path, zero_w=False):
-        encoder = EncoderConfig(kind="multiresolution", layers=1, hidden=4,
-                                input_dim=5)
-        model = EventModel.initialize(encoder, seed=3)
-        if zero_w:
-            model.w[:] = 0.0
-        config = TrainConfig(encoder=encoder, seed=3)
-        path = tmp_path / "model.sem"
-        save_model(path, model, config)
-        return path
-
     def test_zero_classifier_detects_nothing(self, tmp_path):
         _, data = synth_tiny(tmp_path)
-        model = self.model_path(tmp_path, zero_w=True)
+        model = tiny_model(tmp_path, zero_w=True)
         out = tmp_path / "inf"
         assert main(["infer", "--model", str(model),
                      "--data", str(data / "dev.sed"), "--out", str(out)]) == 0
@@ -365,7 +383,7 @@ class TestInferCommand:
         assert all(r["label"] == "0" for r in rows)
 
     def test_empty_dataset_gives_header_only(self, tmp_path):
-        model = self.model_path(tmp_path)
+        model = tiny_model(tmp_path)
         save_dataset(tmp_path / "empty.sed", [])
         out = tmp_path / "inf"
         assert main(["infer", "--model", str(model),
@@ -375,7 +393,7 @@ class TestInferCommand:
 
     def test_deterministic_output(self, tmp_path):
         _, data = synth_tiny(tmp_path)
-        model = self.model_path(tmp_path)
+        model = tiny_model(tmp_path)
         blobs = []
         for name in ("i1", "i2"):
             out = tmp_path / name
@@ -395,7 +413,7 @@ class TestInferCommand:
     def test_threshold_outside_unit_interval_exits_2(self, tmp_path, capsys,
                                                      flag, value):
         _, data = synth_tiny(tmp_path)
-        model = self.model_path(tmp_path)
+        model = tiny_model(tmp_path)
         out = tmp_path / "inf"
         assert main(["infer", "--model", str(model),
                      "--data", str(data / "dev.sed"), "--out", str(out),
@@ -407,7 +425,7 @@ class TestInferCommand:
     def test_bad_frame_shift_exits_2_before_loading(self, tmp_path, capsys,
                                                    monkeypatch, value):
         _, data = synth_tiny(tmp_path)
-        model = self.model_path(tmp_path)
+        model = tiny_model(tmp_path)
         monkeypatch.setattr(cli_module, "load_model", None)  # must not be reached
         out = tmp_path / "inf"
         assert main(["infer", "--model", str(model),
@@ -417,7 +435,7 @@ class TestInferCommand:
         assert not (out / "detections.tsv").exists()
 
     def test_dim_mismatch_exits_3(self, tmp_path):
-        model = self.model_path(tmp_path)
+        model = tiny_model(tmp_path)
         other = synth_dataset(SynthConfig(count=3, positive_fraction=0.0,
                                           frames=20, dim=9, ebr_db=(0.0,),
                                           duration_frames=(2, 5), seed=1))
@@ -425,6 +443,56 @@ class TestInferCommand:
         assert main(["infer", "--model", str(model),
                      "--data", str(tmp_path / "wide.sed"),
                      "--out", str(tmp_path / "o")]) == 3
+
+
+def edit_id(path, old: str, new: str) -> None:
+    """Rewrite one record id of a .sed file in place; the two ids have the
+    same UTF-8 length, so every length field stays right."""
+    old_bytes, new_bytes = old.encode(), new.encode()
+    assert len(old_bytes) == len(new_bytes)
+    blob = path.read_bytes()
+    assert blob.count(old_bytes) == 1
+    path.write_bytes(blob.replace(old_bytes, new_bytes))
+
+
+# The id of the second record of each split synth writes from TINY: dev
+# indices continue after the 10 training ones.
+SECOND_IDS = {"train": "train-00001", "dev": "dev-00011"}
+
+
+class TestRecordIds:
+    """A record id is the first field of its detections.tsv row, and
+    outputs and scores are keyed by it: an id holding a tab or a line
+    break, or a repeated id, exits 2 naming the record, before any
+    compute."""
+
+    # Each rewrites the id of a split's second record, keeping its length.
+    IDS = {"tab": lambda old: old[:-1] + "\t",
+           "newline": lambda old: old[:-2] + "\n" + old[-1],
+           "next line": lambda old: old[:-3] + "\x85" + old[-1],
+           "line separator": lambda old: old[:-4] + "\u2028" + old[-1],
+           "repeat": lambda old: old[:-1] + "0"}
+
+    @pytest.mark.parametrize("bad", list(IDS))
+    @pytest.mark.parametrize("command,split", [("infer", "dev"), ("train", "train"),
+                                               ("sweep", "dev")])
+    def test_bad_id_exits_2_naming_the_record(self, tmp_path, capsys,
+                                             monkeypatch, command, split, bad):
+        config, data = synth_tiny(tmp_path)
+        old = SECOND_IDS[split]
+        edit_id(data / f"{split}.sed", old, self.IDS[bad](old))
+        for name in ("infer", "train", "alpha_sweep"):
+            monkeypatch.setattr(cli_module, name, None)  # must not be reached
+        out = tmp_path / "out"
+        if command == "infer":
+            argv = ["infer", "--model", str(tiny_model(tmp_path)),
+                    "--data", str(data / "dev.sed")]
+        else:
+            argv = [command, "--config", config, "--train-data",
+                    str(data / "train.sed"), "--dev-data", str(data / "dev.sed")]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "record 1: " in capsys.readouterr().err
+        assert os.listdir(out) == []
 
 
 class TestEvalCommand:

@@ -68,6 +68,16 @@ class TestUtterance:
         with pytest.raises(ValueError):
             Utterance(id="p", features=np.zeros((2, 5)), y=1)
 
+    @pytest.mark.parametrize("uid", ["a\tb", "a\nb", "a\r", "\n", "a\x0bb",
+                                     "a\x1cb", "a\x85b", "a\u2028b", "a\u2029"])
+    def test_id_that_would_split_an_annotation_line_rejected(self, uid):
+        with pytest.raises(ValueError, match="tab or a line break"):
+            Utterance.negative(uid, np.zeros((2, 5)))
+
+    @pytest.mark.parametrize("uid", ["", "a b", "dev-00001", "\u00e9t\u00e9"])
+    def test_other_ids_accepted(self, uid):
+        assert Utterance.negative(uid, np.zeros((2, 5))).id == uid
+
 
 class TestSynth:
     def test_zero_positive_fraction(self):
@@ -315,6 +325,9 @@ class TestDatasetIO:
         (dict(y=0, onset=0, offset=0, t_len=0), "nonempty"),
         (dict(dim=2**32 - 1, t_len=2**32 - 1, features=[]), "end of file"),
         (dict(y=0), "negative record with event boundaries 2..3"),
+        (dict(uid=b"r\tx"), "tab or a line break"),
+        (dict(uid="r\u2028".encode()), "tab or a line break"),
+        (dict(uid=b"r"), "repeats the id 'r'"),
     ])
     def test_malformed_record_names_it(self, tmp_path, fields, message):
         path = sed_file(tmp_path / "d.sed", sed_record(), sed_record(**fields))
@@ -383,7 +396,7 @@ class TestStreaming:
 
     def test_bad_record_after_good_ones_fails_the_load(self, tmp_path):
         # Validation is one pass over every record before any is used.
-        path = sed_file(tmp_path / "d.sed", sed_record(), sed_record(),
+        path = sed_file(tmp_path / "d.sed", sed_record(uid=b"a"), sed_record(uid=b"b"),
                         sed_record(features=[0.0, 0.0, math.inf, 0.0]))
         with pytest.raises(ParseError, match="record 2: .*non-finite"):
             load_dataset(path)
