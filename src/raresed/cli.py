@@ -24,7 +24,7 @@ from .data import SynthConfig, load_dataset, save_dataset, synth_dataset
 from .detector import infer
 from .errors import DataMismatchError, InputError
 from .metrics import (
-    check_frame_shift,
+    check_seconds,
     detection_to_annotation,
     evaluate_annotations,
     format_annotations,
@@ -271,7 +271,7 @@ def cmd_synth(args) -> int:
     out = _ensure_out_dir(args.out)
     train_cfg = _synth_config(cfg, "train", args.seed)
     dev_cfg = _synth_config(cfg, "dev", args.seed)
-    frame_shift = check_frame_shift(
+    frame_shift = check_seconds(
         _field(cfg, "eval.frame_shift_s", float, 0.023), "eval.frame_shift_s")
 
     # Dev indices continue after train so the substreams never collide.
@@ -350,7 +350,7 @@ def cmd_infer(args) -> int:
         if value is not None and not 0.0 < value < 1.0:
             raise InputError(f"--{name} must lie strictly inside (0, 1), "
                              f"got {value!r}")
-    frame_shift = check_frame_shift(args.frame_shift, "--frame-shift")
+    frame_shift = check_seconds(args.frame_shift, "--frame-shift")
     model, header = load_model(args.model)
     thres0 = args.thres0 if args.thres0 is not None else \
         header.get("train", {}).get("thres0", 0.5)
@@ -382,12 +382,11 @@ def cmd_infer(args) -> int:
 
 def cmd_eval(args) -> int:
     started = time.monotonic()
-    if not args.collar > 0:
-        raise InputError(f"--collar must be positive, got {args.collar!r}")
+    collar = check_seconds(args.collar, "--collar")
     out = _ensure_out_dir(args.out)
     refs = read_annotations(args.ref)
     dets = read_annotations(args.det)
-    er, f1, counts = evaluate_annotations(refs, dets, collar=args.collar)
+    er, f1, counts = evaluate_annotations(refs, dets, collar)
     table = (
         "metric\tvalue\n"
         f"er\t{er!r}\n"
@@ -399,7 +398,7 @@ def cmd_eval(args) -> int:
     )
     eval_path = os.path.join(out, "eval.tsv")
     _write_text_atomic(eval_path, table)
-    manifest = _write_manifest(out, "eval", {"collar_s": args.collar},
+    manifest = _write_manifest(out, "eval", {"collar_s": collar},
                                {"ref": args.ref, "det": args.det},
                                {"eval": eval_path}, None, started)
     print(f"ER {er:.4f}  F1 {f1:.2f}  (TP {counts.tp}, I {counts.fp}, "

@@ -39,15 +39,16 @@ DATASET_VERSION = 1
 class Utterance:
     """One fixed-length clip in feature space.
 
-    features is (d, T); onset/offset are 1-based inclusive frame indices,
-    present only for positives. Positive utterances carry 0/1 frame
-    labels with exactly one contiguous run of 1's.
+    features is (d, T). A positive (y = 1) holds one event on the 1-based
+    inclusive frames onset..offset, 1 <= onset <= offset <= T; a negative
+    (y = 0) holds none, and its onset and offset are None.
     """
 
     id: str
     features: np.ndarray
     y: int
-    frame_labels: Optional[np.ndarray] = None
+    onset: Optional[int] = None
+    offset: Optional[int] = None
     meta: dict = dc_field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -61,23 +62,16 @@ class Utterance:
                              f"got shape {self.features.shape}")
         if not np.all(np.isfinite(self.features)):
             raise ValueError("features contain non-finite entries")
+        bounds = (self.onset, self.offset)
         if self.y not in (0, 1):
-            raise ValueError("utterance label must be 0 or 1")
-        if self.y == 0:
-            if self.frame_labels is not None:
-                raise ValueError("negative utterances store no frame labels")
-            return
-        if self.frame_labels is None:
-            raise ValueError("positive utterances need frame labels")
-        labels = np.asarray(self.frame_labels, dtype=np.int64)
-        if labels.shape != (self.features.shape[1],):
-            raise ValueError("frame labels must cover every frame")
-        if not set(np.unique(labels)) <= {0, 1}:
-            raise ValueError("frame labels must be 0/1")
-        on = np.flatnonzero(labels)
-        if on.size == 0 or not np.array_equal(on, np.arange(on[0], on[-1] + 1)):
-            raise ValueError("frame labels must form one contiguous run of 1's")
-        self.frame_labels = labels
+            raise ValueError(f"bad label byte {self.y}: a label is 0 or 1")
+        if self.y == 0 and bounds != (None, None):
+            raise ValueError(f"negative record with event boundaries "
+                             f"{self.onset}..{self.offset}")
+        if self.y == 1 and (None in bounds
+                            or not 1 <= self.onset <= self.offset <= self.n_frames):
+            raise ValueError(f"bad event boundaries {self.onset}..{self.offset} "
+                             f"for T={self.n_frames}")
 
     @property
     def dim(self) -> int:
@@ -87,19 +81,6 @@ class Utterance:
     def n_frames(self) -> int:
         return self.features.shape[1]
 
-    @property
-    def onset(self) -> Optional[int]:
-        """1-based first labeled frame, None for negatives."""
-        if self.y == 0:
-            return None
-        return int(np.flatnonzero(self.frame_labels)[0]) + 1
-
-    @property
-    def offset(self) -> Optional[int]:
-        if self.y == 0:
-            return None
-        return int(np.flatnonzero(self.frame_labels)[-1]) + 1
-
     @classmethod
     def negative(cls, id: str, features: np.ndarray, meta: Optional[dict] = None) -> "Utterance":
         return cls(id=id, features=features, y=0, meta=meta or {})
@@ -107,19 +88,8 @@ class Utterance:
     @classmethod
     def positive(cls, id: str, features: np.ndarray, onset: int, offset: int,
                  meta: Optional[dict] = None) -> "Utterance":
-        labels = _event_labels(onset, offset, np.asarray(features).shape[1])
-        return cls(id=id, features=features, y=1, frame_labels=labels,
+        return cls(id=id, features=features, y=1, onset=onset, offset=offset,
                    meta=meta or {})
-
-
-def _event_labels(onset: int, offset: int, t_len: int) -> np.ndarray:
-    """0/1 frame labels of one event on 1-based inclusive frames
-    onset..offset of a T-frame clip."""
-    if not 1 <= onset <= offset <= t_len:
-        raise ValueError(f"bad event boundaries {onset}..{offset} for T={t_len}")
-    labels = np.zeros(t_len, dtype=np.int64)
-    labels[onset - 1:offset] = 1
-    return labels
 
 
 # ---------------------------------------------------------------------------
@@ -445,12 +415,6 @@ class SedRecord:
     def features(self) -> np.ndarray:
         return self.source.read(self)
 
-    @property
-    def frame_labels(self) -> Optional[np.ndarray]:
-        if self.y == 0:
-            return None
-        return _event_labels(self.onset, self.offset, self.n_frames)
-
 
 class SedDataset(Sequence):
     """The validated records of a `.sed` file, in file order; features
@@ -493,8 +457,9 @@ class SedDataset(Sequence):
             self._fh.seek(record.pos)
             got = self._fh.readinto(features)
         if got != features.nbytes:
-            raise ParseError(f"record {self.records.index(record)}: unexpected end "
-                             f"of file (wanted {features.nbytes} bytes, got {got})")
+            raise ParseError(f"{self.path}: record {self.records.index(record)}: "
+                             f"unexpected end of file (wanted {features.nbytes} "
+                             f"bytes, got {got})")
         return features
 
 
@@ -550,23 +515,24 @@ def load_dataset(path) -> SedDataset:
     """Check every record of a `.sed` file in one pass, features
     included, keeping only each record's header and feature offset.
 
-    Every fault raises ParseError naming its record before the dataset
-    is returned. Features pass through one buffer the size of the
-    largest record.
+    Every fault raises ParseError naming the file and the record before
+    the dataset is returned. Features pass through one buffer the size
+    of the largest record.
     """
     dataset = SedDataset(path)
     with _open_dataset(path) as fh:
         size = os.fstat(fh.fileno()).st_size
-        magic = _read_exact(fh, 4, "header", size)
+        header = f"{path}: header"
+        magic = _read_exact(fh, 4, header, size)
         if magic != DATASET_MAGIC:
-            raise ParseError(f"header: bad magic {magic!r}, not a dataset file")
-        version, count = struct.unpack("<IQ", _read_exact(fh, 12, "header", size))
+            raise ParseError(f"{header}: bad magic {magic!r}, not a dataset file")
+        version, count = struct.unpack("<IQ", _read_exact(fh, 12, header, size))
         if version != DATASET_VERSION:
-            raise ParseError(f"header: unsupported version {version}")
+            raise ParseError(f"{header}: unsupported version {version}")
         buffer = np.empty(0, dtype="<f8")
         ids: set[str] = set()
         for rec in range(count):
-            where = f"record {rec}"
+            where = f"{path}: record {rec}"
             (id_len,) = struct.unpack("<I", _read_exact(fh, 4, where, size))
             try:
                 uid = _read_exact(fh, id_len, where, size).decode("utf-8")
@@ -592,27 +558,19 @@ def load_dataset(path) -> SedDataset:
                 raise ParseError(f"{where}: unexpected end of file "
                                  f"(wanted {want} bytes, got {got})")
             # The record is checked as the Utterance it describes, then
-            # dropped.
-            features = features.reshape(dim, t_len)
+            # dropped; 0 in the file is a boundary the record lacks.
+            onset, offset = onset or None, offset or None
             try:
-                if y == 1:
-                    Utterance.positive(uid, features, onset, offset, meta=meta)
-                elif y == 0:
-                    if onset or offset:
-                        raise ValueError(f"negative record with event boundaries "
-                                         f"{onset}..{offset}")
-                    Utterance.negative(uid, features, meta=meta)
-                else:
-                    raise ValueError(f"bad label byte {y}")
+                Utterance(uid, features.reshape(dim, t_len), y, onset, offset, meta)
             except ValueError as exc:
                 raise ParseError(f"{where}: {exc}")
             # Outputs and scoring are keyed by id.
             if uid in ids:
                 raise ParseError(f"{where}: repeats the id {uid!r}")
             ids.add(uid)
-            dataset.records.append(SedRecord(uid, y, dim, t_len, onset or None,
-                                             offset or None, meta, pos, dataset))
+            dataset.records.append(SedRecord(uid, y, dim, t_len, onset, offset,
+                                             meta, pos, dataset))
         trailing = fh.read(1)
         if trailing:
-            raise ParseError(f"record {count}: trailing bytes after final record")
+            raise ParseError(f"{path}: record {count}: trailing bytes after final record")
     return dataset

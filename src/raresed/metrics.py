@@ -29,8 +29,9 @@ class EventAnnotation:
     offset: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.onset <= self.offset:
-            raise ValueError(f"bad annotation: onset {self.onset}, offset {self.offset}")
+        if not 0.0 <= self.onset <= self.offset < math.inf:
+            raise ValueError(f"bad annotation: onset {self.onset}, offset {self.offset} "
+                             f"(want finite times, 0 <= onset <= offset)")
 
 
 @dataclass
@@ -53,8 +54,7 @@ def match_utterance(reference: Optional[EventAnnotation],
                     system: Optional[EventAnnotation],
                     collar: float = DEFAULT_COLLAR_S) -> MetricCounts:
     """Score one utterance under the onset-only condition."""
-    if collar <= 0:
-        raise ValueError("collar must be positive")
+    check_seconds(collar, "collar")
     counts = MetricCounts()
     if reference is not None:
         counts.n_ref = 1
@@ -89,17 +89,17 @@ def f1_score(counts: MetricCounts) -> float:
     return 100.0 * 2.0 * counts.tp / denom
 
 
-def check_frame_shift(value, name: str = "frame shift") -> float:
-    """``value`` as a frame shift in seconds; InputError naming ``name``
-    unless it is a finite positive number."""
+def check_seconds(value, name: str) -> float:
+    """``value`` as a frame shift or a collar in seconds; InputError
+    naming ``name`` unless it is a finite positive number."""
     try:
-        shift = float(value)
+        seconds = float(value)
     except (TypeError, ValueError):
-        shift = math.nan
-    if not (math.isfinite(shift) and shift > 0):
-        raise InputError(f"{name} must be a finite positive number of "
-                         f"seconds, got {value!r}")
-    return shift
+        seconds = math.nan
+    if not (math.isfinite(seconds) and seconds > 0):
+        raise InputError(f"{name} must be positive and finite, in seconds; "
+                         f"got {value!r}")
+    return seconds
 
 
 def detection_to_annotation(det: Detection,

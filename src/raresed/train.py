@@ -24,7 +24,7 @@ from .metrics import (
     DEFAULT_FRAME_SHIFT_S,
     EventAnnotation,
     MetricCounts,
-    check_frame_shift,
+    check_seconds,
     evaluate_dataset,
 )
 from .numerics import AdamState, adam_step
@@ -69,9 +69,8 @@ class TrainConfig:
         if not (0.0 < self.thres0 < 1.0 and 0.0 < self.thres1 < 1.0):
             raise InputError("thresholds thres0 and thres1 must lie strictly "
                              "inside (0, 1)")
-        if not self.collar_s > 0:
-            raise InputError("collar must be positive")
-        check_frame_shift(self.frame_shift_s)
+        check_seconds(self.collar_s, "collar")
+        check_seconds(self.frame_shift_s, "frame shift")
 
 
 @dataclass(frozen=True)
@@ -91,7 +90,7 @@ class TrainReport:
 
 def reference_annotations(dataset: Sequence[Utterance],
                           frame_shift_s: float = DEFAULT_FRAME_SHIFT_S) -> dict[str, Optional[EventAnnotation]]:
-    """Per-utterance reference events in seconds, from the frame labels."""
+    """Per-utterance reference events in seconds, from the event boundaries."""
     refs: dict[str, Optional[EventAnnotation]] = {}
     for utt in dataset:
         if utt.y == 1:

@@ -153,6 +153,12 @@ def utterance_loss(p: float, y: int) -> float:
     return float(-(y * np.log(p) + (1 - y) * np.log(1.0 - p)))
 
 
+def event_labels(utt, frames: np.ndarray) -> np.ndarray:
+    """1.0 at each 1-based frame of ``frames`` inside the utterance's
+    event onset..offset, 0.0 elsewhere."""
+    return ((frames >= utt.onset) & (frames <= utt.offset)).astype(np.float64)
+
+
 def frame_loss(trace: ForwardTrace, utt, window: Iterable[int]) -> float:
     """Mean frame cross-entropy over the window; 0 for negative utterances.
 
@@ -171,7 +177,7 @@ def frame_loss(trace: ForwardTrace, utt, window: Iterable[int]) -> float:
             f"{idx.min()}..{idx.max()}"
         )
     p = trace.frame_posteriors[idx - 1]
-    y = as_f64(utt.frame_labels)[idx - 1]
+    y = event_labels(utt, idx)
     ll = y * _clamped_log(p) + (1.0 - y) * _clamped_log(1.0 - p)
     return float(-np.mean(ll))
 
@@ -215,7 +221,7 @@ def head_backward(model: EventModel, trace: ForwardTrace, utt, alpha: float,
     if utt.y == 1:
         window = frame_window(utt.onset, utt.offset, margin, t_len)
         idx = np.arange(window.start - 1, window.stop - 1)
-        labels = as_f64(utt.frame_labels)[idx]
+        labels = event_labels(utt, idx + 1)
         d_s[idx] += alpha * (p[idx] - labels) / idx.size
 
     grad_w = grad_w + hs.T @ d_s

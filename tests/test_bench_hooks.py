@@ -20,16 +20,19 @@ from raresed.recurrent import EncoderConfig
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def load_layers(monkeypatch):
-    monkeypatch.syspath_prepend(str(BENCH))  # layers imports spans
-    spec = importlib.util.spec_from_file_location("bench_layers", BENCH / "layers.py")
+def load_bench(monkeypatch, name: str):
+    """bench/<name>.py as a module; it may import its bench/ siblings."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    # Dataclasses look their module up by name while they are built.
+    monkeypatch.setitem(sys.modules, spec.name, module)
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_span_names_an_attribute_tracer_wrap_finds(monkeypatch):
-    spans = load_layers(monkeypatch).SPANS
+    spans = load_bench(monkeypatch, "layers").SPANS
     assert spans
     missing = []
     for module, attr, _, _ in spans:
@@ -81,7 +84,7 @@ def test_encoder_span_counters_read_a_real_trace(monkeypatch, kind, mr_bidir):
     # The traced run's encoder counters read the arguments and the trace
     # of encoder_forward and encoder_backward; run them, through the
     # benchmark's own tracer, on one real batch.
-    layers = load_layers(monkeypatch)
+    layers = load_bench(monkeypatch, "layers")
     tracer = layers.Tracer()
     for module, attr, span, count in layers.SPANS:
         if span in ("recurrent.forward", "recurrent.backward"):
@@ -100,3 +103,15 @@ def test_encoder_span_counters_read_a_real_trace(monkeypatch, kind, mr_bidir):
     figures = layers.per_layer({}, final, rounds=1)
     assert figures["recurrent.forward.frames"]["value"] > 0
     assert figures["recurrent.gflop_per_s"]["value"] > 0
+
+
+def test_tiny_grad_workload_sets_up_runs_and_verifies(monkeypatch, tmp_path):
+    # tiny-grad is the one workload that builds Utterance and EventModel
+    # itself instead of going through the CLI: its set-up, a timed round
+    # and its finite-difference checks must run on the package as it is.
+    workload = load_bench(monkeypatch, "workloads").TinyGrad(seed=3)
+    assert len(workload.setup(str(tmp_path / "setup"))) == 64
+    done = workload.round(str(tmp_path / "round"))
+    assert done.units == done.attempted == len(workload.reference) > 0
+    workload.verify()
+    assert workload.quality["fd_worst_rel_err"] < workload.REL_TOL

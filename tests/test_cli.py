@@ -322,6 +322,40 @@ class TestTrainCommand:
         assert "frame shift" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_infinite_collar_exits_2_before_training(self, tmp_path, capsys,
+                                                     monkeypatch, command):
+        # An infinite collar matches onsets any distance apart.
+        _, data = synth_tiny(tmp_path)
+        cfg = json.loads(json.dumps(TINY))
+        cfg["eval"]["collar_s"] = float("inf")  # written as Infinity
+        for name in ("train", "alpha_sweep"):  # must not be reached
+            monkeypatch.setattr(cli_module, name, None)
+        out = tmp_path / "run"
+        code = main([command, "--config", write_config(tmp_path, cfg, "bad.json"),
+                     "--train-data", str(data / "train.sed"),
+                     "--dev-data", str(data / "dev.sed"), "--out", str(out)])
+        assert code == 2
+        assert "collar must be positive and finite" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("split", ["train", "dev"])
+    def test_bad_dataset_exits_2_naming_the_file(self, tmp_path, capsys,
+                                                 monkeypatch, split):
+        config, data = synth_tiny(tmp_path)
+        bad = data / f"{split}.sed"
+        bad.write_bytes(bad.read_bytes()[:-8])
+        monkeypatch.setattr(cli_module, "train", None)  # must not be reached
+        out = tmp_path / "run"
+        code = main(["train", "--config", config,
+                     "--train-data", str(data / "train.sed"),
+                     "--dev-data", str(data / "dev.sed"), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {bad}: record " in err and "unexpected end of file" in err
+        assert ("dev.sed" if split == "train" else "train.sed") not in err
+        assert not any(out.iterdir())
+
     def test_diverging_training_exits_2_naming_the_settings(self, tmp_path, capsys):
         _, data = synth_tiny(tmp_path)
         cfg = json.loads(json.dumps(TINY))
@@ -525,13 +559,27 @@ class TestEvalCommand:
         records = {"u0": EventAnnotation(1.0, 2.0)}
         (tmp_path / "ref.tsv").write_text(format_annotations(records))
         (tmp_path / "det.tsv").write_text(format_annotations(records))
-        for collar in ("0", "-1"):
+        # An infinite collar would match onsets any distance apart.
+        for collar in ("0", "-1", "inf", "nan"):
             out = tmp_path / f"ev{collar}"
             assert main(["eval", "--ref", str(tmp_path / "ref.tsv"),
                          "--det", str(tmp_path / "det.tsv"), "--out", str(out),
                          "--collar", collar]) == 2
             assert "--collar must be positive" in capsys.readouterr().err
             assert not (out / "eval.tsv").exists()
+
+    @pytest.mark.parametrize("onset,offset", [("1.0", "inf"), ("inf", "inf"),
+                                              ("1.0", "1e400"), ("-inf", "1.0")])
+    def test_non_finite_reference_time_exits_2_naming_the_line(self, tmp_path, capsys,
+                                                              onset, offset):
+        ref = tmp_path / "ref.tsv"
+        ref.write_text(f"id\tlabel\tonset_s\toffset_s\nu0\t1\t{onset}\t{offset}\n")
+        (tmp_path / "det.tsv").write_text(format_annotations({"u0": None}))
+        out = tmp_path / "ev"
+        assert main(["eval", "--ref", str(ref), "--det", str(tmp_path / "det.tsv"),
+                     "--out", str(out)]) == 2
+        assert f"error: {ref}:2: bad annotation" in capsys.readouterr().err
+        assert not (out / "eval.tsv").exists()
 
     @pytest.mark.parametrize("which", ["ref", "det"])
     def test_tsv_not_utf8_exits_2_naming_the_file(self, tmp_path, capsys, which):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import struct
 
 import numpy as np
@@ -50,23 +51,28 @@ class TestUtterance:
     def test_negative_has_no_labels(self):
         utt = Utterance.negative("n", np.zeros((3, 5)))
         assert utt.y == 0 and utt.onset is None and utt.offset is None
-        with pytest.raises(ValueError):
-            Utterance(id="n", features=np.zeros((3, 5)), y=0,
-                      frame_labels=np.zeros(5, dtype=np.int64))
+        with pytest.raises(ValueError, match="negative"):
+            Utterance(id="n", features=np.zeros((3, 5)), y=0, onset=2, offset=3)
 
     def test_positive_boundaries(self):
         utt = Utterance.positive("p", np.zeros((3, 10)), onset=4, offset=7)
-        assert (utt.onset, utt.offset) == (4, 7)
-        assert utt.frame_labels.sum() == 4
-
-    def test_labels_must_be_contiguous(self):
-        labels = np.array([0, 1, 0, 1, 0])
-        with pytest.raises(ValueError):
-            Utterance(id="p", features=np.zeros((2, 5)), y=1, frame_labels=labels)
+        assert (utt.y, utt.onset, utt.offset) == (1, 4, 7)
 
     def test_positive_needs_labels(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="boundaries"):
             Utterance(id="p", features=np.zeros((2, 5)), y=1)
+
+    @pytest.mark.parametrize("y,onset,offset", [
+        (1, 0, 3), (1, 2, 6), (1, 4, 3), (1, None, 3), (1, 2, None),
+        (0, 2, None), (0, None, 3), (2, None, None), (2, 2, 3)])
+    def test_bad_label_or_boundaries_rejected(self, y, onset, offset):
+        with pytest.raises(ValueError):
+            Utterance(id="u", features=np.zeros((2, 5)), y=y, onset=onset,
+                      offset=offset)
+
+    def test_event_may_fill_the_last_frame(self):
+        utt = Utterance.positive("p", np.zeros((2, 5)), onset=5, offset=5)
+        assert (utt.onset, utt.offset, utt.n_frames) == (5, 5, 5)
 
     @pytest.mark.parametrize("uid", ["a\tb", "a\nb", "a\r", "\n", "a\x0bb",
                                      "a\x1cb", "a\x85b", "a\u2028b", "a\u2029"])
@@ -100,8 +106,7 @@ class TestSynth:
         for ua, ub in zip(a, b):
             assert ua.id == ub.id and ua.y == ub.y and ua.meta == ub.meta
             assert np.array_equal(ua.features, ub.features)
-            if ua.y:
-                assert np.array_equal(ua.frame_labels, ub.frame_labels)
+            assert (ua.onset, ua.offset) == (ub.onset, ub.offset)
 
     def test_generation_order_independent(self):
         cfg = desk_synth(count=6)
@@ -331,7 +336,8 @@ class TestDatasetIO:
     ])
     def test_malformed_record_names_it(self, tmp_path, fields, message):
         path = sed_file(tmp_path / "d.sed", sed_record(), sed_record(**fields))
-        with pytest.raises(ParseError, match=f"record 1: .*{message}"):
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: record 1: "
+                                             f".*{message}"):
             load_dataset(path)
 
 
@@ -361,8 +367,7 @@ class TestStreaming:
             == [[getattr(r, f) for f in fields] for r in loaded]
         for utt, record in zip(data, loaded, strict=True):
             assert np.array_equal(record.features, utt.features)
-            assert np.array_equal(record.frame_labels, utt.frame_labels) \
-                if utt.y else record.frame_labels is None
+            assert (record.onset, record.offset) == (utt.onset, utt.offset)
 
     def test_reads_share_one_handle_inside_with(self, tmp_path, monkeypatch):
         path = tmp_path / "d.sed"

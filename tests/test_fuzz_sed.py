@@ -3,10 +3,10 @@ load, with ParseError or InputError, or load as a valid dataset whose
 every record reads back; through the CLI's ``infer`` and ``train`` they
 exit 0, 2 or 3, never with a traceback.
 
-The edits are a truncation, a byte flip, and a rewrite of one of the
-length fields: the record count, or a record's id length, dim, T or
-metadata length. Examples are derandomized, so every run tries the same
-edits.
+The edits are a truncation, a byte flip, and a rewrite of one header
+field: the record count, or a record's id length, label, dim, T, onset,
+offset or metadata length. Examples are derandomized, so every run
+tries the same edits.
 """
 
 from __future__ import annotations
@@ -38,17 +38,18 @@ TRAIN = {"train": {"alpha": 1.0, "batch_size": 4, "stepsize": 0.01, "epochs": 1,
 
 
 def field_offsets(blob: bytes) -> dict:
-    """Byte offset and struct format of each length field of a valid
+    """Byte offset and struct format of each header field of a valid
     file: (name, record) -> (offset, format); the count has record -1."""
     fields = {("count", -1): (8, "<Q")}
     pos = 16
     for rec in range(struct.unpack_from("<Q", blob, 8)[0]):
         fields["id length", rec] = (pos, "<I")
-        pos += 4 + struct.unpack_from("<I", blob, pos)[0] + 1
-        fields["dim", rec] = (pos, "<I")
-        fields["T", rec] = (pos + 4, "<I")
-        dim, t_len = struct.unpack_from("<II", blob, pos)
-        pos += 16
+        pos += 4 + struct.unpack_from("<I", blob, pos)[0]
+        fields["label", rec] = (pos, "<B")
+        for i, name in enumerate(("dim", "T", "onset", "offset")):
+            fields[name, rec] = (pos + 1 + 4 * i, "<I")
+        dim, t_len = struct.unpack_from("<II", blob, pos + 1)
+        pos += 17
         fields["meta length", rec] = (pos, "<I")
         pos += 4 + struct.unpack_from("<I", blob, pos)[0] + 8 * dim * t_len
     assert pos == len(blob)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from raresed.detector import Detection
-from raresed.errors import DataMismatchError, ParseError
+from raresed.errors import DataMismatchError, InputError, ParseError
 from raresed.metrics import (
     EventAnnotation,
     MetricCounts,
@@ -47,8 +47,10 @@ class TestMatchUtterance:
         assert c.tp == 1
 
     def test_bad_collar(self):
-        with pytest.raises(ValueError):
-            match_utterance(ann(1.0), ann(1.0), collar=0.0)
+        # An infinite collar would match onsets any distance apart.
+        for collar in (0.0, -1.0, float("inf"), float("nan")):
+            with pytest.raises(InputError, match="collar"):
+                match_utterance(ann(1.0), ann(1.0), collar=collar)
 
 
 class TestScores:
@@ -218,3 +220,17 @@ class TestAnnotationFiles:
             EventAnnotation(onset=3.0, offset=2.0)
         with pytest.raises(ValueError):
             EventAnnotation(onset=-1.0, offset=2.0)
+        for onset, offset in [(1.0, np.inf), (np.inf, np.inf), (-np.inf, 1.0),
+                              (np.nan, 1.0), (1.0, np.nan)]:
+            with pytest.raises(ValueError, match="finite"):
+                EventAnnotation(onset=onset, offset=offset)
+
+    @pytest.mark.parametrize("time", ["inf", "-inf", "1e400", "nan"])
+    @pytest.mark.parametrize("column", ["onset", "offset"])
+    def test_non_finite_time_names_line(self, tmp_path, column, time):
+        onset, offset = (time, "2.0") if column == "onset" else ("1.0", time)
+        path = tmp_path / "ref.tsv"
+        path.write_text(f"id\tlabel\tonset_s\toffset_s\nu0\t0\t\t\n"
+                        f"u1\t1\t{onset}\t{offset}\n")
+        with pytest.raises(ParseError, match="ref.tsv:3: .*finite"):
+            read_annotations(path)
