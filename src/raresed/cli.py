@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 input/config error, 3 data-consistency error.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import copy
 import json
 import os
@@ -297,28 +296,27 @@ def cmd_synth(args) -> int:
     return 0
 
 
-@contextlib.contextmanager
 def _load_train_dev(args):
-    """Train and dev sets, open for reading, and rejected before training
-    when they cannot be scored: an empty train set, or a dev set with no
-    positive utterance (its error rate is undefined)."""
-    with load_dataset(args.train_data) as trainset, \
-            load_dataset(args.dev_data) as devset:
-        if not trainset:
-            raise InputError(f"{args.train_data} holds no utterances")
-        if not any(utt.y == 1 for utt in devset):
-            raise InputError(f"{args.dev_data} holds no positive utterances; "
-                             f"the dev error rate is undefined without them")
-        yield trainset, devset
+    """Train and dev sets, rejected before training when they cannot be
+    scored: an empty train set, or a dev set with no positive utterance
+    (its error rate is undefined)."""
+    trainset = load_dataset(args.train_data)
+    devset = load_dataset(args.dev_data)
+    if not trainset:
+        raise InputError(f"{args.train_data} holds no utterances")
+    if not any(utt.y == 1 for utt in devset):
+        raise InputError(f"{args.dev_data} holds no positive utterances; "
+                         f"the dev error rate is undefined without them")
+    return trainset, devset
 
 
 def cmd_train(args) -> int:
     started = time.monotonic()
     cfg = load_config(args.config)
     out = _ensure_out_dir(args.out)
-    with _load_train_dev(args) as (trainset, devset):
-        tc = _train_config(cfg, trainset[0].dim, args)
-        report = train(tc, trainset, devset)
+    trainset, devset = _load_train_dev(args)
+    tc = _train_config(cfg, trainset[0].dim, args)
+    report = train(tc, trainset, devset)
     model = best_model(report)
 
     paths = {
@@ -357,14 +355,8 @@ def cmd_infer(args) -> int:
     thres1 = args.thres1 if args.thres1 is not None else \
         header.get("train", {}).get("thres1", 0.5)
 
-    with load_dataset(args.data) as dataset:
-        for utt in dataset:
-            if utt.dim != model.config.input_dim:
-                raise DataMismatchError(
-                    f"utterance {utt.id} has {utt.dim}-dim features, model "
-                    f"expects {model.config.input_dim}"
-                )
-        found = infer(model, dataset, thres0, thres1)
+    dataset = load_dataset(args.data)
+    found = infer(model, dataset, thres0, thres1)
     detections = {utt.id: detection_to_annotation(det, frame_shift)
                   for utt, det in zip(dataset, found)}
     det_path = os.path.join(out, "detections.tsv")
@@ -386,7 +378,10 @@ def cmd_eval(args) -> int:
     out = _ensure_out_dir(args.out)
     refs = read_annotations(args.ref)
     dets = read_annotations(args.det)
-    er, f1, counts = evaluate_annotations(refs, dets, collar)
+    try:
+        er, f1, counts = evaluate_annotations(refs, dets, collar)
+    except ValueError as exc:  # the reference holds no events
+        raise InputError(f"{args.ref}: {exc}")
     table = (
         "metric\tvalue\n"
         f"er\t{er!r}\n"
@@ -420,9 +415,9 @@ def cmd_sweep(args) -> int:
             raise InputError("--alpha-grid named no values")
     else:
         grid = list(DEFAULT_ALPHA_GRID)
-    with _load_train_dev(args) as (trainset, devset):
-        tc = _train_config(cfg, trainset[0].dim, args)
-        rows = alpha_sweep(tc, grid, trainset, devset)
+    trainset, devset = _load_train_dev(args)
+    tc = _train_config(cfg, trainset[0].dim, args)
+    rows = alpha_sweep(tc, grid, trainset, devset)
     lines = ["alpha\tbest_epoch\tdev_er\tdev_f1"]
     for row in rows:
         lines.append(f"{row['alpha']!r}\t{row['best_epoch']}"

@@ -175,21 +175,12 @@ def _utterance_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
-def synth_feature_utterance(config: SynthConfig, index: int,
-                            id: Optional[str] = None) -> Utterance:
-    """Generate utterance ``index`` of the configured dataset.
-
-    Same (config, index) always yields the same record, independent of
-    the order utterances are generated in.
-    """
-    return _synth_utterance(config, _scene_bank(config), index, id)
-
-
 def _synth_utterance(config: SynthConfig, bank: np.ndarray, index: int,
-                     id: Optional[str]) -> Utterance:
-    """synth_feature_utterance with the config's scene bank given."""
+                     uid: str) -> Utterance:
+    """Utterance ``index`` of the configured dataset, given the config's
+    scene bank. Same (config, index) always yields the same record,
+    independent of the order utterances are generated in."""
     rng = _utterance_rng(config.seed, index)
-    uid = id if id is not None else f"utt-{index:05d}"
 
     scene = int(rng.integers(N_SCENES))
     jitter = rng.standard_normal(3)
@@ -393,12 +384,12 @@ def read_wav(path) -> tuple[int, np.ndarray]:
 
 @dataclass(frozen=True, eq=False, slots=True)
 class SedRecord:
-    """The header fields of one `.sed` record and the file offset ``pos``
-    of its features.
+    """The header fields of record ``index`` of the `.sed` file at
+    ``path``, and the file offset ``pos`` of its features.
 
     A record serves where an Utterance does for code that reads
-    ``features`` once per use: each access reads them again from
-    ``source``. Records that save_dataset returns have no source.
+    ``features`` once per use: each access opens the file, reads them
+    and closes it.
     """
 
     id: str
@@ -408,58 +399,19 @@ class SedRecord:
     onset: Optional[int]
     offset: Optional[int]
     meta: dict
+    path: str | os.PathLike
+    index: int
     pos: int
-    source: Optional["SedDataset"] = None
 
     @property
     def features(self) -> np.ndarray:
-        return self.source.read(self)
-
-
-class SedDataset(Sequence):
-    """The validated records of a `.sed` file, in file order; features
-    stay in the file until a record's ``features`` is read.
-
-    Inside ``with``, reads share one file handle, closed on exit; outside,
-    each read opens the file.
-    """
-
-    def __init__(self, path) -> None:
-        self.path = path
-        self.records: list[SedRecord] = []
-        self._fh: Optional[BinaryIO] = None
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __getitem__(self, i):
-        return self.records[i]
-
-    def __iter__(self):
-        return iter(self.records)
-
-    def __enter__(self) -> "SedDataset":
-        self._fh = _open_dataset(self.path)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._fh.close()
-        self._fh = None
-
-    def read(self, record: SedRecord) -> np.ndarray:
-        """The (d, T) features of one of this file's records."""
-        features = np.empty((record.dim, record.n_frames), dtype="<f8")
-        if self._fh is None:
-            with _open_dataset(self.path) as fh:
-                fh.seek(record.pos)
-                got = fh.readinto(features)
-        else:
-            self._fh.seek(record.pos)
-            got = self._fh.readinto(features)
+        features = np.empty((self.dim, self.n_frames), dtype="<f8")
+        with _open_dataset(self.path) as fh:
+            fh.seek(self.pos)
+            got = fh.readinto(features)
         if got != features.nbytes:
-            raise ParseError(f"{self.path}: record {self.records.index(record)}: "
-                             f"unexpected end of file (wanted {features.nbytes} "
-                             f"bytes, got {got})")
+            raise ParseError(f"{self.path}: record {self.index}: unexpected end "
+                             f"of file (wanted {features.nbytes} bytes, got {got})")
         return features
 
 
@@ -473,12 +425,12 @@ WRITE_BUFFER_BYTES = 2**20
 
 def save_dataset(path, utterances: Sequence[Utterance]) -> list[SedRecord]:
     """Write records one at a time to the file, so no copy of the whole
-    set is held in memory. Returns the header of each record written."""
+    set is held in memory. Returns a record for each one written."""
     records = []
     with open(path, "wb", buffering=WRITE_BUFFER_BYTES) as fh:
         fh.write(DATASET_MAGIC)
         fh.write(struct.pack("<IQ", DATASET_VERSION, len(utterances)))
-        for utt in utterances:
+        for index, utt in enumerate(utterances):
             id_bytes = utt.id.encode("utf-8")
             meta_bytes = json.dumps(utt.meta, sort_keys=True).encode("utf-8")
             onset, offset = utt.onset, utt.offset
@@ -489,7 +441,7 @@ def save_dataset(path, utterances: Sequence[Utterance]) -> list[SedRecord]:
             fh.write(struct.pack("<I", len(meta_bytes)))
             fh.write(meta_bytes)
             records.append(SedRecord(utt.id, utt.y, utt.dim, utt.n_frames, onset,
-                                     offset, utt.meta, fh.tell()))
+                                     offset, utt.meta, path, index, fh.tell()))
             fh.write(np.ascontiguousarray(utt.features, dtype="<f8").tobytes())
     return records
 
@@ -511,15 +463,15 @@ def _read_exact(fh: BinaryIO, n: int, record: str, size: int) -> bytes:
     return data
 
 
-def load_dataset(path) -> SedDataset:
-    """Check every record of a `.sed` file in one pass, features
-    included, keeping only each record's header and feature offset.
+def load_dataset(path) -> list[SedRecord]:
+    """The records of a `.sed` file, in file order, each checked in one
+    pass, features included; only headers and feature offsets are kept.
 
     Every fault raises ParseError naming the file and the record before
-    the dataset is returned. Features pass through one buffer the size
+    the records are returned. Features pass through one buffer the size
     of the largest record.
     """
-    dataset = SedDataset(path)
+    records = []
     with _open_dataset(path) as fh:
         size = os.fstat(fh.fileno()).st_size
         header = f"{path}: header"
@@ -568,9 +520,9 @@ def load_dataset(path) -> SedDataset:
             if uid in ids:
                 raise ParseError(f"{where}: repeats the id {uid!r}")
             ids.add(uid)
-            dataset.records.append(SedRecord(uid, y, dim, t_len, onset, offset,
-                                             meta, pos, dataset))
+            records.append(SedRecord(uid, y, dim, t_len, onset, offset, meta,
+                                     path, rec, pos))
         trailing = fh.read(1)
         if trailing:
             raise ParseError(f"{path}: record {count}: trailing bytes after final record")
-    return dataset
+    return records

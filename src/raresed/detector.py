@@ -30,6 +30,7 @@ from typing import Iterable, Optional, Sequence, TYPE_CHECKING
 
 import numpy as np
 
+from .errors import DataMismatchError
 from .numerics import as_f64, sigmoid
 from .recurrent import (
     EncoderConfig,
@@ -140,22 +141,13 @@ def _length_groups(lengths: Iterable[int]) -> list[list[int]]:
     return list(groups.values())
 
 
-def _clip_shape(clip) -> tuple[int, ...]:
-    """Shape of a clip's features: a clip is a (d, T) array, or an
-    utterance or stored record, whose shape is known without reading."""
-    if isinstance(clip, np.ndarray):
-        return clip.shape
-    return clip.dim, clip.n_frames
-
-
 def _stack(clips: Sequence) -> np.ndarray:
     """The (T, B, d) stack of equal-length clips. Each clip's features
     are copied into their slot as they are read, so a stored record's
     features are held only for that copy."""
-    dim, t_len = _clip_shape(clips[0])
-    xs = np.empty((t_len, len(clips), dim))
+    xs = np.empty((clips[0].n_frames, len(clips), clips[0].dim))
     for b, clip in enumerate(clips):
-        xs[:, b] = (clip if isinstance(clip, np.ndarray) else clip.features).T
+        xs[:, b] = clip.features.T
     return xs
 
 
@@ -309,9 +301,11 @@ INFER_BYTES = 9 * 2**20
 
 def infer(model: EventModel, clips: Sequence, thres0: float = 0.5,
           thres1: float = 0.5) -> list[Detection]:
-    """Detections for a sequence of clips, in input order. A clip is a
-    (d, T) feature array, or an utterance; a stored record's features
-    are read from its file only while its slice is stacked.
+    """Detections for a sequence of clips, in input order. A clip is an
+    utterance or a stored record: anything with ``id``, ``dim``,
+    ``n_frames`` and ``features``. A record's features are read from its
+    file only while its slice is stacked. A clip whose dimension is not
+    the model's raises DataMismatchError before any is encoded.
 
     Clips of equal frame count are run together, in slices of at most
     INFER_BYTES, through the forward-only encoder, which returns only
@@ -319,16 +313,16 @@ def infer(model: EventModel, clips: Sequence, thres0: float = 0.5,
     head (attend) gives each slice's posteriors, and each clip gets the
     two-level thresholding rule.
     """
-    shapes = [_clip_shape(x) for x in clips]
-    for shape in shapes:
-        if len(shape) != 2 or shape[0] != model.config.input_dim or shape[1] < 1:
-            raise ValueError(
-                f"features have shape {shape}, model expects "
-                f"({model.config.input_dim}, T) with T >= 1"
+    for clip in clips:
+        if clip.dim != model.config.input_dim:
+            raise DataMismatchError(
+                f"utterance {clip.id} has {clip.dim}-dim features, model "
+                f"expects {model.config.input_dim}"
             )
     detections: list[Optional[Detection]] = [None] * len(clips)
-    for group in _length_groups(shape[1] for shape in shapes):
-        most = max(1, INFER_BYTES // encode_bytes(model.config, shapes[group[0]][1]))
+    for group in _length_groups(clip.n_frames for clip in clips):
+        most = max(1, INFER_BYTES // encode_bytes(model.config,
+                                                   clips[group[0]].n_frames))
         count = -(-len(group) // most)
         for k in range(count):
             part = group[k * len(group) // count:(k + 1) * len(group) // count]

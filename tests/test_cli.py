@@ -610,6 +610,27 @@ class TestEvalCommand:
         assert int(results["0.1"]["tp"]) == 0
         assert float(results["0.1"]["er"]) == 2.0
 
+    @pytest.mark.parametrize("refs", [{"u0": None, "u1": None}, {}])
+    @pytest.mark.parametrize("same_det", [False, True])
+    def test_reference_without_events_exits_2_naming_it(self, tmp_path, capsys,
+                                                        refs, same_det):
+        # Only negatives, or only the header line: the error rate is
+        # undefined.
+        ref = tmp_path / "ref.tsv"
+        ref.write_text(format_annotations(refs))
+        det = tmp_path / "det.tsv"
+        det.write_text(format_annotations(
+            {uid: EventAnnotation(1.0, 2.0) for uid in refs}))
+        if same_det:
+            det = ref
+        out = tmp_path / "ev"
+        assert main(["eval", "--ref", str(ref), "--det", str(det),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ref}: ") and "reference events" in err
+        assert "Traceback" not in err
+        assert not (out / "eval.tsv").exists()
+
     def test_id_mismatch_exits_3(self, tmp_path, capsys):
         (tmp_path / "ref.tsv").write_text(
             format_annotations({"u0": None, "zebra": None}))

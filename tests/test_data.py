@@ -19,7 +19,6 @@ from raresed.data import (
     read_wav,
     save_dataset,
     synth_dataset,
-    synth_feature_utterance,
 )
 from raresed.errors import InputError, ParseError
 
@@ -110,14 +109,15 @@ class TestSynth:
 
     def test_generation_order_independent(self):
         cfg = desk_synth(count=6)
-        forward_order = [synth_feature_utterance(cfg, i) for i in range(6)]
-        reverse_order = [synth_feature_utterance(cfg, i) for i in reversed(range(6))]
-        # synth_dataset builds the scene bank once, not per utterance.
         dataset = synth_dataset(cfg, id_prefix="utt")
-        for ua, ub, uc in zip(forward_order, reversed(reverse_order), dataset,
-                              strict=True):
+        forward_order = [dataset[i] for i in range(6)]
+        reverse_order = [dataset[i] for i in reversed(range(6))]
+        # A set that starts at index 2 holds indices 2.. of this one.
+        later = synth_dataset(desk_synth(count=4), id_prefix="utt", start_index=2)
+        for ua, ub in zip(forward_order, reversed(reverse_order), strict=True):
             assert np.array_equal(ua.features, ub.features)
             assert ua.y == ub.y
+        for ua, uc in zip(forward_order[2:], later, strict=True):
             assert np.array_equal(ua.features, uc.features)
             assert (ua.id, ua.y, ua.meta) == (uc.id, uc.y, uc.meta)
 
@@ -348,7 +348,8 @@ class TestStreaming:
     def test_synth_dataset_indexes_like_a_list(self):
         cfg = desk_synth(count=5)
         data = synth_dataset(cfg, id_prefix="s", start_index=3)
-        held = [synth_feature_utterance(cfg, i, f"s-{i:05d}") for i in range(3, 8)]
+        held = list(synth_dataset(cfg, id_prefix="s", start_index=3))
+        assert [utt.id for utt in held] == [f"s-{i:05d}" for i in range(3, 8)]
         assert len(data) == 5
         for got, want in zip([data[0], data[-1], *data[1:3]],
                              [held[0], held[-1], *held[1:3]], strict=True):
@@ -362,14 +363,16 @@ class TestStreaming:
         path = tmp_path / "d.sed"
         written = save_dataset(path, data)
         loaded = load_dataset(path)
-        fields = ("id", "y", "dim", "n_frames", "onset", "offset", "meta", "pos")
+        fields = ("id", "y", "dim", "n_frames", "onset", "offset", "meta", "path",
+                  "index", "pos")
         assert [[getattr(r, f) for f in fields] for r in written] \
             == [[getattr(r, f) for f in fields] for r in loaded]
-        for utt, record in zip(data, loaded, strict=True):
+        for utt, record, saved in zip(data, loaded, written, strict=True):
             assert np.array_equal(record.features, utt.features)
+            assert np.array_equal(saved.features, utt.features)
             assert (record.onset, record.offset) == (utt.onset, utt.offset)
 
-    def test_reads_share_one_handle_inside_with(self, tmp_path, monkeypatch):
+    def test_each_read_opens_and_closes_the_file(self, tmp_path, monkeypatch):
         path = tmp_path / "d.sed"
         save_dataset(path, synth_dataset(desk_synth(count=4)))
         dataset = load_dataset(path)
@@ -381,12 +384,11 @@ class TestStreaming:
 
         real_open = open
         monkeypatch.setattr("builtins.open", spy)
-        with dataset:
-            for record in dataset:
-                record.features
-        assert len(opened) == 1 and opened[0].closed
-        dataset[0].features  # outside ``with``, a read opens the file itself
-        assert len(opened) == 2 and opened[1].closed
+        for count, record in enumerate(dataset, start=1):
+            record.features
+            assert len(opened) == count and opened[-1].closed
+        dataset[0].features
+        assert len(opened) == 5 and all(fh.closed for fh in opened)
 
     def test_file_cut_after_loading_names_the_record(self, tmp_path):
         path = tmp_path / "d.sed"
@@ -396,8 +398,7 @@ class TestStreaming:
         path.write_bytes(blob[:-50])
         assert np.isfinite(dataset[1].features).all()
         with pytest.raises(ParseError, match="record 2: unexpected end of file"):
-            with dataset:
-                dataset[2].features
+            dataset[2].features
 
     def test_bad_record_after_good_ones_fails_the_load(self, tmp_path):
         # Validation is one pass over every record before any is used.

@@ -30,6 +30,7 @@ from raresed.detector import (
     _longest_true_run,
     infer,
 )
+from raresed.errors import DataMismatchError
 from raresed.recurrent import (
     EncoderConfig,
     encode_bytes,
@@ -44,6 +45,11 @@ def small_model(kind="unidirectional", layers=1, hidden=3, input_dim=4,
     cfg = EncoderConfig(kind=kind, layers=layers, hidden=hidden,
                         input_dim=input_dim, multires_bidirectional=mr_bidir)
     return EventModel.initialize(cfg, seed=seed)
+
+
+def as_clips(arrays) -> list[Utterance]:
+    """Each (d, T) feature array as an unlabelled utterance, for infer."""
+    return [Utterance.negative(f"clip-{i}", x) for i, x in enumerate(arrays)]
 
 
 def stub_trace(hidden: np.ndarray, posteriors: np.ndarray) -> ForwardTrace:
@@ -582,16 +588,16 @@ class TestDecision:
         rng = np.random.default_rng(15)
         for seed in range(30):
             model = small_model(seed=seed + 200)
-            X = rng.standard_normal((4, int(rng.integers(1, 15))))
-            low = infer(model, [X], thres0=0.2)[0]
-            high = infer(model, [X], thres0=0.8)[0]
+            clip = as_clips([rng.standard_normal((4, int(rng.integers(1, 15))))])
+            low = infer(model, clip, thres0=0.2)[0]
+            high = infer(model, clip, thres0=0.8)[0]
             if high.present:
                 assert low.present
 
     def test_infer_at_half_with_zero_classifier(self):
         model = small_model(seed=16)
         model.w[:] = 0.0
-        det = infer(model, [np.ones((4, 6))])[0]  # p = 0.5 <= thres0
+        det = infer(model, as_clips([np.ones((4, 6))]))[0]  # p = 0.5 <= thres0
         assert not det.present
 
 
@@ -679,8 +685,8 @@ def encode_slices(monkeypatch):
 
 class TestBatchedInfer:
     @staticmethod
-    def traced(model, x):
-        trace = forward(model, x)
+    def traced(model, clip):
+        trace = forward(model, clip.features)
         return decide_detection(trace.utterance_posterior,
                                 trace.frame_posteriors)
 
@@ -693,7 +699,7 @@ class TestBatchedInfer:
         budget = 5 * encode_bytes(model.config, 11)
         assert 2 * encode_bytes(model.config, 70) <= budget < 3 * encode_bytes(model.config, 70)
         lengths = [11, 70, 11, 11, 11, 11, 70, 11, 11, 11, 11, 11, 11, 11, 70]
-        clips = [3.0 * rng.standard_normal((4, t)) for t in lengths]
+        clips = as_clips(3.0 * rng.standard_normal((4, t)) for t in lengths)
         monkeypatch.setattr(detector_module, "INFER_BYTES", budget)
         got = infer(model, clips)
         assert encode_slices == [(11, 4), (11, 4), (11, 4), (70, 1), (70, 2)]
@@ -705,7 +711,7 @@ class TestBatchedInfer:
     def test_clip_longer_than_budget_runs_alone(self, monkeypatch, encode_slices):
         model = small_model(seed=42)
         rng = np.random.default_rng(42)
-        clips = [rng.standard_normal((4, 300)) for _ in range(2)]
+        clips = as_clips(rng.standard_normal((4, 300)) for _ in range(2))
         monkeypatch.setattr(detector_module, "INFER_BYTES",
                             encode_bytes(model.config, 300) - 1)
         assert infer(model, clips) == [self.traced(model, x) for x in clips]
@@ -720,18 +726,20 @@ class TestBatchedInfer:
         model = small_model(kind=kind, layers=2, hidden=hidden,
                             input_dim=input_dim, seed=44, mr_bidir=mr_bidir)
         rng = np.random.default_rng(44)
-        clips = [3.0 * rng.standard_normal((input_dim, t)) for t in lengths]
+        clips = as_clips(3.0 * rng.standard_normal((input_dim, t)) for t in lengths)
         got = [(d.onset, d.offset) if d.present else None
                for d in infer(model, clips)]
         assert got == INFER_PINS[kind, mr_bidir, shape]
 
-    def test_empty_and_bad_shapes(self):
+    def test_empty_and_bad_shapes(self, encode_slices):
         model = small_model(seed=43)
         assert infer(model, []) == []
-        with pytest.raises(ValueError):
-            infer(model, [np.ones((5, 3))])
-        with pytest.raises(ValueError):
-            infer(model, [np.ones((4, 0))])
+        clips = as_clips([np.ones((4, 3)), np.ones((5, 3))])
+        with pytest.raises(DataMismatchError,
+                           match="^utterance clip-1 has 5-dim features, "
+                                 "model expects 4$"):
+            infer(model, clips)
+        assert encode_slices == []  # checked before any clip is encoded
 
 
 # An infer call's arrays that do not grow with its slices, over the
@@ -766,14 +774,14 @@ class TestInferMemory:
                             mr_bidir=mr_bidir)
         count = INFER_BYTES // encode_bytes(model.config, frames)
         rng = np.random.default_rng(45)
-        clips = [rng.standard_normal((16, frames)) for _ in range(count)]
+        clips = as_clips(rng.standard_normal((16, frames)) for _ in range(count))
         assert infer_peak(model, clips) <= INFER_BYTES + INFER_SLACK
 
     @pytest.mark.parametrize("kind,count,frames", list(INFER_MEMORY_PINS))
     def test_peak_at_most_its_pin(self, kind, count, frames, encode_slices):
         model = small_model(kind=kind, layers=2, hidden=32, input_dim=16)
         rng = np.random.default_rng(46)
-        clips = [rng.standard_normal((16, frames)) for _ in range(count)]
+        clips = as_clips(rng.standard_normal((16, frames)) for _ in range(count))
         peak = infer_peak(model, clips)
         pin, slices = INFER_MEMORY_PINS[kind, count, frames]
         assert peak <= pin, peak

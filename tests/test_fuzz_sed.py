@@ -96,15 +96,14 @@ def check_edit(files: dict, blob: bytes) -> None:
     except InputError:
         dims = None
     else:
-        with dataset:
-            for record in dataset:
-                features = record.features
-                assert features.shape == (record.dim, record.n_frames)
-                assert np.isfinite(features).all()
-                if record.y:
-                    assert 1 <= record.onset <= record.offset <= record.n_frames
-                else:
-                    assert record.onset is None and record.offset is None
+        for record in dataset:
+            features = record.features
+            assert features.shape == (record.dim, record.n_frames)
+            assert np.isfinite(features).all()
+            if record.y:
+                assert 1 <= record.onset <= record.offset <= record.n_frames
+            else:
+                assert record.onset is None and record.offset is None
         dims = {record.dim for record in dataset}
     code = run("infer", "--model", files["model"], "--data", path,
                "--out", files["out"] / "infer")

@@ -437,10 +437,9 @@ class TestStreamingMemory:
                 save_dataset(paths[-1], synth_dataset(cfg, split, start))
 
             def run():
-                with load_dataset(paths[0]) as trainset, \
-                        load_dataset(paths[1]) as devset:
-                    model = best_model(train(config, trainset, devset))
-                    infer(model, devset)
+                trainset, devset = load_dataset(paths[0]), load_dataset(paths[1])
+                model = best_model(train(config, trainset, devset))
+                infer(model, devset)
 
             run()  # first calls may allocate once-only state
             return traced_peak(run)
