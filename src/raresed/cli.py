@@ -21,7 +21,7 @@ from typing import Optional
 from . import __version__
 from .data import SynthConfig, load_dataset, save_dataset, synth_dataset
 from .detector import infer
-from .errors import DataMismatchError, InputError
+from .errors import DataMismatchError, InputError, open_input, write_atomic
 from .metrics import (
     check_seconds,
     detection_to_annotation,
@@ -99,10 +99,8 @@ def load_config(path: Optional[str]) -> dict:
     user: dict = {}
     if path is not None:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
+            with open_input(path, "r", encoding="utf-8") as fh:
                 user = json.load(fh)
-        except FileNotFoundError:
-            raise InputError(f"config file not found: {path}")
         except json.JSONDecodeError as exc:
             raise InputError(f"config file {path} is not valid JSON: {exc}")
         except UnicodeDecodeError as exc:
@@ -225,20 +223,6 @@ def _train_config(cfg: dict, input_dim: int, args) -> TrainConfig:
 # Output plumbing
 # ---------------------------------------------------------------------------
 
-def _write_text_atomic(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
-def _save_atomic(path: str, saver):
-    tmp = path + ".tmp"
-    result = saver(tmp)
-    os.replace(tmp, path)
-    return result
-
-
 def _write_manifest(out_dir: str, command: str, config: dict, inputs: dict,
                     outputs: dict, seed, started: float) -> str:
     manifest = {
@@ -251,13 +235,23 @@ def _write_manifest(out_dir: str, command: str, config: dict, inputs: dict,
         "duration_s": time.monotonic() - started,
     }
     path = os.path.join(out_dir, "manifest.json")
-    _write_text_atomic(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    with write_atomic(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
 
 
-def _ensure_out_dir(path: str) -> str:
-    os.makedirs(path, exist_ok=True)
-    return path
+def _output_paths(out_dir: str, **names: str) -> dict[str, str]:
+    """Make ``out_dir``; the path there of each output name. A name held by
+    a directory is rejected before any work, so no run stops half written."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot make output directory {out_dir}: {exc.strerror}")
+    paths = {key: os.path.join(out_dir, name) for key, name in names.items()}
+    for path in [*paths.values(), os.path.join(out_dir, "manifest.json")]:
+        if os.path.isdir(path):
+            raise InputError(f"cannot write {path}: Is a directory")
+    return paths
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +261,8 @@ def _ensure_out_dir(path: str) -> str:
 def cmd_synth(args) -> int:
     started = time.monotonic()
     cfg = load_config(args.config)
-    out = _ensure_out_dir(args.out)
+    paths = _output_paths(args.out, train="train.sed", train_ref="train_ref.tsv",
+                          dev="dev.sed", dev_ref="dev_ref.tsv")
     train_cfg = _synth_config(cfg, "train", args.seed)
     dev_cfg = _synth_config(cfg, "dev", args.seed)
     frame_shift = check_seconds(
@@ -280,18 +275,15 @@ def cmd_synth(args) -> int:
         "train": synth_dataset(train_cfg, id_prefix="train", start_index=0),
         "dev": synth_dataset(dev_cfg, id_prefix="dev", start_index=train_cfg.count),
     }
-    paths = {}
     for name, dataset in datasets.items():
-        paths[name] = os.path.join(out, f"{name}.sed")
-        paths[f"{name}_ref"] = os.path.join(out, f"{name}_ref.tsv")
-        records = _save_atomic(paths[name], lambda p: save_dataset(p, dataset))
-        _write_text_atomic(paths[f"{name}_ref"], format_annotations(
-            reference_annotations(records, frame_shift)))
+        records = save_dataset(paths[name], dataset)
+        with write_atomic(paths[f"{name}_ref"], "w", encoding="utf-8") as fh:
+            fh.write(format_annotations(reference_annotations(records, frame_shift)))
     resolved = dict(cfg)
     resolved["data"] = dict(cfg.get("data", {}), seed=train_cfg.seed)
-    manifest = _write_manifest(out, "synth", resolved, {"config": args.config},
+    manifest = _write_manifest(args.out, "synth", resolved, {"config": args.config},
                                paths, train_cfg.seed, started)
-    print(f"wrote {train_cfg.count} train / {dev_cfg.count} dev utterances to {out}")
+    print(f"wrote {train_cfg.count} train / {dev_cfg.count} dev utterances to {args.out}")
     print(f"manifest: {manifest}")
     return 0
 
@@ -313,20 +305,15 @@ def _load_train_dev(args):
 def cmd_train(args) -> int:
     started = time.monotonic()
     cfg = load_config(args.config)
-    out = _ensure_out_dir(args.out)
+    paths = _output_paths(args.out, model="model.sem", report="report.tsv")
     trainset, devset = _load_train_dev(args)
     tc = _train_config(cfg, trainset[0].dim, args)
     report = train(tc, trainset, devset)
-    model = best_model(report)
-
-    paths = {
-        "model": os.path.join(out, "model.sem"),
-        "report": os.path.join(out, "report.tsv"),
-    }
-    _save_atomic(paths["model"], lambda p: save_model(p, model, tc))
-    _write_text_atomic(paths["report"], format_report(report))
+    save_model(paths["model"], best_model(report), tc)
+    with write_atomic(paths["report"], "w", encoding="utf-8") as fh:
+        fh.write(format_report(report))
     manifest = _write_manifest(
-        out, "train", cfg,
+        args.out, "train", cfg,
         {"config": args.config, "train_data": args.train_data,
          "dev_data": args.dev_data},
         paths, tc.seed, started)
@@ -342,7 +329,7 @@ def cmd_train(args) -> int:
 
 def cmd_infer(args) -> int:
     started = time.monotonic()
-    out = _ensure_out_dir(args.out)
+    det_path = _output_paths(args.out, detections="detections.tsv")["detections"]
     for name in ("thres0", "thres1"):
         value = getattr(args, name)
         if value is not None and not 0.0 < value < 1.0:
@@ -359,10 +346,10 @@ def cmd_infer(args) -> int:
     found = infer(model, dataset, thres0, thres1)
     detections = {utt.id: detection_to_annotation(det, frame_shift)
                   for utt, det in zip(dataset, found)}
-    det_path = os.path.join(out, "detections.tsv")
-    _write_text_atomic(det_path, format_annotations(detections))
+    with write_atomic(det_path, "w", encoding="utf-8") as fh:
+        fh.write(format_annotations(detections))
     manifest = _write_manifest(
-        out, "infer",
+        args.out, "infer",
         {"thres0": thres0, "thres1": thres1, "frame_shift_s": frame_shift},
         {"model": args.model, "data": args.data},
         {"detections": det_path}, header.get("train", {}).get("seed"), started)
@@ -375,7 +362,7 @@ def cmd_infer(args) -> int:
 def cmd_eval(args) -> int:
     started = time.monotonic()
     collar = check_seconds(args.collar, "--collar")
-    out = _ensure_out_dir(args.out)
+    eval_path = _output_paths(args.out, eval="eval.tsv")["eval"]
     refs = read_annotations(args.ref)
     dets = read_annotations(args.det)
     try:
@@ -391,9 +378,9 @@ def cmd_eval(args) -> int:
         f"deletions\t{counts.fn}\n"
         f"n_ref\t{counts.n_ref}\n"
     )
-    eval_path = os.path.join(out, "eval.tsv")
-    _write_text_atomic(eval_path, table)
-    manifest = _write_manifest(out, "eval", {"collar_s": collar},
+    with write_atomic(eval_path, "w", encoding="utf-8") as fh:
+        fh.write(table)
+    manifest = _write_manifest(args.out, "eval", {"collar_s": collar},
                                {"ref": args.ref, "det": args.det},
                                {"eval": eval_path}, None, started)
     print(f"ER {er:.4f}  F1 {f1:.2f}  (TP {counts.tp}, I {counts.fp}, "
@@ -405,7 +392,7 @@ def cmd_eval(args) -> int:
 def cmd_sweep(args) -> int:
     started = time.monotonic()
     cfg = load_config(args.config)
-    out = _ensure_out_dir(args.out)
+    sweep_path = _output_paths(args.out, sweep="sweep.tsv")["sweep"]
     if args.alpha_grid is not None:
         try:
             grid = [float(x) for x in args.alpha_grid.split(",") if x.strip()]
@@ -422,10 +409,10 @@ def cmd_sweep(args) -> int:
     for row in rows:
         lines.append(f"{row['alpha']!r}\t{row['best_epoch']}"
                      f"\t{row['dev_er']!r}\t{row['dev_f1']!r}")
-    sweep_path = os.path.join(out, "sweep.tsv")
-    _write_text_atomic(sweep_path, "\n".join(lines) + "\n")
+    with write_atomic(sweep_path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
     manifest = _write_manifest(
-        out, "sweep", dict(cfg, alpha_grid=grid),
+        args.out, "sweep", dict(cfg, alpha_grid=grid),
         {"config": args.config, "train_data": args.train_data,
          "dev_data": args.dev_data},
         {"sweep": sweep_path}, tc.seed, started)

@@ -26,7 +26,7 @@ from typing import BinaryIO, Optional
 
 import numpy as np
 
-from .errors import InputError, ParseError
+from .errors import InputError, ParseError, open_input, write_atomic
 from .numerics import as_f64
 
 LOG_FLOOR = 1e-10
@@ -349,12 +349,11 @@ def read_wav(path) -> tuple[int, np.ndarray]:
     # that only WAV input needs.
     import scipy.io.wavfile
 
-    try:
-        rate, samples = scipy.io.wavfile.read(path)
-    except FileNotFoundError:
-        raise InputError(f"WAV file not found: {path}")
-    except ValueError as exc:
-        raise InputError(f"unreadable WAV file {path}: {exc}")
+    with open_input(path) as fh:
+        try:
+            rate, samples = scipy.io.wavfile.read(fh)
+        except ValueError as exc:
+            raise InputError(f"unreadable WAV file {path}: {exc}")
     if samples.ndim != 1:
         raise InputError(f"{path}: only mono WAV input is supported")
     if samples.dtype == np.int16:
@@ -406,7 +405,7 @@ class SedRecord:
     @property
     def features(self) -> np.ndarray:
         features = np.empty((self.dim, self.n_frames), dtype="<f8")
-        with _open_dataset(self.path) as fh:
+        with open_input(self.path) as fh:
             fh.seek(self.pos)
             got = fh.readinto(features)
         if got != features.nbytes:
@@ -425,9 +424,10 @@ WRITE_BUFFER_BYTES = 2**20
 
 def save_dataset(path, utterances: Sequence[Utterance]) -> list[SedRecord]:
     """Write records one at a time to the file, so no copy of the whole
-    set is held in memory. Returns a record for each one written."""
+    set is held in memory; the file appears at ``path`` only once it is
+    whole. Returns a record for each one written."""
     records = []
-    with open(path, "wb", buffering=WRITE_BUFFER_BYTES) as fh:
+    with write_atomic(path, buffering=WRITE_BUFFER_BYTES) as fh:
         fh.write(DATASET_MAGIC)
         fh.write(struct.pack("<IQ", DATASET_VERSION, len(utterances)))
         for index, utt in enumerate(utterances):
@@ -444,13 +444,6 @@ def save_dataset(path, utterances: Sequence[Utterance]) -> list[SedRecord]:
                                      offset, utt.meta, path, index, fh.tell()))
             fh.write(np.ascontiguousarray(utt.features, dtype="<f8").tobytes())
     return records
-
-
-def _open_dataset(path) -> BinaryIO:
-    try:
-        return open(path, "rb")
-    except FileNotFoundError:
-        raise InputError(f"dataset file not found: {path}")
 
 
 def _read_exact(fh: BinaryIO, n: int, record: str, size: int) -> bytes:
@@ -472,7 +465,7 @@ def load_dataset(path) -> list[SedRecord]:
     of the largest record.
     """
     records = []
-    with _open_dataset(path) as fh:
+    with open_input(path) as fh:
         size = os.fstat(fh.fileno()).st_size
         header = f"{path}: header"
         magic = _read_exact(fh, 4, header, size)

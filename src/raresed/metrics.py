@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .detector import Detection
-from .errors import DataMismatchError, InputError, ParseError
+from .errors import DataMismatchError, InputError, ParseError, open_input
 
 DEFAULT_COLLAR_S = 0.5
 DEFAULT_FRAME_SHIFT_S = 0.023
@@ -158,11 +158,7 @@ def format_annotations(records: Mapping[str, Optional[EventAnnotation]]) -> str:
 
 
 def read_annotations(path) -> dict[str, Optional[EventAnnotation]]:
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except FileNotFoundError:
-        raise InputError(f"annotation file not found: {path}")
-    with fh:
+    with open_input(path, "r", encoding="utf-8") as fh:
         try:
             lines = fh.read().splitlines()
         except UnicodeDecodeError as exc:

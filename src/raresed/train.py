@@ -17,14 +17,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .data import Utterance
-from .detector import EventModel, batch_loss_and_gradients, infer
-from .errors import DataMismatchError, InputError, ParseError
+from .detector import Detection, EventModel, batch_loss_and_gradients, infer
+from .errors import DataMismatchError, InputError, ParseError, open_input, write_atomic
 from .metrics import (
     DEFAULT_COLLAR_S,
     DEFAULT_FRAME_SHIFT_S,
     EventAnnotation,
     MetricCounts,
     check_seconds,
+    detection_to_annotation,
     evaluate_dataset,
 )
 from .numerics import AdamState, adam_step
@@ -90,15 +91,11 @@ class TrainReport:
 
 def reference_annotations(dataset: Sequence[Utterance],
                           frame_shift_s: float = DEFAULT_FRAME_SHIFT_S) -> dict[str, Optional[EventAnnotation]]:
-    """Per-utterance reference events in seconds, from the event boundaries."""
-    refs: dict[str, Optional[EventAnnotation]] = {}
-    for utt in dataset:
-        if utt.y == 1:
-            refs[utt.id] = EventAnnotation(onset=(utt.onset - 1) * frame_shift_s,
-                                           offset=(utt.offset - 1) * frame_shift_s)
-        else:
-            refs[utt.id] = None
-    return refs
+    """Per-utterance reference events in seconds, from the event
+    boundaries, converted as detections are."""
+    return {utt.id: detection_to_annotation(
+                Detection(utt.y == 1, utt.onset, utt.offset), frame_shift_s)
+            for utt in dataset}
 
 
 def evaluate_model(model: EventModel, dataset: Sequence[Utterance],
@@ -229,7 +226,7 @@ def save_model(path, model: EventModel, config: Optional[TrainConfig] = None) ->
             "thres1": config.thres1, "margin": config.margin,
         }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with write_atomic(path) as fh:
         fh.write(MODEL_MAGIC)
         fh.write(struct.pack("<II", MODEL_VERSION, len(header_bytes)))
         fh.write(header_bytes)
@@ -238,11 +235,7 @@ def save_model(path, model: EventModel, config: Optional[TrainConfig] = None) ->
 
 
 def load_model(path) -> tuple[EventModel, dict]:
-    try:
-        fh = open(path, "rb")
-    except FileNotFoundError:
-        raise InputError(f"model file not found: {path}")
-    with fh:
+    with open_input(path) as fh:
         blob = fh.read()
     if blob[:4] != MODEL_MAGIC:
         raise ParseError(f"{path}: not a model snapshot")

@@ -683,6 +683,84 @@ class TestSweepCommand:
                      "--alpha-grid", "a,b"]) == 2
 
 
+# Each command's path arguments that name an input file, and the names
+# of the files it writes under --out (the manifest's too).
+PATH_ARGS = {
+    "synth": (("config",), ("train.sed", "train_ref.tsv", "dev.sed",
+                            "dev_ref.tsv", "manifest.json")),
+    "train": (("config", "train-data", "dev-data"),
+              ("model.sem", "report.tsv", "manifest.json")),
+    "infer": (("model", "data"), ("detections.tsv", "manifest.json")),
+    "eval": (("ref", "det"), ("eval.tsv", "manifest.json")),
+    "sweep": (("config", "train-data", "dev-data"), ("sweep.tsv", "manifest.json")),
+}
+# An input is tried as missing, as a directory and as a path below a
+# regular file; --out, whose absence is no fault, as a regular file and
+# as a path below one; and each output name as held by a directory.
+PATH_CASES = [
+    *[(command, arg, kind) for command, (inputs, _) in PATH_ARGS.items()
+      for arg in inputs for kind in ("missing", "directory", "below_file")],
+    *[(command, "out", kind) for command in PATH_ARGS
+      for kind in ("file", "below_file")],
+    *[(command, name, "held") for command, (_, outputs) in PATH_ARGS.items()
+      for name in outputs],
+]
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    """A valid file for every input path argument."""
+    root = tmp_path_factory.mktemp("valid")
+    config, data = synth_tiny(root)
+    return root, {"config": config, "train-data": data / "train.sed",
+                  "dev-data": data / "dev.sed", "model": tiny_model(root),
+                  "data": data / "dev.sed", "ref": data / "dev_ref.tsv",
+                  "det": data / "dev_ref.tsv"}
+
+
+def command_argv(command, inputs, **paths):
+    argv = [command, "--out", str(paths.pop("out"))]
+    for arg in PATH_ARGS[command][0]:
+        argv += [f"--{arg}", str(paths.get(arg, inputs[arg]))]
+    return argv + (["--alpha-grid", "1"] if command == "sweep" else [])
+
+
+class TestPathFaults:
+    """Every path the CLI reads or writes that cannot be opened exits 2
+    with one line naming it, and leaves no output and no temporary file."""
+
+    @pytest.mark.parametrize("command", PATH_ARGS)
+    def test_valid_paths_exit_0(self, tmp_path, valid_inputs, command):
+        root, inputs = valid_inputs
+        out = tmp_path / "out"
+        assert main(command_argv(command, inputs, out=out)) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(PATH_ARGS[command][1])
+        assert list(tmp_path.rglob("*.tmp")) == list(root.rglob("*.tmp")) == []
+
+    @pytest.mark.parametrize("command,arg,kind", PATH_CASES)
+    def test_path_fault_exits_2_naming_it(self, tmp_path, capsys, valid_inputs,
+                                          command, arg, kind):
+        root, inputs = valid_inputs
+        out = tmp_path / "out"
+        (tmp_path / "file").write_text("a regular file\n")
+        (tmp_path / "dir").mkdir()
+        bad = {"missing": tmp_path / "absent", "directory": tmp_path / "dir",
+               "file": tmp_path / "file", "below_file": tmp_path / "file" / "x",
+               "held": out / arg}[kind]
+        if kind == "held":
+            bad.mkdir(parents=True)
+            code = main(command_argv(command, inputs, out=out))
+        else:
+            code = main(command_argv(command, inputs, **{"out": out, arg: bad}))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(bad) in err
+        assert "Traceback" not in err and err.count("\n") == 1
+        if out.is_dir():
+            assert [p for p in out.rglob("*") if not p.is_dir()] == []
+        assert list(tmp_path.rglob("*.tmp")) == list(root.rglob("*.tmp")) == []
+
+
 class TestPresets:
     def test_unknown_preset_exits_2(self, tmp_path, capsys):
         config = write_config(tmp_path, {"preset": "galactic"})
