@@ -1,9 +1,10 @@
 """Command-line interface: synth, train, infer, eval, sweep.
 
-Configuration is one JSON file (optionally starting from a named preset)
-with flag overrides on top; flags win. Every command writes exactly one
-manifest.json next to its outputs recording the resolved configuration,
-and all files are written atomically (temp file + rename).
+Configuration is one JSON file (optionally starting from a named preset);
+each override flag is written into its config field, so flags win and are
+checked like file values. Every command writes exactly one manifest.json
+next to its outputs recording the resolved configuration, and all files
+are written atomically (temp file + rename).
 
 Exit codes: 0 success, 2 input/config error, 3 data-consistency error.
 """
@@ -23,6 +24,8 @@ from .data import SynthConfig, load_dataset, save_dataset, synth_dataset
 from .detector import infer
 from .errors import DataMismatchError, InputError, open_input, write_atomic
 from .metrics import (
+    DEFAULT_COLLAR_S,
+    DEFAULT_FRAME_SHIFT_S,
     check_seconds,
     detection_to_annotation,
     evaluate_annotations,
@@ -110,7 +113,7 @@ def load_config(path: Optional[str]) -> dict:
     preset_name = user.pop("preset", None)
     if preset_name is None:
         return user
-    if preset_name not in PRESETS:
+    if _checked(preset_name, str, "preset") not in PRESETS:
         raise InputError(
             f"unknown preset {preset_name!r}; available: {', '.join(sorted(PRESETS))}"
         )
@@ -168,8 +171,21 @@ def _checked(value, kind: type, name: str):
     return value
 
 
-def _synth_config(cfg: dict, which: str, seed_override: Optional[int]) -> SynthConfig:
-    seed = seed_override if seed_override is not None else _field(cfg, "data.seed", int)
+def _resolved_config(args) -> dict:
+    """The loaded config with each override flag written into the field
+    its argparse ``dest`` names (``data.seed``, ``train.thres0``, ...)."""
+    cfg = load_config(args.config)
+    for dotted, value in vars(args).items():
+        if "." in dotted and value is not None:
+            section, name = dotted.split(".")
+            node = cfg.setdefault(section, {})
+            if not isinstance(node, dict):
+                raise InputError(f"config field {dotted!r}: {node!r} is not an object")
+            node[name] = value
+    return cfg
+
+
+def _synth_config(cfg: dict, which: str) -> SynthConfig:
     ebr_db = _field(cfg, "data.ebr_db", list)
     duration = _field(cfg, "data.duration_frames", list)
     if len(duration) != 2:
@@ -184,15 +200,11 @@ def _synth_config(cfg: dict, which: str, seed_override: Optional[int]) -> SynthC
         duration_frames=tuple(_checked(x, int, "data.duration_frames")
                               for x in duration),
         background_seed=_field(cfg, "data.background_seed", int, 0),
-        seed=seed,
+        seed=_field(cfg, "data.seed", int),
     )
 
 
-def _train_config(cfg: dict, input_dim: int, args) -> TrainConfig:
-    def flag_or_field(name: str, kind: type):
-        value = getattr(args, name, None)
-        return value if value is not None else _field(cfg, f"train.{name}", kind)
-
+def _train_config(cfg: dict, input_dim: int) -> TrainConfig:
     try:
         encoder = EncoderConfig(
             kind=_field(cfg, "train.encoder.kind", str),
@@ -210,63 +222,27 @@ def _train_config(cfg: dict, input_dim: int, args) -> TrainConfig:
         batch_size=_field(cfg, "train.batch_size", int),
         stepsize=_field(cfg, "train.stepsize", float),
         epochs=_field(cfg, "train.epochs", int),
-        seed=flag_or_field("seed", int),
-        thres0=flag_or_field("thres0", float),
-        thres1=flag_or_field("thres1", float),
+        seed=_field(cfg, "train.seed", int),
+        thres0=_field(cfg, "train.thres0", float),
+        thres1=_field(cfg, "train.thres1", float),
         margin=_field(cfg, "train.margin", int),
-        collar_s=_field(cfg, "eval.collar_s", float, 0.5),
-        frame_shift_s=_field(cfg, "eval.frame_shift_s", float, 0.023),
+        collar_s=_field(cfg, "eval.collar_s", float, DEFAULT_COLLAR_S),
+        frame_shift_s=_field(cfg, "eval.frame_shift_s", float, DEFAULT_FRAME_SHIFT_S),
     )
 
 
 # ---------------------------------------------------------------------------
-# Output plumbing
+# Commands: each writes its outputs to ``paths`` and returns the config
+# and seed its manifest records, and the summary to print.
 # ---------------------------------------------------------------------------
 
-def _write_manifest(out_dir: str, command: str, config: dict, inputs: dict,
-                    outputs: dict, seed, started: float) -> str:
-    manifest = {
-        "command": command,
-        "config": config,
-        "inputs": inputs,
-        "outputs": outputs,
-        "seed": seed,
-        "artifact_version": __version__,
-        "duration_s": time.monotonic() - started,
-    }
-    path = os.path.join(out_dir, "manifest.json")
-    with write_atomic(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def _output_paths(out_dir: str, **names: str) -> dict[str, str]:
-    """Make ``out_dir``; the path there of each output name. A name held by
-    a directory is rejected before any work, so no run stops half written."""
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
-        raise InputError(f"cannot make output directory {out_dir}: {exc.strerror}")
-    paths = {key: os.path.join(out_dir, name) for key, name in names.items()}
-    for path in [*paths.values(), os.path.join(out_dir, "manifest.json")]:
-        if os.path.isdir(path):
-            raise InputError(f"cannot write {path}: Is a directory")
-    return paths
-
-
-# ---------------------------------------------------------------------------
-# Commands
-# ---------------------------------------------------------------------------
-
-def cmd_synth(args) -> int:
-    started = time.monotonic()
-    cfg = load_config(args.config)
-    paths = _output_paths(args.out, train="train.sed", train_ref="train_ref.tsv",
-                          dev="dev.sed", dev_ref="dev_ref.tsv")
-    train_cfg = _synth_config(cfg, "train", args.seed)
-    dev_cfg = _synth_config(cfg, "dev", args.seed)
+def cmd_synth(args, paths: dict[str, str]):
+    cfg = _resolved_config(args)
+    train_cfg = _synth_config(cfg, "train")
+    dev_cfg = _synth_config(cfg, "dev")
     frame_shift = check_seconds(
-        _field(cfg, "eval.frame_shift_s", float, 0.023), "eval.frame_shift_s")
+        _field(cfg, "eval.frame_shift_s", float, DEFAULT_FRAME_SHIFT_S),
+        "eval.frame_shift_s")
 
     # Dev indices continue after train so the substreams never collide.
     # Each utterance is generated, written and dropped; the reference
@@ -279,13 +255,8 @@ def cmd_synth(args) -> int:
         records = save_dataset(paths[name], dataset)
         with write_atomic(paths[f"{name}_ref"], "w", encoding="utf-8") as fh:
             fh.write(format_annotations(reference_annotations(records, frame_shift)))
-    resolved = dict(cfg)
-    resolved["data"] = dict(cfg.get("data", {}), seed=train_cfg.seed)
-    manifest = _write_manifest(args.out, "synth", resolved, {"config": args.config},
-                               paths, train_cfg.seed, started)
-    print(f"wrote {train_cfg.count} train / {dev_cfg.count} dev utterances to {args.out}")
-    print(f"manifest: {manifest}")
-    return 0
+    return cfg, train_cfg.seed, (f"wrote {train_cfg.count} train / {dev_cfg.count} "
+                                 f"dev utterances to {args.out}")
 
 
 def _load_train_dev(args):
@@ -302,34 +273,22 @@ def _load_train_dev(args):
     return trainset, devset
 
 
-def cmd_train(args) -> int:
-    started = time.monotonic()
-    cfg = load_config(args.config)
-    paths = _output_paths(args.out, model="model.sem", report="report.tsv")
+def cmd_train(args, paths: dict[str, str]):
+    cfg = _resolved_config(args)
     trainset, devset = _load_train_dev(args)
-    tc = _train_config(cfg, trainset[0].dim, args)
+    tc = _train_config(cfg, trainset[0].dim)
     report = train(tc, trainset, devset)
     save_model(paths["model"], best_model(report), tc)
     with write_atomic(paths["report"], "w", encoding="utf-8") as fh:
         fh.write(format_report(report))
-    manifest = _write_manifest(
-        args.out, "train", cfg,
-        {"config": args.config, "train_data": args.train_data,
-         "dev_data": args.dev_data},
-        paths, tc.seed, started)
-    if report.epochs:
-        stats = report.epochs[report.best_epoch - 1]
-        print(f"best epoch {report.best_epoch}: dev ER {stats.dev_er:.4f}, "
-              f"dev F1 {stats.dev_f1:.2f}")
-    else:
-        print("epoch budget 0: keeping the initialized model")
-    print(f"manifest: {manifest}")
-    return 0
+    if not report.epochs:
+        return cfg, tc.seed, "epoch budget 0: keeping the initialized model"
+    stats = report.epochs[report.best_epoch - 1]
+    return cfg, tc.seed, (f"best epoch {report.best_epoch}: dev ER {stats.dev_er:.4f}, "
+                          f"dev F1 {stats.dev_f1:.2f}")
 
 
-def cmd_infer(args) -> int:
-    started = time.monotonic()
-    det_path = _output_paths(args.out, detections="detections.tsv")["detections"]
+def cmd_infer(args, paths: dict[str, str]):
     for name in ("thres0", "thres1"):
         value = getattr(args, name)
         if value is not None and not 0.0 < value < 1.0:
@@ -337,32 +296,24 @@ def cmd_infer(args) -> int:
                              f"got {value!r}")
     frame_shift = check_seconds(args.frame_shift, "--frame-shift")
     model, header = load_model(args.model)
-    thres0 = args.thres0 if args.thres0 is not None else \
-        header.get("train", {}).get("thres0", 0.5)
-    thres1 = args.thres1 if args.thres1 is not None else \
-        header.get("train", {}).get("thres1", 0.5)
+    trained = header.get("train", {})
+    thres0 = args.thres0 if args.thres0 is not None else trained.get("thres0", 0.5)
+    thres1 = args.thres1 if args.thres1 is not None else trained.get("thres1", 0.5)
 
     dataset = load_dataset(args.data)
     found = infer(model, dataset, thres0, thres1)
     detections = {utt.id: detection_to_annotation(det, frame_shift)
                   for utt, det in zip(dataset, found)}
-    with write_atomic(det_path, "w", encoding="utf-8") as fh:
+    with write_atomic(paths["detections"], "w", encoding="utf-8") as fh:
         fh.write(format_annotations(detections))
-    manifest = _write_manifest(
-        args.out, "infer",
-        {"thres0": thres0, "thres1": thres1, "frame_shift_s": frame_shift},
-        {"model": args.model, "data": args.data},
-        {"detections": det_path}, header.get("train", {}).get("seed"), started)
     present = sum(1 for ann in detections.values() if ann is not None)
-    print(f"{present}/{len(detections)} utterances flagged; wrote {det_path}")
-    print(f"manifest: {manifest}")
-    return 0
+    return ({"thres0": thres0, "thres1": thres1, "frame_shift_s": frame_shift},
+            trained.get("seed"),
+            f"{present}/{len(detections)} utterances flagged; wrote {paths['detections']}")
 
 
-def cmd_eval(args) -> int:
-    started = time.monotonic()
+def cmd_eval(args, paths: dict[str, str]):
     collar = check_seconds(args.collar, "--collar")
-    eval_path = _output_paths(args.out, eval="eval.tsv")["eval"]
     refs = read_annotations(args.ref)
     dets = read_annotations(args.det)
     try:
@@ -378,21 +329,14 @@ def cmd_eval(args) -> int:
         f"deletions\t{counts.fn}\n"
         f"n_ref\t{counts.n_ref}\n"
     )
-    with write_atomic(eval_path, "w", encoding="utf-8") as fh:
+    with write_atomic(paths["eval"], "w", encoding="utf-8") as fh:
         fh.write(table)
-    manifest = _write_manifest(args.out, "eval", {"collar_s": collar},
-                               {"ref": args.ref, "det": args.det},
-                               {"eval": eval_path}, None, started)
-    print(f"ER {er:.4f}  F1 {f1:.2f}  (TP {counts.tp}, I {counts.fp}, "
-          f"D {counts.fn}, N {counts.n_ref})")
-    print(f"manifest: {manifest}")
-    return 0
+    return {"collar_s": collar}, None, (f"ER {er:.4f}  F1 {f1:.2f}  (TP {counts.tp}, "
+                                        f"I {counts.fp}, D {counts.fn}, N {counts.n_ref})")
 
 
-def cmd_sweep(args) -> int:
-    started = time.monotonic()
-    cfg = load_config(args.config)
-    sweep_path = _output_paths(args.out, sweep="sweep.tsv")["sweep"]
+def cmd_sweep(args, paths: dict[str, str]):
+    cfg = _resolved_config(args)
     if args.alpha_grid is not None:
         try:
             grid = [float(x) for x in args.alpha_grid.split(",") if x.strip()]
@@ -403,29 +347,73 @@ def cmd_sweep(args) -> int:
     else:
         grid = list(DEFAULT_ALPHA_GRID)
     trainset, devset = _load_train_dev(args)
-    tc = _train_config(cfg, trainset[0].dim, args)
+    tc = _train_config(cfg, trainset[0].dim)
     rows = alpha_sweep(tc, grid, trainset, devset)
     lines = ["alpha\tbest_epoch\tdev_er\tdev_f1"]
     for row in rows:
         lines.append(f"{row['alpha']!r}\t{row['best_epoch']}"
                      f"\t{row['dev_er']!r}\t{row['dev_f1']!r}")
-    with write_atomic(sweep_path, "w", encoding="utf-8") as fh:
+    with write_atomic(paths["sweep"], "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-    manifest = _write_manifest(
-        args.out, "sweep", dict(cfg, alpha_grid=grid),
-        {"config": args.config, "train_data": args.train_data,
-         "dev_data": args.dev_data},
-        {"sweep": sweep_path}, tc.seed, started)
-    for row in rows:
-        print(f"alpha {row['alpha']:g}: dev ER {row['dev_er']:.4f}, "
-              f"dev F1 {row['dev_f1']:.2f} (epoch {row['best_epoch']})")
-    print(f"manifest: {manifest}")
-    return 0
+    return dict(cfg, alpha_grid=grid), tc.seed, "\n".join(
+        f"alpha {row['alpha']:g}: dev ER {row['dev_er']:.4f}, "
+        f"dev F1 {row['dev_f1']:.2f} (epoch {row['best_epoch']})" for row in rows)
 
 
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
+
+# Per command: the files it writes under --out besides manifest.json, and
+# the flags that name its input files.
+COMMANDS = {
+    "synth": ({"train": "train.sed", "train_ref": "train_ref.tsv",
+               "dev": "dev.sed", "dev_ref": "dev_ref.tsv"}, ("config",)),
+    "train": ({"model": "model.sem", "report": "report.tsv"},
+              ("config", "train_data", "dev_data")),
+    "infer": ({"detections": "detections.tsv"}, ("model", "data")),
+    "eval": ({"eval": "eval.tsv"}, ("ref", "det")),
+    "sweep": ({"sweep": "sweep.tsv"}, ("config", "train_data", "dev_data")),
+}
+
+
+def _run(args) -> None:
+    """Make --out, run the command, then write its manifest and print its
+    summary. An output name held by a directory is rejected before any
+    work, so no run stops half written; a failed command removes the
+    --out it made if that is still empty."""
+    outputs, input_flags = COMMANDS[args.command]
+    started = time.monotonic()
+    made = not os.path.exists(args.out)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot make output directory {args.out}: {exc.strerror}")
+    paths = {key: os.path.join(args.out, name) for key, name in outputs.items()}
+    manifest_path = os.path.join(args.out, "manifest.json")
+    for path in [*paths.values(), manifest_path]:
+        if os.path.isdir(path):
+            raise InputError(f"cannot write {path}: Is a directory")
+    try:
+        config, seed, summary = args.func(args, paths)
+    except BaseException:
+        if made and not os.listdir(args.out):
+            os.rmdir(args.out)
+        raise
+    manifest = {
+        "command": args.command,
+        "config": config,
+        "inputs": {name: getattr(args, name) for name in input_flags},
+        "outputs": paths,
+        "seed": seed,
+        "artifact_version": __version__,
+        "duration_s": time.monotonic() - started,
+    }
+    with write_atomic(manifest_path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    print(summary)
+    print(f"manifest: {manifest_path}")
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -434,10 +422,11 @@ def _build_parser() -> argparse.ArgumentParser:
                     "infer, score, and sweep the loss weight.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # An override flag's dest is the config field it is written into.
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--config", help="JSON config (may name a preset)")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, help="override the data seed")
+    p.add_argument("--seed", type=int, dest="data.seed", help="override the data seed")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train a detector")
@@ -445,9 +434,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-data", required=True)
     p.add_argument("--dev-data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, help="override the training seed")
-    p.add_argument("--thres0", type=float)
-    p.add_argument("--thres1", type=float)
+    p.add_argument("--seed", type=int, dest="train.seed",
+                   help="override the training seed")
+    p.add_argument("--thres0", type=float, dest="train.thres0")
+    p.add_argument("--thres1", type=float, dest="train.thres1")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("infer", help="run detection with a trained model")
@@ -456,7 +446,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--thres0", type=float)
     p.add_argument("--thres1", type=float)
-    p.add_argument("--frame-shift", type=float, default=0.023,
+    p.add_argument("--frame-shift", type=float, default=DEFAULT_FRAME_SHIFT_S,
                    help="seconds per frame hop for boundary conversion")
     p.set_defaults(func=cmd_infer)
 
@@ -464,7 +454,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ref", required=True)
     p.add_argument("--det", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--collar", type=float, default=0.5,
+    p.add_argument("--collar", type=float, default=DEFAULT_COLLAR_S,
                    help="onset tolerance in seconds")
     p.set_defaults(func=cmd_eval)
 
@@ -473,11 +463,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-data", required=True)
     p.add_argument("--dev-data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--alpha-grid", help="comma-separated weights, "
-                   "default 0.1,0.5,1,5,10")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--thres0", type=float)
-    p.add_argument("--thres1", type=float)
+    p.add_argument("--alpha-grid", help="comma-separated weights, default "
+                   + ",".join(f"{a:g}" for a in DEFAULT_ALPHA_GRID))
+    p.add_argument("--seed", type=int, dest="train.seed")
+    p.add_argument("--thres0", type=float, dest="train.thres0")
+    p.add_argument("--thres1", type=float, dest="train.thres1")
     p.set_defaults(func=cmd_sweep)
     return parser
 
@@ -489,7 +479,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        _run(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -500,6 +490,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print("error: the settings or inputs need more memory than is free",
               file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -17,7 +17,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .data import Utterance
-from .detector import Detection, EventModel, batch_loss_and_gradients, infer
+from .detector import (DEFAULT_WINDOW_MARGIN, Detection, EventModel,
+                       batch_loss_and_gradients, infer)
 from .errors import DataMismatchError, InputError, ParseError, open_input, write_atomic
 from .metrics import (
     DEFAULT_COLLAR_S,
@@ -45,7 +46,7 @@ class TrainConfig:
     seed: int = 0
     thres0: float = 0.5
     thres1: float = 0.5
-    margin: int = 50
+    margin: int = DEFAULT_WINDOW_MARGIN
     collar_s: float = DEFAULT_COLLAR_S
     frame_shift_s: float = DEFAULT_FRAME_SHIFT_S
 

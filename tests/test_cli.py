@@ -247,6 +247,63 @@ class TestConfigChecks:
         assert main(argv) == 2
         assert "eval" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("preset", [["desk"], {"a": 1}])
+    def test_preset_that_is_not_a_string_exits_2(self, tmp_path, capsys, preset):
+        config = write_config(tmp_path, {"preset": preset})
+        assert main(["synth", "--config", config, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config field 'preset' must be a string")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flags", [[], ["--seed", "5"]])
+    @pytest.mark.parametrize("command,section", [("synth", "data"), ("train", "train"),
+                                                 ("sweep", "train")])
+    def test_section_with_override_flags_still_names_it(self, tmp_path, capsys,
+                                                        command, section, flags):
+        _, data = synth_tiny(tmp_path)
+        cfg = json.loads(json.dumps(TINY))
+        cfg[section] = 5
+        argv = config_argv(command, write_config(tmp_path, cfg, "bad.json"), data,
+                           tmp_path / "run")
+        assert main(argv + flags) == 2
+        assert f"config field '{section}." in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,field,flag,value", [
+        ("synth", "data.seed", "--seed", 2**32),
+        ("synth", "data.seed", "--seed", -1),
+        ("train", "train.seed", "--seed", 2**32),
+        ("train", "train.thres0", "--thres0", 1.5),
+        ("sweep", "train.seed", "--seed", 2**32),
+        ("sweep", "train.thres1", "--thres1", 0.0),
+    ])
+    def test_flag_fails_like_the_same_config_value(self, tmp_path, capsys, monkeypatch,
+                                                   command, field, flag, value):
+        _, data = synth_tiny(tmp_path)
+        for name in ("synth_dataset", "train", "alpha_sweep"):  # must not be reached
+            monkeypatch.setattr(cli_module, name, None)
+        section, name = field.split(".")
+        cfg = json.loads(json.dumps(TINY))
+        cfg[section][name] = value
+        from_file = config_argv(command, write_config(tmp_path, cfg, "bad.json"), data,
+                                tmp_path / "a")
+        from_flag = config_argv(command, write_config(tmp_path, TINY), data,
+                                tmp_path / "b") + [flag, str(value)]
+        assert main(from_file) == 2
+        err = capsys.readouterr().err
+        assert main(from_flag) == 2
+        assert capsys.readouterr().err == err
+        assert err.startswith("error: ") and name in err
+        if value == 2**32:
+            assert f"config field {field!r} is out of range" in err
+
+
+def config_argv(command, config, data, out):
+    """argv of a command that takes --config, on synth_tiny's data."""
+    if command == "synth":
+        return ["synth", "--config", config, "--out", str(out)]
+    return [command, "--config", config, "--train-data", str(data / "train.sed"),
+            "--dev-data", str(data / "dev.sed"), "--out", str(out)]
+
 
 class TestTrainCommand:
     def test_writes_artifacts(self, tmp_path):
@@ -337,7 +394,7 @@ class TestTrainCommand:
                      "--dev-data", str(data / "dev.sed"), "--out", str(out)])
         assert code == 2
         assert "collar must be positive and finite" in capsys.readouterr().err
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("split", ["train", "dev"])
     def test_bad_dataset_exits_2_naming_the_file(self, tmp_path, capsys,
@@ -354,7 +411,7 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert f"error: {bad}: record " in err and "unexpected end of file" in err
         assert ("dev.sed" if split == "train" else "train.sed") not in err
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     def test_diverging_training_exits_2_naming_the_settings(self, tmp_path, capsys):
         _, data = synth_tiny(tmp_path)
@@ -526,7 +583,7 @@ class TestRecordIds:
                     str(data / "train.sed"), "--dev-data", str(data / "dev.sed")]
         assert main(argv + ["--out", str(out)]) == 2
         assert "record 1: " in capsys.readouterr().err
-        assert os.listdir(out) == []
+        assert not out.exists()
 
 
 class TestEvalCommand:
@@ -759,6 +816,68 @@ class TestPathFaults:
         if out.is_dir():
             assert [p for p in out.rglob("*") if not p.is_dir()] == []
         assert list(tmp_path.rglob("*.tmp")) == list(root.rglob("*.tmp")) == []
+
+
+class TestManifest:
+    """One writer records every command's manifest: its config, with the
+    override flags written in, replays the same outputs."""
+
+    @pytest.mark.parametrize("command", PATH_ARGS)
+    def test_manifest_names_inputs_and_outputs(self, tmp_path, valid_inputs, command):
+        _, inputs = valid_inputs
+        out = tmp_path / "out"
+        argv = command_argv(command, inputs, out=out)
+        assert main(argv) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(manifest) == ["artifact_version", "command", "config",
+                                    "duration_s", "inputs", "outputs", "seed"]
+        assert manifest["command"] == command
+        assert manifest["inputs"] == {arg.replace("-", "_"): argv[argv.index(f"--{arg}") + 1]
+                                      for arg in PATH_ARGS[command][0]}
+        written = sorted(str(p) for p in out.iterdir() if p.name != "manifest.json")
+        assert sorted(manifest["outputs"].values()) == written
+        assert all(os.path.isfile(path) for path in written)
+
+    @pytest.mark.parametrize("command,flags,fields", [
+        ("synth", ["--seed", "5"], {"data.seed": 5}),
+        ("train", ["--seed", "5", "--thres0", "0.4", "--thres1", "0.6"],
+         {"train.seed": 5, "train.thres0": 0.4, "train.thres1": 0.6}),
+        ("sweep", ["--seed", "5", "--thres0", "0.4", "--alpha-grid", "0,2"],
+         {"train.seed": 5, "train.thres0": 0.4}),
+    ])
+    def test_replaying_the_config_reproduces_the_outputs(self, tmp_path, command,
+                                                         flags, fields):
+        config, data = synth_tiny(tmp_path)
+        # The grid is not a config field: a sweep replay passes it again.
+        grid = flags[flags.index("--alpha-grid"):] if "--alpha-grid" in flags else []
+        flagged, plain, replay = (tmp_path / name for name in ("flags", "plain", "replay"))
+        assert main(config_argv(command, config, data, flagged) + flags) == 0
+        assert main(config_argv(command, config, data, plain) + grid) == 0
+        manifest = json.loads((flagged / "manifest.json").read_text())
+        for field, value in fields.items():
+            section, name = field.split(".")
+            assert manifest["config"][section][name] == value
+        assert manifest["seed"] == 5
+        replay_config = write_config(tmp_path, manifest["config"], "replay.json")
+        assert main(config_argv(command, replay_config, data, replay) + grid) == 0
+        names = [os.path.basename(path) for path in manifest["outputs"].values()]
+        for name in names:
+            assert (replay / name).read_bytes() == (flagged / name).read_bytes()
+        # The flags changed the run, so the replay shows they were recorded.
+        assert any((plain / name).read_bytes() != (flagged / name).read_bytes()
+                   for name in names)
+
+    def test_failed_command_keeps_an_out_that_existed(self, tmp_path, valid_inputs):
+        _, inputs = valid_inputs
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(command_argv("infer", inputs, out=out,
+                                 model=tmp_path / "absent.sem")) == 2
+        assert out.is_dir() and not any(out.iterdir())
+        made = tmp_path / "made" / "out"
+        assert main(command_argv("infer", inputs, out=made,
+                                 model=tmp_path / "absent.sem")) == 2
+        assert not made.exists()
 
 
 class TestPresets:
