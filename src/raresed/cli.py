@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import ctypes
 import json
 import os
 import sys
@@ -380,11 +381,16 @@ COMMANDS = {
 def _run(args) -> None:
     """Make --out, run the command, then write its manifest and print its
     summary. An output name held by a directory is rejected before any
-    work, so no run stops half written; a failed command removes the
-    --out it made if that is still empty."""
+    work, so no run stops half written; a failed command removes each
+    directory it made for --out, deepest first, while that is empty, and
+    none that existed before."""
     outputs, input_flags = COMMANDS[args.command]
     started = time.monotonic()
-    made = not os.path.exists(args.out)
+    made = []  # the missing directories of --out, deepest first
+    path = os.path.abspath(args.out)
+    while not os.path.exists(path):
+        made.append(path)
+        path = os.path.dirname(path)
     try:
         os.makedirs(args.out, exist_ok=True)
     except OSError as exc:
@@ -397,8 +403,10 @@ def _run(args) -> None:
     try:
         config, seed, summary = args.func(args, paths)
     except BaseException:
-        if made and not os.listdir(args.out):
-            os.rmdir(args.out)
+        for path in made:
+            if os.listdir(path):
+                break
+            os.rmdir(path)
         raise
     manifest = {
         "command": args.command,
@@ -472,12 +480,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc malloc settings, as (mallopt parameter, value): M_TRIM_THRESHOLD
+# (-1) keeps up to 256 MiB of freed memory at the top of the heap instead
+# of handing it back to the kernel, and M_MMAP_THRESHOLD (-3) serves
+# blocks of up to 32 MiB, glibc's maximum on 64-bit, from the heap instead
+# of from fresh mappings. Setting either one also stops glibc from moving
+# the mmap threshold itself; both are needed for a training minibatch to
+# reuse the pages the last one freed.
+MALLOC_SETTINGS = ((-1, 256 * 2**20), (-3, 32 * 2**20))
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no glibc: nothing to set
+        pass
+    else:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        for param, value in MALLOC_SETTINGS:
+            mallopt(param, value)  # 1 if glibc took it; 0 leaves its own setting
     try:
         _run(args)
     except InputError as exc:

@@ -36,13 +36,13 @@ A layer keeps its gates in two dense buffers, update/reset rows
 (..., B, 2H) and candidate rows (..., B, H), so that the gate rows a
 time step reads and writes, forward and in BPTT, are contiguous blocks;
 only the update and reset halves of a (B, 2H) row are strided views.
-Each direction's input projection is one (rows, 3H) gemm, made into a
-scratch buffer and copied out into the two. A traced run keeps each
-direction's buffers side by side in one row of T*B*3H values, where
-BPTT, once its carry loop is done, writes the (T, B, 3H) gradient rows
-that the input-side gradients read. A trace-free run keeps its buffers
-step-major, (n, D, B, .), so that one step of all D directions is one
-dense block.
+Each direction's input projection is one (rows, 3H) gemm into a scratch
+buffer, whose rows the biases are added to on the way into the two. A
+traced run keeps each direction's buffers side by side in one row of
+T*B*3H values, where BPTT, once its carry loop is done, writes the
+(T, B, 3H) gradient rows that the input-side gradients read. A
+trace-free run keeps its buffers step-major, (n, D, B, .), so that one
+step of all D directions is one dense block.
 
 Training and inference share one forward pass, which takes an optional
 trace:
@@ -255,41 +255,47 @@ def _gru_steps(maps: tuple[np.ndarray, np.ndarray], zr: np.ndarray,
     gate product and one (B, H) candidate product per direction, each one
     call over the stacked directions, and twelve numpy calls in all: the
     gates are sigmoid(a) = tanh(a / 2) / 2 + 1/2 of the halved
-    pre-activation, and the state is h + z (c - h).
+    pre-activation, and the state is h + z (c - h). The ufuncs are bound
+    to locals and write their temporaries into three buffers made once,
+    with ``out`` passed positionally, which costs less per call.
     """
     u_zr, u_h = maps
     h_dim = u_h.shape[-1]
-    mm = _matmul(h)
+    mm, add, multiply, subtract, tanh = _matmul(h), np.add, np.multiply, np.subtract, np.tanh
     zr, c, hs = _steps(zr), _steps(c), _steps(hs)
+    a, rh, ch = np.empty(zr.shape[1:]), np.empty(h.shape), np.empty(h.shape)
     for zr_t, z, r, c_t, h_out in zip(zr, zr[..., :h_dim], zr[..., h_dim:], c, hs):
-        a = zr_t + mm(h, u_zr)
-        np.tanh(a, out=a)
-        a *= 0.5
-        np.add(a, 0.5, out=zr_t)
-        np.tanh(c_t + mm(r * h, u_h), out=c_t)
-        h = np.add(h, z * (c_t - h), out=h_out)
+        add(zr_t, mm(h, u_zr, a), a)
+        tanh(a, a)
+        multiply(a, 0.5, a)
+        add(a, 0.5, zr_t)
+        tanh(add(c_t, mm(multiply(r, h, rh), u_h, ch), ch), c_t)
+        h = add(h, multiply(z, subtract(c_t, h, ch), ch), h_out)
     return h
 
 
-def _project(cells: tuple[GruLayerParams, ...], xs: np.ndarray, t0: int,
+def _project(w_in: np.ndarray, b_in: np.ndarray, xs: np.ndarray, t0: int,
              zr: np.ndarray, c: np.ndarray, scratch: np.ndarray) -> None:
     """Fill ``zr`` (D, n, B, 2H) and ``c`` (D, n, B, H) with the input
-    projections plus biases of run steps t0..t0+n-1, the update and reset
-    ones halved for _gru_steps: direction 0 reads ``xs`` forward in time,
-    direction 1 backward. Each direction's projection is one (n*B, 3H)
-    gemm into ``scratch``, whose columns are then copied into the two
-    buffers. Halving is exact, so the halved pre-activation is bit for
-    bit half of the whole one."""
-    n, batch = zr.shape[1:3]
-    rows, zr_cols = n * batch, zr.shape[3]
-    for k, cell in enumerate(cells):
-        block = (xs if k == 0 else xs[::-1])[t0:t0 + n]
-        projected = np.matmul(block.reshape(rows, -1), cell.W.T, out=scratch[:rows])
-        projected += cell.b
-        projected = projected.reshape(n, batch, -1)
-        zr[k] = projected[..., :zr_cols]
-        c[k] = projected[..., zr_cols:]
-    zr *= 0.5
+    projections plus biases of run steps t0..t0+n-1, for the stacked
+    input maps ``w_in`` (D, 3H, D_in) and biases ``b_in`` (D, 3H) with
+    their update/reset rows halved: direction 0 reads ``xs`` forward in
+    time, direction 1 backward. Each direction's projection is
+    one (n*B, 3H) gemm into ``scratch``, of its input block in input time
+    order, and the biases are added on the way into ``zr`` and ``c``,
+    direction 1's rows in reversed order. Splitting the gemm by gate block
+    would round some row counts differently."""
+    n_dir, n, batch, zr_cols = zr.shape
+    rows, t_len = n * batch, xs.shape[0]
+    for k in range(n_dir):
+        # Direction 1's steps t0..t0+n-1 are input steps T-t0-n..T-t0-1, reversed.
+        block = xs[t0:t0 + n] if k == 0 else xs[t_len - t0 - n:t_len - t0]
+        projected = np.matmul(block.reshape(rows, -1), w_in[k].T,
+                              out=scratch[:rows]).reshape(n, batch, -1)
+        if k == 1:
+            projected = projected[::-1]
+        np.add(projected[..., :zr_cols], b_in[k, :zr_cols], out=zr[k])
+        np.add(projected[..., zr_cols:], b_in[k, zr_cols:], out=c[k])
 
 
 # Time steps whose input projections a trace-free run computes at once,
@@ -318,6 +324,13 @@ def _layer_run(cells: tuple[GruLayerParams, ...], xs: np.ndarray, keep: bool,
     """
     t_len, batch, _ = xs.shape
     n_dir, h_dim = len(cells), cells[0].hidden
+    # The update/reset rows of the input maps and biases are halved once,
+    # so that their projections are the halved pre-activations _gru_steps
+    # takes; halving is exact, so each is bit for bit half the whole one.
+    w_in = np.array([cell.W for cell in cells])
+    b_in = np.array([cell.b for cell in cells])
+    w_in[:, :2 * h_dim] *= 0.5
+    b_in[:, :2 * h_dim] *= 0.5
     maps = (_stack_maps([0.5 * cell.U[:2 * h_dim].T for cell in cells]),
             _stack_maps([cell.U[2 * h_dim:].T for cell in cells]))
     h = np.zeros(maps[1].shape[:-2] + (batch, h_dim))
@@ -325,7 +338,7 @@ def _layer_run(cells: tuple[GruLayerParams, ...], xs: np.ndarray, keep: bool,
         out = np.empty((t_len, batch, n_dir * h_dim))
         gates = np.empty((n_dir, t_len * batch * 3 * h_dim))
         zr, c = _gate_views(gates, t_len, batch, h_dim)
-        _project(cells, xs, 0, zr, c, np.empty((t_len * batch, 3 * h_dim)))
+        _project(w_in, b_in, xs, 0, zr, c, np.empty((t_len * batch, 3 * h_dim)))
         hs = out[None] if n_dir == 1 else np.empty((n_dir, t_len, batch, h_dim))
         _gru_steps(maps, zr, c, h, hs)
         if n_dir == 2:
@@ -339,7 +352,7 @@ def _layer_run(cells: tuple[GruLayerParams, ...], xs: np.ndarray, keep: bool,
     out = np.empty((t_len, batch, n_dir * h_dim)) if w is None else np.zeros((t_len, batch))
     for t0 in range(0, t_len, PROJECTION_BLOCK):
         n = min(PROJECTION_BLOCK, t_len - t0)
-        _project(cells, xs, t0, zr[:, :n], c[:, :n], scratch)
+        _project(w_in, b_in, xs, t0, zr[:, :n], c[:, :n], scratch)
         # h is the previous block's last row of ``states``; step 0 reads
         # it before it writes row 0.
         h = _gru_steps(maps, zr[:, :n], c[:, :n], h, states[:, :n])
@@ -394,21 +407,23 @@ def _gate_gradients(cells: tuple[GruLayerParams, ...], trace: LayerTrace,
     # order. dh and the reset path's d(r h_prev) sit side by side in dhr,
     # so that one multiply scales both gate rows and one the direct
     # carry terms: eight numpy calls a step. np.dot cannot write into the
-    # strided half of dhr, so that product is always np.matmul.
+    # strided half of dhr, so that product is always np.matmul. The ufuncs
+    # are bound to locals and take ``out`` positionally, and the carry and
+    # its recurrent product have buffers of their own.
     d_runs = d_out if n_dir == 1 else np.stack(
         [d_out[:, :, :h_dim], d_out[::-1, :, h_dim:]], axis=1)
     steps = zip(*(_steps(a)[::-1] for a in (zr, d_zr, d_c)), d_runs[::-1])
     dhr, direct = np.empty((2,) + u_h.shape[:-2] + (batch, 2 * h_dim))
     dh, drh = dhr[..., :h_dim], dhr[..., h_dim:]
     via_z, via_r = direct[..., :h_dim], direct[..., h_dim:]
-    carry = np.zeros(dh.shape)
-    mm = _matmul(carry)
+    carry, via_u = np.zeros(dh.shape), np.empty(dh.shape)
+    mm, add, multiply, matmul = _matmul(carry), np.add, np.multiply, np.matmul
     for zr_t, d_zr_t, d_c_t, d_run in steps:
-        np.add(d_run, carry, out=dh)
-        np.matmul(np.multiply(dh, d_c_t, out=d_c_t), u_h, out=drh)
-        np.multiply(dhr, zr_t, out=direct)
-        carry = np.add(via_z, via_r)
-        carry += mm(np.multiply(dhr, d_zr_t, out=d_zr_t), u_zr)
+        add(d_run, carry, dh)
+        matmul(multiply(dh, d_c_t, d_c_t), u_h, drh)
+        multiply(dhr, zr_t, direct)
+        add(via_z, via_r, carry)
+        add(carry, mm(multiply(dhr, d_zr_t, d_zr_t), u_zr, via_u), carry)
 
     # One matmul over all T*B rows per map, stacked by sequence and then
     # summed over the batch, so no sum mixes sequences before the batch
@@ -488,11 +503,15 @@ def subsample2(seq: np.ndarray) -> np.ndarray:
 
 
 def _subsample2_backward(d_out: np.ndarray, t_len: int) -> np.ndarray:
+    """The gradient of subsample2: half of each pooled frame's gradient to
+    both frames of its pair, written through a (pairs, 2, ...) view."""
     pairs = t_len // 2
-    d_in = np.zeros((t_len,) + d_out.shape[1:])
-    d_in[: 2 * pairs] = np.repeat(0.5 * d_out[:pairs], 2, axis=0)
+    d_in = np.empty((t_len,) + d_out.shape[1:])
+    np.multiply(d_out[:pairs, None], 0.5,
+                out=d_in[:2 * pairs].reshape((pairs, 2) + d_out.shape[1:]))
     if t_len % 2:
-        d_in[-1] += d_out[-1]
+        # 0.0 + g, as a zero-filled d_in took it: a -0.0 gradient turns to 0.0.
+        np.add(d_out[-1], 0.0, out=d_in[-1])
     return d_in
 
 
@@ -644,10 +663,12 @@ def encode_bytes(config: EncoderConfig, t_len: int) -> int:
         outputs = min(config.layers - 1, 2) * t_len * width
     widest_input = max(config.input_dim, width if config.layers > 1 else 0)
     # A block step: update/reset, candidate and state rows per direction,
-    # one direction's projection scratch, direction 1's time-reversed copy
-    # of its input and the block's logits. Per direction, up to 6H values
-    # of the products of two steps: a step makes its gate sums before the
-    # last step's are dropped.
+    # one direction's projection scratch and the block's logits, plus one
+    # input row per direction after the first: the time-reversed input
+    # copy that a block once made, still counted so that infer cuts the
+    # same slices, and so writes the same bits. Per direction, up to 6H
+    # values of the products of two steps: a step makes its gate sums
+    # before the last step's are dropped.
     blocks = (min(t_len, PROJECTION_BLOCK)
               * (4 * dirs * h_dim + 3 * h_dim + (dirs - 1) * widest_input + 1)
               + 6 * dirs * h_dim)

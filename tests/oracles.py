@@ -1,6 +1,7 @@
 """Reference forms the tests compare the package against: the GRU cell
 equations one step at a time, one layer run over a single (T, D_in)
-sequence, the replicating upsample of a pooled sequence, and the
+sequence, a layer's input projection made through a scratch buffer, the
+replicating upsample of a pooled sequence, and the
 detector's head for one utterance: its forward pass, its loss and their
 exact gradient, with the utterance embedding formed explicitly.
 
@@ -79,6 +80,27 @@ def run_bidirectional(fwd: GruLayerParams, bwd: GruLayerParams,
     if fwd.input_dim != bwd.input_dim or fwd.hidden != bwd.hidden:
         raise ValueError("forward/backward cells must share dimensions")
     return _one_layer("bidirectional", EncoderLayer(fwd=fwd, bwd=bwd), xs)
+
+
+def project(w_in: np.ndarray, b_in: np.ndarray, xs: np.ndarray, t0: int,
+            zr: np.ndarray, c: np.ndarray, scratch: np.ndarray) -> None:
+    """recurrent._project in its direct form: per direction one (n*B, 3H)
+    gemm of the cell's own map over its input block in run time order,
+    then the cell's bias, the copy-out into ``zr`` and ``c``, and a
+    halving pass over ``zr``. The cell's map and bias are ``w_in`` and
+    ``b_in`` with their halved update/reset rows doubled, which is exact.
+    ``scratch`` is not used."""
+    n_dir, n, batch, zr_cols = zr.shape
+    rows = n * batch
+    unhalve = np.where(np.arange(b_in.shape[1]) < zr_cols, 2.0, 1.0)
+    for k in range(n_dir):
+        block = (xs if k == 0 else xs[::-1])[t0:t0 + n]
+        projected = block.reshape(rows, -1) @ (w_in[k] * unhalve[:, None]).T
+        projected += b_in[k] * unhalve
+        projected = projected.reshape(n, batch, -1)
+        zr[k] = projected[..., :zr_cols]
+        c[k] = projected[..., zr_cols:]
+    zr *= 0.5
 
 
 def upsample_replicate(seq: np.ndarray, target_t: int) -> np.ndarray:

@@ -1,3 +1,5 @@
+import ast
+import ctypes
 import json
 import os
 import subprocess
@@ -817,6 +819,19 @@ class TestPathFaults:
             assert [p for p in out.rglob("*") if not p.is_dir()] == []
         assert list(tmp_path.rglob("*.tmp")) == list(root.rglob("*.tmp")) == []
 
+    def test_failed_command_removes_the_parents_it_made(self, tmp_path, capsys):
+        # Every directory made for a nested --out goes; one that existed
+        # before the command stays.
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        missing = str(tmp_path / "absent.sem")
+        for out in (tmp_path / "n" / "a" / "b" / "c", kept / "x" / "y"):
+            assert main(["infer", "--model", missing, "--data", missing,
+                         "--out", str(out)]) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kept"]
+        assert list(kept.iterdir()) == []
+        assert capsys.readouterr().err.count(missing) == 2
+
 
 class TestManifest:
     """One writer records every command's manifest: its config, with the
@@ -926,3 +941,72 @@ def test_cli_import_leaves_scipy_io_and_special_unloaded():
                           timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == []
+
+
+def test_the_allocator_is_set_only_in_cli_main():
+    """glibc's allocator settings are process-wide, so they are made in
+    one place, when the CLI runs a command: no module but cli imports
+    ctypes, and nothing outside cli.main names mallopt, so importing the
+    package sets nothing."""
+    sources = sorted(Path(raresed.__file__).parent.glob("*.py"))
+    assert "cli.py" in [source.name for source in sources]
+    found, in_main = [], []
+    for source in sources:
+        tree = ast.parse(source.read_text(), filename=str(source))
+        main_nodes = {id(node) for top in tree.body
+                      if isinstance(top, ast.FunctionDef) and top.name == "main"
+                      and source.name == "cli.py" for node in ast.walk(top)}
+        for node in ast.walk(tree):
+            imports_ctypes = (
+                isinstance(node, ast.Import)
+                and any(alias.name.split(".")[0] == "ctypes" for alias in node.names)
+                or isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[0] == "ctypes")
+            names_mallopt = (isinstance(node, ast.Name) and node.id == "mallopt"
+                             or isinstance(node, ast.Attribute) and node.attr == "mallopt")
+            if names_mallopt and id(node) in main_nodes:
+                in_main.append(node.lineno)
+            elif names_mallopt or imports_ctypes and source.name != "cli.py":
+                found.append(f"{source.name}:{node.lineno}")
+    assert found == []
+    assert in_main  # cli.main does set it
+
+
+def test_allocator_settings_are_accepted():
+    # mallopt returns 1 for a setting it takes; an mmap threshold above
+    # glibc's maximum (32 MiB on 64-bit) would be refused with 0.
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        pytest.skip("no glibc mallopt")
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    assert [mallopt(param, value) for param, value in cli_module.MALLOC_SETTINGS] == [1, 1]
+
+
+def test_extra_epochs_take_no_fresh_pages(tmp_path):
+    """Minibatches reuse the pages earlier ones freed: two more epochs of
+    `raresed train` (4 desk-shaped minibatches each) cost fewer than 2000
+    minor page faults, where taking fresh pages costs about 1000 per
+    minibatch."""
+    resource = pytest.importorskip("resource")
+    data = tmp_path / "data"
+    small = {"preset": "desk", "data": {"train_count": 40, "dev_count": 10}}
+    assert main(["synth", "--config", write_config(tmp_path, small),
+                 "--out", str(data)]) == 0
+    src = str(Path(raresed.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+
+    def faults(epochs):
+        config = write_config(tmp_path, {"preset": "desk", "train": {"epochs": epochs}},
+                              name=f"epochs{epochs}.json")
+        before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+        done = subprocess.run(
+            [sys.executable, "-m", "raresed", "train", "--config", config,
+             "--train-data", str(data / "train.sed"), "--dev-data", str(data / "dev.sed"),
+             "--out", str(tmp_path / f"run{epochs}")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+
+    one, three = faults(1), faults(3)
+    assert three - one < 2000, (one, three)

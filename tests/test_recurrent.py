@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
+import raresed.recurrent as recurrent
 from conftest import pin_cases, traced_peak
 from oracles import (
     gru_cell_step,
+    project,
     run_bidirectional,
     run_unidirectional,
     upsample_replicate,
@@ -347,6 +349,34 @@ ENCODE_PINS = {
     ("bidirectional", False, "long"):
         "b8fe97e2e41ab17d9ce16edf8432a05a59e0e35de374f5c13538cb25a466bac6",
 }
+
+
+class TestProjection:
+    """The input projection, with halved maps and the biases added on the
+    way into the gate buffers, keeps the bits of the oracle's form, at
+    batch sizes and lengths on both sides of the row counts where
+    OpenBLAS changes how it rounds a (rows, K) @ (K, 96) product."""
+
+    @pytest.mark.parametrize("batch", [1, 2, 10, 11])
+    @pytest.mark.parametrize("kind", ["unidirectional", "bidirectional"])
+    def test_matches_the_scratch_projection(self, monkeypatch, kind, batch):
+        rng = np.random.default_rng(71)
+        cfg = EncoderConfig(kind=kind, layers=2, hidden=32, input_dim=16)
+        layers = random_layers(cfg, rng)
+        w = rng.uniform(-1.0, 1.0, cfg.output_dim)
+        for t_len in (1, 7, 16, 17, 150):
+            xs = rng.standard_normal((t_len, batch, 16))
+
+            def run():
+                features, trace = encoder_forward(cfg, layers, xs)
+                return [features, encode(cfg, layers, xs, w),
+                        *(layer.gates for layer in trace.layer_traces)]
+
+            got = run()
+            with monkeypatch.context() as patch:
+                patch.setattr(recurrent, "_project", project)
+                want = run()
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want], t_len
 
 
 class TestEncode:
