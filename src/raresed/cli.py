@@ -22,7 +22,7 @@ from typing import Optional
 
 from . import __version__
 from .data import SynthConfig, load_dataset, save_dataset, synth_dataset
-from .detector import infer
+from .detector import DEFAULT_THRESHOLD, infer
 from .errors import DataMismatchError, InputError, open_input, write_atomic
 from .metrics import (
     DEFAULT_COLLAR_S,
@@ -298,8 +298,8 @@ def cmd_infer(args, paths: dict[str, str]):
     frame_shift = check_seconds(args.frame_shift, "--frame-shift")
     model, header = load_model(args.model)
     trained = header.get("train", {})
-    thres0 = args.thres0 if args.thres0 is not None else trained.get("thres0", 0.5)
-    thres1 = args.thres1 if args.thres1 is not None else trained.get("thres1", 0.5)
+    thres0 = trained.get("thres0", DEFAULT_THRESHOLD) if args.thres0 is None else args.thres0
+    thres1 = trained.get("thres1", DEFAULT_THRESHOLD) if args.thres1 is None else args.thres1
 
     dataset = load_dataset(args.data)
     found = infer(model, dataset, thres0, thres1)

@@ -53,6 +53,7 @@ ATTENTION_EPS = 1e-12
 PROB_FLOOR = 1e-12
 
 DEFAULT_WINDOW_MARGIN = 50
+DEFAULT_THRESHOLD = 0.5
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,8 +265,9 @@ def _longest_true_run(mask: np.ndarray) -> Optional[tuple[int, int]]:
     return int(starts[k]), int(ends[k]) - 1
 
 
-def decide_detection(p_utt: float, frame_p: np.ndarray, thres0: float = 0.5,
-                     thres1: float = 0.5) -> Detection:
+def decide_detection(p_utt: float, frame_p: np.ndarray,
+                     thres0: float = DEFAULT_THRESHOLD,
+                     thres1: float = DEFAULT_THRESHOLD) -> Detection:
     """Two-level thresholding rule on already-computed posteriors.
 
     No event when the utterance posterior is <= thres0. Otherwise the
@@ -285,11 +287,20 @@ def decide_detection(p_utt: float, frame_p: np.ndarray, thres0: float = 0.5,
     return Detection(present=True, onset=run[0] + 1, offset=run[1] + 1)
 
 
+def check_dims(clips: Sequence, input_dim: int, what: str) -> None:
+    """DataMismatchError naming the first clip, as ``what <id>``, whose
+    feature dimension is not ``input_dim``."""
+    for clip in clips:
+        if clip.dim != input_dim:
+            raise DataMismatchError(f"{what} {clip.id} has {clip.dim}-dim "
+                                    f"features, model expects {input_dim}")
+
+
 # Bytes of encoder arrays one slice of infer may hold, as
 # recurrent.encode_bytes counts them: each equal-length group of clips is
 # cut into the fewest slices of at most max(1, INFER_BYTES //
 # encode_bytes(config, T)) clips, with sizes that differ by at most one.
-# 9 MiB holds 10 bidirectional 2x32 clips of 1304 frames (d = 16, 0.90 MB
+# 9 MiB holds 10 bidirectional 2x32 clips of 1304 frames (d = 16, 0.89 MB
 # each): measured with infer on 40 of them, one BLAS thread, 2-core VM,
 # slices of 6 / 10 / 20 / 40 clips cost 8.8 / 7.0 / 5.5 / 5.0 ms per clip
 # and peak at 5.5 / 9.1 / 18.1 / 36.0 MB of numpy arrays. The desk
@@ -299,8 +310,8 @@ def decide_detection(p_utt: float, frame_p: np.ndarray, thres0: float = 0.5,
 INFER_BYTES = 9 * 2**20
 
 
-def infer(model: EventModel, clips: Sequence, thres0: float = 0.5,
-          thres1: float = 0.5) -> list[Detection]:
+def infer(model: EventModel, clips: Sequence, thres0: float = DEFAULT_THRESHOLD,
+          thres1: float = DEFAULT_THRESHOLD) -> list[Detection]:
     """Detections for a sequence of clips, in input order. A clip is an
     utterance or a stored record: anything with ``id``, ``dim``,
     ``n_frames`` and ``features``. A record's features are read from its
@@ -313,12 +324,7 @@ def infer(model: EventModel, clips: Sequence, thres0: float = 0.5,
     head (attend) gives each slice's posteriors, and each clip gets the
     two-level thresholding rule.
     """
-    for clip in clips:
-        if clip.dim != model.config.input_dim:
-            raise DataMismatchError(
-                f"utterance {clip.id} has {clip.dim}-dim features, model "
-                f"expects {model.config.input_dim}"
-            )
+    check_dims(clips, model.config.input_dim, "utterance")
     detections: list[Optional[Detection]] = [None] * len(clips)
     for group in _length_groups(clip.n_frames for clip in clips):
         most = max(1, INFER_BYTES // encode_bytes(model.config,

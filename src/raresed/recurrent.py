@@ -122,6 +122,7 @@ class EncoderConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise TypeError(f"{name} must be an integer, not {value!r}")
+            object.__setattr__(self, name, int(value))  # a plain int, which JSON can write
         if not isinstance(self.multires_bidirectional, bool):
             raise TypeError(f"multires_bidirectional must be a bool, not "
                             f"{self.multires_bidirectional!r}")
@@ -150,9 +151,9 @@ class EncoderConfig:
     def param_count(self) -> int:
         """Encoder parameters: 3H (D_in + H + 1) per cell, where D_in is
         the input dim for the first layer and the output dim for the rest."""
-        dirs, h = self.directions, int(self.hidden)
-        return dirs * 3 * h * ((int(self.input_dim) + h + 1)
-                               + (int(self.layers) - 1) * (dirs * h + h + 1))
+        dirs, h = self.directions, self.hidden
+        return dirs * 3 * h * ((self.input_dim + h + 1)
+                               + (self.layers - 1) * (dirs * h + h + 1))
 
 
 def layer_views(config: EncoderConfig, vec: np.ndarray) -> list[EncoderLayer]:
@@ -661,16 +662,11 @@ def encode_bytes(config: EncoderConfig, t_len: int) -> int:
         outputs = (t_len + (t_len + 1) // 2) * width
     else:
         outputs = min(config.layers - 1, 2) * t_len * width
-    widest_input = max(config.input_dim, width if config.layers > 1 else 0)
     # A block step: update/reset, candidate and state rows per direction,
-    # one direction's projection scratch and the block's logits, plus one
-    # input row per direction after the first: the time-reversed input
-    # copy that a block once made, still counted so that infer cuts the
-    # same slices, and so writes the same bits. Per direction, up to 6H
-    # values of the products of two steps: a step makes its gate sums
-    # before the last step's are dropped.
-    blocks = (min(t_len, PROJECTION_BLOCK)
-              * (4 * dirs * h_dim + 3 * h_dim + (dirs - 1) * widest_input + 1)
+    # one direction's projection scratch and the block's logits. Per
+    # direction, up to 6H values of the products of two steps: a step
+    # makes its gate sums before the last step's are dropped.
+    blocks = (min(t_len, PROJECTION_BLOCK) * (4 * dirs * h_dim + 3 * h_dim + 1)
               + 6 * dirs * h_dim)
     return 8 * (t_len * config.input_dim + outputs + t_len + blocks)
 

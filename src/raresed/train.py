@@ -10,16 +10,17 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .data import Utterance
-from .detector import (DEFAULT_WINDOW_MARGIN, Detection, EventModel,
-                       batch_loss_and_gradients, infer)
-from .errors import DataMismatchError, InputError, ParseError, open_input, write_atomic
+from .detector import (DEFAULT_THRESHOLD, DEFAULT_WINDOW_MARGIN, Detection,
+                       EventModel, batch_loss_and_gradients, check_dims, infer)
+from .errors import InputError, ParseError, open_input, write_atomic
 from .metrics import (
     DEFAULT_COLLAR_S,
     DEFAULT_FRAME_SHIFT_S,
@@ -44,13 +45,16 @@ class TrainConfig:
     stepsize: float = 1e-4
     epochs: int = 15
     seed: int = 0
-    thres0: float = 0.5
-    thres1: float = 0.5
+    thres0: float = DEFAULT_THRESHOLD
+    thres1: float = DEFAULT_THRESHOLD
     margin: int = DEFAULT_WINDOW_MARGIN
     collar_s: float = DEFAULT_COLLAR_S
     frame_shift_s: float = DEFAULT_FRAME_SHIFT_S
 
     def __post_init__(self) -> None:
+        # Stored as plain ints (numpy integers too), which JSON can write.
+        for name in ("batch_size", "epochs", "seed", "margin"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if not (math.isfinite(self.alpha) and self.alpha >= 0):
             raise InputError(f"alpha must be finite and nonnegative, "
                              f"got {self.alpha!r}")
@@ -124,8 +128,8 @@ def train(config: TrainConfig, trainset: Sequence[Utterance],
     if not any(utt.y == 1 for utt in devset):
         raise InputError("dev set holds no positive utterances, so its error "
                          "rate is undefined")
-    _check_dims(config.encoder, trainset, "train")
-    _check_dims(config.encoder, devset, "dev")
+    check_dims(trainset, config.encoder.input_dim, "train utterance")
+    check_dims(devset, config.encoder.input_dim, "dev utterance")
 
     model = EventModel.initialize(config.encoder,
                                   _substream_seed(config.seed, 0))
@@ -191,41 +195,25 @@ def _substream_seed(seed: int, key: int) -> int:
     return int(np.random.SeedSequence(seed, spawn_key=(key,)).generate_state(1)[0])
 
 
-def _check_dims(encoder: EncoderConfig, dataset: Sequence[Utterance],
-                name: str) -> None:
-    for utt in dataset:
-        if utt.dim != encoder.input_dim:
-            raise DataMismatchError(
-                f"{name} utterance {utt.id} has {utt.dim}-dim features, "
-                f"encoder expects {encoder.input_dim}"
-            )
-
-
 # ---------------------------------------------------------------------------
 # Model snapshots.
 #
 # Byte layout: magic "RSEM" | u32 version | u32 header length | header
-# (UTF-8 JSON: encoder config, seed, training hyperparameters) |
-# u64 parameter count | EventModel.params as float64 little-endian.
+# (UTF-8 JSON: "encoder", the EncoderConfig fields, and, when the model
+# was trained, "train", its SAVED_TRAIN_FIELDS) | u64 parameter count |
+# EventModel.params as float64 little-endian.
 # ---------------------------------------------------------------------------
 
+# The TrainConfig fields a snapshot records. The collar and frame shift
+# are scoring settings, which infer and eval take on their own.
+SAVED_TRAIN_FIELDS = ("alpha", "batch_size", "stepsize", "epochs", "seed",
+                      "thres0", "thres1", "margin")
+
+
 def save_model(path, model: EventModel, config: Optional[TrainConfig] = None) -> None:
-    header = {
-        "encoder": {
-            "kind": model.config.kind,
-            "layers": model.config.layers,
-            "hidden": model.config.hidden,
-            "input_dim": model.config.input_dim,
-            "multires_bidirectional": model.config.multires_bidirectional,
-        },
-    }
+    header = {"encoder": asdict(model.config)}
     if config is not None:
-        header["train"] = {
-            "alpha": config.alpha, "batch_size": config.batch_size,
-            "stepsize": config.stepsize, "epochs": config.epochs,
-            "seed": config.seed, "thres0": config.thres0,
-            "thres1": config.thres1, "margin": config.margin,
-        }
+        header["train"] = {name: getattr(config, name) for name in SAVED_TRAIN_FIELDS}
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     with write_atomic(path) as fh:
         fh.write(MODEL_MAGIC)
@@ -254,14 +242,13 @@ def load_model(path) -> tuple[EventModel, dict]:
         header = json.loads(blob[12:pos].decode("utf-8"))
         if not isinstance(header, dict):
             raise ValueError("header is not a JSON object")
-        enc = header["encoder"]
-        config = EncoderConfig(kind=enc["kind"], layers=enc["layers"],
-                               hidden=enc["hidden"], input_dim=enc["input_dim"],
-                               multires_bidirectional=enc["multires_bidirectional"])
+        config = EncoderConfig(**header["encoder"])
+        if asdict(config) != header["encoder"]:
+            raise ValueError("encoder must give every EncoderConfig field")
         want = config.param_count + config.output_dim
         # Inference falls back on the saved thresholds.
         for name in ("thres0", "thres1"):
-            if not 0.0 < header.get("train", {}).get(name, 0.5) < 1.0:
+            if not 0.0 < header.get("train", {}).get(name, DEFAULT_THRESHOLD) < 1.0:
                 raise ValueError(f"{name} must lie strictly inside (0, 1)")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: bad model header: {exc}")

@@ -210,6 +210,8 @@ DESK_DIGESTS = {
     ("desk_data", "dev"): "14c98d68140449f4b21c2684a7bbb4e2862dbf1cf7f7e5de4a99cf416ac66500",
     ("desk_data", "dev_ref"): "12b4d9d293be4d94d55932db844c4f686997a59af4e4c49d5207294a27c03f39",
     ("desk_data", "train_ref"): "aeba736650fc31c499c1f9f2a6cba1f440c936860d5f50cfbea152c65262007d",
+    ("desk_run", "model"): "25d4e7fc4f1fe9396b04cbf0721118e198637662c4c23ba3ab58aff75d4ef35c",
+    ("desk_run", "report"): "ef7eac900aa36c39b1cc72b9b8de7daa1f9edc7fd655605d3a2c5e68e3688e49",
     ("desk_run", "detections"): "565d39e4df5bce69ccf72c6cece31fd7b896e89e686937de9a1960c536a669e1",
 }
 # (dev_er, dev_f1, best) of each epoch of the desk report; best epoch 3.

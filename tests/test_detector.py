@@ -696,7 +696,7 @@ class TestBatchedInfer:
         # Twelve 11-frame clips, at most five to a slice, interleaved with
         # three 70-frame clips, at most two to a slice: each group is cut
         # into the fewest slices, whose sizes differ by at most one.
-        budget = 5 * encode_bytes(model.config, 11)
+        budget = 2 * encode_bytes(model.config, 70)
         assert 2 * encode_bytes(model.config, 70) <= budget < 3 * encode_bytes(model.config, 70)
         lengths = [11, 70, 11, 11, 11, 11, 70, 11, 11, 11, 11, 11, 11, 11, 70]
         clips = as_clips(3.0 * rng.standard_normal((4, t)) for t in lengths)

@@ -4,6 +4,7 @@ import struct
 import time
 import types
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from raresed.errors import DataMismatchError, InputError, ParseError
 from raresed.metrics import evaluate_dataset
 from raresed.recurrent import EncoderConfig, encode_bytes
 from raresed.train import (
+    SAVED_TRAIN_FIELDS,
     TrainConfig,
     alpha_sweep,
     best_model,
@@ -166,6 +168,13 @@ class TestTrain:
         with pytest.raises(DataMismatchError):
             train(tiny_config(dim=5), trainset, devset)
 
+    def test_dimension_mismatch_names_the_dev_utterance(self):
+        trainset, devset = tiny_sets(dim=6)
+        wide = devset + [Utterance.negative("odd", np.zeros((7, 50)))]
+        with pytest.raises(DataMismatchError, match="^dev utterance odd has "
+                                                    "7-dim features, model expects 6$"):
+            train(tiny_config(dim=6), trainset, wide)
+
     @pytest.mark.parametrize("setting", [
         {"thres0": 1.5}, {"thres0": 0.0}, {"thres1": 1.0}, {"thres1": -0.2},
         {"thres0": float("nan")}, {"collar_s": 0.0},
@@ -261,6 +270,38 @@ class TestModelIO:
         assert back.config == model.config
         assert header["train"]["seed"] == config.seed
 
+    @pytest.mark.parametrize("kind,mr_bidir", [
+        ("multiresolution", False), ("multiresolution", True),
+        ("bidirectional", False), ("unidirectional", False)])
+    def test_header_holds_the_config_fields(self, tmp_path, kind, mr_bidir):
+        config = tiny_config(encoder=EncoderConfig(
+            kind=kind, layers=2, hidden=3, input_dim=4, multires_bidirectional=mr_bidir))
+        save_model(tmp_path / "m.sem", EventModel.initialize(config.encoder, seed=5),
+                   config)
+        _, header = load_model(tmp_path / "m.sem")
+        assert header["encoder"] == asdict(config.encoder)
+        assert set(header["train"]) == set(SAVED_TRAIN_FIELDS)
+        assert header["train"] == {name: getattr(config, name)
+                                   for name in SAVED_TRAIN_FIELDS}
+
+    def test_numpy_integer_settings_save_as_ints(self, tmp_path):
+        def snapshot(integer, name):
+            encoder = EncoderConfig(kind="bidirectional", layers=integer(2),
+                                    hidden=integer(3), input_dim=integer(4))
+            config = TrainConfig(encoder=encoder, batch_size=integer(10),
+                                 epochs=integer(3), seed=integer(5), margin=integer(7))
+            model = EventModel.initialize(encoder, seed=5)
+            save_model(tmp_path / name, model, config)
+            return model, config
+        model, config = snapshot(np.int64, "numpy.sem")
+        snapshot(int, "int.sem")
+        assert (tmp_path / "numpy.sem").read_bytes() == (tmp_path / "int.sem").read_bytes()
+        back, header = load_model(tmp_path / "numpy.sem")
+        assert back.config == model.config
+        assert np.array_equal(back.params, model.params)
+        assert header["train"] == {name: getattr(config, name)
+                                   for name in SAVED_TRAIN_FIELDS}
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError):
             load_model(tmp_path / "absent.sem")
@@ -309,6 +350,7 @@ class TestModelIO:
         ({"layers": 2.0}, "bad model header"),
         ({"layers": True}, "bad model header"),
         ({"multires_bidirectional": "yes"}, "bad model header"),
+        ({"extra": 1}, "bad model header"),
     ])
     def test_header_encoder_checked_before_building(self, tmp_path, encoder,
                                                     message):
@@ -323,6 +365,19 @@ class TestModelIO:
             load_model(path)
         # Nothing that scales with the header's sizes runs first.
         assert time.perf_counter() - t0 < 0.5
+
+    @pytest.mark.parametrize("name", ["kind", "layers", "hidden", "input_dim",
+                                      "multires_bidirectional"])
+    def test_header_missing_encoder_field_rejected(self, tmp_path, name):
+        enc = {"kind": "unidirectional", "layers": 1, "hidden": 1,
+               "input_dim": 1, "multires_bidirectional": False}
+        del enc[name]
+        header = json.dumps({"encoder": enc}).encode()
+        path = tmp_path / "m.sem"
+        path.write_bytes(b"RSEM" + struct.pack("<II", 1, len(header)) + header
+                         + struct.pack("<Q", 10) + bytes(80))
+        with pytest.raises(ParseError, match="bad model header"):
+            load_model(path)
 
     @pytest.mark.parametrize("name,value", [("thres0", 1.5), ("thres1", 0.0)])
     def test_saved_threshold_outside_unit_interval_rejected(self, tmp_path,
