@@ -1,10 +1,11 @@
 """Command-line interface: synth, train, infer, eval, sweep.
 
-Configuration is one JSON file (optionally starting from a named preset);
-each override flag is written into its config field, so flags win and are
-checked like file values. Every command writes exactly one manifest.json
-next to its outputs recording the resolved configuration, and all files
-are written atomically (temp file + rename).
+Configuration is one JSON file (optionally starting from a named preset)
+whose sections hold the fields of the config dataclasses; each override
+flag is written into its config field, so flags win and are checked like
+file values. Every command writes exactly one manifest.json next to its
+outputs recording the resolved configuration, and all files are written
+atomically (temp file + rename).
 
 Exit codes: 0 success, 2 input/config error, 3 data-consistency error.
 """
@@ -14,11 +15,12 @@ from __future__ import annotations
 import argparse
 import copy
 import ctypes
+import dataclasses
 import json
 import os
 import sys
 import time
-from typing import Optional
+from typing import Optional, get_args, get_origin, get_type_hints
 
 from . import __version__
 from .data import SynthConfig, load_dataset, save_dataset, synth_dataset
@@ -98,13 +100,23 @@ def _deep_merge(base: dict, over: dict) -> dict:
     return out
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict: InputError naming a key given twice."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise InputError(f"config key {key!r} is given twice")
+        out[key] = value
+    return out
+
+
 def load_config(path: Optional[str]) -> dict:
     """Read the JSON config, expanding a preset reference if present."""
     user: dict = {}
     if path is not None:
         try:
             with open_input(path, "r", encoding="utf-8") as fh:
-                user = json.load(fh)
+                user = json.load(fh, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise InputError(f"config file {path} is not valid JSON: {exc}")
         except UnicodeDecodeError as exc:
@@ -121,32 +133,37 @@ def load_config(path: Optional[str]) -> dict:
     return _deep_merge(PRESETS[preset_name], user)
 
 
-_MISSING = object()
+def _fields(cls, *skip: str) -> dict:
+    """{name: (type, default)} of the dataclass ``cls``'s fields but ``skip``."""
+    types = get_type_hints(cls)
+    return {f.name: (types[f.name], f.default) for f in dataclasses.fields(cls)
+            if f.name not in skip}
 
 
-def _field(cfg: dict, dotted: str, kind: type, default=_MISSING):
-    """The config value at ``dotted``, or ``default`` when it is absent
-    (required without one), checked to be of type ``kind``: InputError
-    naming the field otherwise. Nothing is coerced: an int or a float
-    with an integral value serves for an int, any int or float for a
-    float, and only true and false for a bool."""
-    node = cfg
-    for part in dotted.split("."):
-        if not isinstance(node, dict):
-            raise InputError(f"config field {dotted!r}: {node!r} is not an object")
-        if part not in node:
-            if default is _MISSING:
-                raise InputError(f"config is missing required field {dotted!r}")
-            return default
-        node = node[part]
-    return _checked(node, kind, dotted)
-
+# Each section's settings are the fields of the dataclass it fills, but data
+# gives a count per split, and the encoder's input dim comes from the data.
+_TRAIN_FIELDS = _fields(TrainConfig)
+SCHEMA = {
+    "data": {"train_count": (int, dataclasses.MISSING),
+             "dev_count": (int, dataclasses.MISSING), **_fields(SynthConfig, "count")},
+    "train": {**_fields(TrainConfig, "collar_s", "frame_shift_s"),
+              "encoder": _fields(EncoderConfig, "input_dim")},
+    "eval": {name: _TRAIN_FIELDS[name] for name in ("collar_s", "frame_shift_s")},
+}
 
 _KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false",
                str: "a string", list: "a list"}
 
 
-def _checked(value, kind: type, name: str):
+def _checked(value, kind, name: str):
+    """``value`` as a ``kind``, uncoerced (a list for a tuple): InputError
+    naming the field otherwise."""
+    if get_origin(kind) is tuple:
+        items, kinds = _checked(value, list, name), get_args(kind)
+        if ... not in kinds and len(items) != len(kinds):
+            raise InputError(f"config field {name!r} must hold {len(kinds)} "
+                             f"values, got {value!r}")
+        return tuple(_checked(x, kinds[0], name) for x in items)
     if kind is bool:
         ok = isinstance(value, bool)
     elif isinstance(value, bool):
@@ -172,64 +189,59 @@ def _checked(value, kind: type, name: str):
     return value
 
 
-def _resolved_config(args) -> dict:
+def _read(node, schema: dict, prefix: str, used: tuple[str, ...]) -> dict:
+    """The settings in ``node``, with defaults: InputError naming a key that
+    is not in ``schema``, a value of the wrong type, or a field without a
+    default that is missing below a prefix in ``used``."""
+    if not isinstance(node, dict):
+        raise InputError(f"config field {prefix + next(iter(schema))!r}: "
+                         f"{node!r} is not an object")
+    for key in node:
+        if key not in schema:
+            raise InputError(f"config field {prefix + key!r} is not a setting")
+    out = {}
+    for name, spec in schema.items():
+        dotted = prefix + name
+        if isinstance(spec, dict):  # a section
+            out[name] = _read(node.get(name, {}), spec, dotted + ".", used)
+        elif name in node:
+            out[name] = _checked(node[name], spec[0], dotted)
+        elif spec[1] is not dataclasses.MISSING:
+            out[name] = spec[1]
+        elif dotted.startswith(used):
+            raise InputError(f"config is missing required field {dotted!r}")
+    return out
+
+
+def _resolved_config(args, *used: str) -> tuple[dict, dict]:
     """The loaded config with each override flag written into the field
-    its argparse ``dest`` names (``data.seed``, ``train.thres0``, ...)."""
+    its argparse ``dest`` names (``data.seed``, ``train.thres0``, ...), and
+    its settings, with every field of the sections ``used`` required."""
     cfg = load_config(args.config)
     for dotted, value in vars(args).items():
         if "." in dotted and value is not None:
             section, name = dotted.split(".")
             node = cfg.setdefault(section, {})
-            if not isinstance(node, dict):
-                raise InputError(f"config field {dotted!r}: {node!r} is not an object")
-            node[name] = value
-    return cfg
+            if isinstance(node, dict):  # if not, _read names the section
+                node[name] = value
+    return cfg, _read(cfg, SCHEMA, "", tuple(f"{name}." for name in used))
 
 
-def _synth_config(cfg: dict, which: str) -> SynthConfig:
-    ebr_db = _field(cfg, "data.ebr_db", list)
-    duration = _field(cfg, "data.duration_frames", list)
-    if len(duration) != 2:
-        raise InputError(f"config field 'data.duration_frames' must hold two "
-                         f"frame counts, got {duration!r}")
-    return SynthConfig(
-        count=_field(cfg, f"data.{which}_count", int),
-        positive_fraction=_field(cfg, "data.positive_fraction", float),
-        frames=_field(cfg, "data.frames", int),
-        dim=_field(cfg, "data.dim", int),
-        ebr_db=tuple(_checked(x, float, "data.ebr_db") for x in ebr_db),
-        duration_frames=tuple(_checked(x, int, "data.duration_frames")
-                              for x in duration),
-        background_seed=_field(cfg, "data.background_seed", int, 0),
-        seed=_field(cfg, "data.seed", int),
-    )
+def _synth_configs(settings: dict) -> tuple[SynthConfig, SynthConfig]:
+    """The SynthConfigs of the train and the dev split."""
+    data = settings["data"]
+    shared = {name: value for name, value in data.items() if not name.endswith("_count")}
+    return tuple(SynthConfig(count=data[f"{split}_count"], **shared)
+                 for split in ("train", "dev"))
 
 
-def _train_config(cfg: dict, input_dim: int) -> TrainConfig:
+def _train_config(settings: dict, input_dim: int) -> TrainConfig:
+    train = dict(settings["train"])
     try:
-        encoder = EncoderConfig(
-            kind=_field(cfg, "train.encoder.kind", str),
-            layers=_field(cfg, "train.encoder.layers", int),
-            hidden=_field(cfg, "train.encoder.hidden", int),
-            input_dim=input_dim,
-            multires_bidirectional=_field(
-                cfg, "train.encoder.multires_bidirectional", bool, False),
-        )
+        encoder = EncoderConfig(input_dim=input_dim, **train.pop("encoder"))
     except ValueError as exc:
         raise InputError(f"bad train configuration: {exc}")
-    return TrainConfig(
-        encoder=encoder,
-        alpha=_field(cfg, "train.alpha", float),
-        batch_size=_field(cfg, "train.batch_size", int),
-        stepsize=_field(cfg, "train.stepsize", float),
-        epochs=_field(cfg, "train.epochs", int),
-        seed=_field(cfg, "train.seed", int),
-        thres0=_field(cfg, "train.thres0", float),
-        thres1=_field(cfg, "train.thres1", float),
-        margin=_field(cfg, "train.margin", int),
-        collar_s=_field(cfg, "eval.collar_s", float, DEFAULT_COLLAR_S),
-        frame_shift_s=_field(cfg, "eval.frame_shift_s", float, DEFAULT_FRAME_SHIFT_S),
-    )
+    return TrainConfig(encoder=encoder, **train, **settings["eval"])
 
 
 # ---------------------------------------------------------------------------
@@ -238,12 +250,9 @@ def _train_config(cfg: dict, input_dim: int) -> TrainConfig:
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args, paths: dict[str, str]):
-    cfg = _resolved_config(args)
-    train_cfg = _synth_config(cfg, "train")
-    dev_cfg = _synth_config(cfg, "dev")
-    frame_shift = check_seconds(
-        _field(cfg, "eval.frame_shift_s", float, DEFAULT_FRAME_SHIFT_S),
-        "eval.frame_shift_s")
+    cfg, settings = _resolved_config(args, "data", "eval")
+    train_cfg, dev_cfg = _synth_configs(settings)
+    frame_shift = check_seconds(settings["eval"]["frame_shift_s"], "eval.frame_shift_s")
 
     # Dev indices continue after train so the substreams never collide.
     # Each utterance is generated, written and dropped; the reference
@@ -260,10 +269,11 @@ def cmd_synth(args, paths: dict[str, str]):
                                  f"dev utterances to {args.out}")
 
 
-def _load_train_dev(args):
-    """Train and dev sets, rejected before training when they cannot be
-    scored: an empty train set, or a dev set with no positive utterance
-    (its error rate is undefined)."""
+def _train_inputs(args):
+    """The config, its TrainConfig, and the train and dev sets, rejected
+    before training when they cannot be scored: an empty train set, or a
+    dev set with no positive utterance (its error rate is undefined)."""
+    cfg, settings = _resolved_config(args, "train", "eval")
     trainset = load_dataset(args.train_data)
     devset = load_dataset(args.dev_data)
     if not trainset:
@@ -271,13 +281,11 @@ def _load_train_dev(args):
     if not any(utt.y == 1 for utt in devset):
         raise InputError(f"{args.dev_data} holds no positive utterances; "
                          f"the dev error rate is undefined without them")
-    return trainset, devset
+    return cfg, _train_config(settings, trainset[0].dim), trainset, devset
 
 
 def cmd_train(args, paths: dict[str, str]):
-    cfg = _resolved_config(args)
-    trainset, devset = _load_train_dev(args)
-    tc = _train_config(cfg, trainset[0].dim)
+    cfg, tc, trainset, devset = _train_inputs(args)
     report = train(tc, trainset, devset)
     save_model(paths["model"], best_model(report), tc)
     with write_atomic(paths["report"], "w", encoding="utf-8") as fh:
@@ -337,18 +345,13 @@ def cmd_eval(args, paths: dict[str, str]):
 
 
 def cmd_sweep(args, paths: dict[str, str]):
-    cfg = _resolved_config(args)
-    if args.alpha_grid is not None:
-        try:
-            grid = [float(x) for x in args.alpha_grid.split(",") if x.strip()]
-        except ValueError:
-            raise InputError(f"bad --alpha-grid value {args.alpha_grid!r}")
-        if not grid:
-            raise InputError("--alpha-grid named no values")
-    else:
-        grid = list(DEFAULT_ALPHA_GRID)
-    trainset, devset = _load_train_dev(args)
-    tc = _train_config(cfg, trainset[0].dim)
+    try:
+        grid = [float(x) for x in args.alpha_grid.split(",") if x.strip()]
+    except ValueError:
+        raise InputError(f"bad --alpha-grid value {args.alpha_grid!r}")
+    if not grid:
+        raise InputError("--alpha-grid named no values")
+    cfg, tc, trainset, devset = _train_inputs(args)
     rows = alpha_sweep(tc, grid, trainset, devset)
     lines = ["alpha\tbest_epoch\tdev_er\tdev_f1"]
     for row in rows:
@@ -356,7 +359,7 @@ def cmd_sweep(args, paths: dict[str, str]):
                      f"\t{row['dev_er']!r}\t{row['dev_f1']!r}")
     with write_atomic(paths["sweep"], "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-    return dict(cfg, alpha_grid=grid), tc.seed, "\n".join(
+    return cfg, tc.seed, "\n".join(
         f"alpha {row['alpha']:g}: dev ER {row['dev_er']:.4f}, "
         f"dev F1 {row['dev_f1']:.2f} (epoch {row['best_epoch']})" for row in rows)
 
@@ -434,19 +437,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--config", help="JSON config (may name a preset)")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, dest="data.seed", help="override the data seed")
+    p.add_argument("--seed", type=int, dest="data.seed", metavar="SEED",
+                   help="override the data seed")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("train", help="train a detector")
-    p.add_argument("--config", help="JSON config (may name a preset)")
-    p.add_argument("--train-data", required=True)
-    p.add_argument("--dev-data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, dest="train.seed",
-                   help="override the training seed")
-    p.add_argument("--thres0", type=float, dest="train.thres0")
-    p.add_argument("--thres1", type=float, dest="train.thres1")
-    p.set_defaults(func=cmd_train)
+    for name, text, func in (("train", "train a detector", cmd_train),
+                             ("sweep", "train once per loss-weight value", cmd_sweep)):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--config", help="JSON config (may name a preset)")
+        p.add_argument("--train-data", required=True)
+        p.add_argument("--dev-data", required=True)
+        p.add_argument("--out", required=True)
+        p.add_argument("--seed", type=int, dest="train.seed", metavar="SEED",
+                       help="override the training seed")
+        for flag in ("thres0", "thres1"):
+            p.add_argument(f"--{flag}", type=float, dest=f"train.{flag}", metavar=flag.upper())
+        if name == "sweep":
+            p.add_argument("--alpha-grid", default=",".join(map(repr, DEFAULT_ALPHA_GRID)),
+                           help="comma-separated weights, default %(default)s")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("infer", help="run detection with a trained model")
     p.add_argument("--model", required=True)
@@ -465,18 +474,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--collar", type=float, default=DEFAULT_COLLAR_S,
                    help="onset tolerance in seconds")
     p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("sweep", help="train once per loss-weight value")
-    p.add_argument("--config", help="JSON config (may name a preset)")
-    p.add_argument("--train-data", required=True)
-    p.add_argument("--dev-data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--alpha-grid", help="comma-separated weights, default "
-                   + ",".join(f"{a:g}" for a in DEFAULT_ALPHA_GRID))
-    p.add_argument("--seed", type=int, dest="train.seed")
-    p.add_argument("--thres0", type=float, dest="train.thres0")
-    p.add_argument("--thres1", type=float, dest="train.thres1")
-    p.set_defaults(func=cmd_sweep)
     return parser
 
 

@@ -52,9 +52,6 @@ class TrainConfig:
     frame_shift_s: float = DEFAULT_FRAME_SHIFT_S
 
     def __post_init__(self) -> None:
-        # Stored as plain ints (numpy integers too), which JSON can write.
-        for name in ("batch_size", "epochs", "seed", "margin"):
-            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if not (math.isfinite(self.alpha) and self.alpha >= 0):
             raise InputError(f"alpha must be finite and nonnegative, "
                              f"got {self.alpha!r}")
@@ -77,6 +74,11 @@ class TrainConfig:
                              "inside (0, 1)")
         check_seconds(self.collar_s, "collar")
         check_seconds(self.frame_shift_s, "frame shift")
+        # Stored as plain ints and floats (numpy scalars too), which JSON can write.
+        for name in ("batch_size", "epochs", "seed", "margin"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
+        for name in ("alpha", "stepsize", "thres0", "thres1", "collar_s", "frame_shift_s"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 @dataclass(frozen=True)

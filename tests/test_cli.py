@@ -1,3 +1,4 @@
+import argparse
 import ast
 import ctypes
 import json
@@ -11,9 +12,10 @@ import pytest
 
 import raresed
 import raresed.cli as cli_module
-from raresed.cli import main
+from raresed.cli import load_config, main
 from raresed.data import SynthConfig, load_dataset, save_dataset, synth_dataset
 from raresed.detector import EventModel
+from raresed.errors import InputError
 from raresed.metrics import EventAnnotation, format_annotations
 from raresed.recurrent import EncoderConfig
 from raresed.train import TrainConfig, save_model
@@ -297,6 +299,43 @@ class TestConfigChecks:
         assert err.startswith("error: ") and name in err
         if value == 2**32:
             assert f"config field {field!r} is out of range" in err
+
+    @pytest.mark.parametrize("flags", [[], ["--seed", "5"]])
+    @pytest.mark.parametrize("command", ["synth", "train", "sweep"])
+    @pytest.mark.parametrize("key,typo", [
+        ("data.seed", "data.sedd"), ("train.alpha", "train.alpah"),
+        ("train.encoder.hidden", "train.encoder.hiden"),
+        ("eval.collar_s", "eval.colar_s"), ("train", "trian")])
+    def test_key_that_names_no_setting_exits_2_naming_it(self, tmp_path, capsys,
+                                                         monkeypatch, key, typo,
+                                                         command, flags):
+        for stage in ("synth_dataset", "load_dataset", "train", "alpha_sweep"):
+            monkeypatch.setattr(cli_module, stage, None)  # must not be reached
+        cfg = json.loads(json.dumps(TINY))
+        *parents, name = key.split(".")
+        node = cfg
+        for part in parents:
+            node = node[part]
+        node[typo.rsplit(".", 1)[-1]] = node.pop(name)
+        made = tmp_path / "made"
+        argv = config_argv(command, write_config(tmp_path, cfg, "bad.json"),
+                           tmp_path / "data", made / "out")
+        assert main(argv + flags) == 2
+        assert capsys.readouterr().err == f"error: config field {typo!r} is not a setting\n"
+        assert not made.exists()
+
+    @pytest.mark.parametrize("command", ["synth", "train", "sweep"])
+    def test_key_given_twice_exits_2_naming_it(self, tmp_path, capsys, command):
+        text = json.dumps(TINY)
+        assert text.count('"alpha": 1.0') == 1
+        path = tmp_path / "twice.json"
+        path.write_text(text.replace('"alpha": 1.0', '"alpha": 0.0, "alpha": 1.0'))
+        with pytest.raises(InputError, match="'alpha' is given twice"):
+            load_config(str(path))
+        argv = config_argv(command, str(path), tmp_path / "data", tmp_path / "out")
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: config key 'alpha' is given twice\n"
+        assert not (tmp_path / "out").exists()
 
 
 def config_argv(command, config, data, out):
@@ -916,6 +955,40 @@ class TestPresets:
     def test_usage_error_exit_code(self):
         assert main(["synth"]) == 2  # missing --out
 
+    @pytest.mark.parametrize("name", sorted(cli_module.PRESETS))
+    def test_preset_fills_every_config_field_it_names(self, tmp_path, name):
+        preset = cli_module.PRESETS[name]
+        args = argparse.Namespace(config=write_config(tmp_path, {"preset": name}))
+        cfg, settings = cli_module._resolved_config(args, "data", "train", "eval")
+        assert cfg == preset
+        train_cfg, dev_cfg = cli_module._synth_configs(settings)
+        config = cli_module._train_config(settings, train_cfg.dim)
+        data = dict(preset["data"])
+        assert (train_cfg.count, dev_cfg.count) == (data.pop("train_count"),
+                                                    data.pop("dev_count"))
+        for field, value in data.items():
+            value = tuple(value) if isinstance(value, list) else value
+            assert getattr(train_cfg, field) == getattr(dev_cfg, field) == value
+        trained = dict(preset["train"], **preset["eval"])
+        for field, value in trained.pop("encoder").items():
+            assert getattr(config.encoder, field) == value
+        for field, value in trained.items():
+            assert getattr(config, field) == value
+
+    def test_fields_with_a_default_may_be_left_out(self, tmp_path):
+        data = {name: TINY["data"][name] for name in
+                ("train_count", "dev_count", "positive_fraction", "frames", "dim",
+                 "duration_frames")}
+        encoder = {name: TINY["train"]["encoder"][name] for name in ("kind", "layers", "hidden")}
+        args = argparse.Namespace(config=write_config(
+            tmp_path, {"data": data, "train": {"encoder": encoder}}))
+        _, settings = cli_module._resolved_config(args, "data", "train", "eval")
+        assert cli_module._synth_configs(settings) == tuple(
+            SynthConfig(count=count, positive_fraction=0.5, frames=30, dim=5,
+                        duration_frames=(5, 10)) for count in (10, 8))
+        assert cli_module._train_config(settings, 5) == TrainConfig(
+            encoder=EncoderConfig(input_dim=5, **encoder))
+
 
 def test_module_entry_point_runs_the_cli():
     src = str(Path(raresed.__file__).resolve().parents[1])
@@ -926,6 +999,18 @@ def test_module_entry_point_runs_the_cli():
                           capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
     assert "usage: raresed" in done.stdout
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("synth", ["--seed SEED"]),
+    ("train", ["--seed SEED", "--thres0 THRES0", "--thres1 THRES1"]),
+    ("sweep", ["--seed SEED", "--thres0 THRES0", "--thres1 THRES1"]),
+])
+def test_help_names_override_values_plainly(capsys, command, flags):
+    assert main([command, "--help"]) == 0
+    shown = capsys.readouterr().out
+    assert all(flag in shown for flag in flags)
+    assert "DATA." not in shown and "TRAIN." not in shown
 
 
 def test_cli_import_leaves_scipy_io_and_special_unloaded():

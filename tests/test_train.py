@@ -302,6 +302,29 @@ class TestModelIO:
         assert header["train"] == {name: getattr(config, name)
                                    for name in SAVED_TRAIN_FIELDS}
 
+    def test_numpy_float_settings_save_as_floats(self, tmp_path):
+        # Each value is exact in float32, so both snapshots hold the same bits.
+        floats = {"alpha": 0.5, "stepsize": 0.25, "thres0": 0.25, "thres1": 0.75,
+                  "collar_s": 0.5, "frame_shift_s": 0.125}
+        encoder = EncoderConfig(kind="unidirectional", layers=1, hidden=3, input_dim=4)
+        model = EventModel.initialize(encoder, seed=5)
+        for kind in (np.float32, float):
+            config = TrainConfig(encoder=encoder,
+                                 **{name: kind(value) for name, value in floats.items()})
+            assert all(type(getattr(config, name)) is float for name in floats)
+            save_model(tmp_path / f"{kind.__name__}.sem", model, config)
+        assert ((tmp_path / "float32.sem").read_bytes()
+                == (tmp_path / "float.sem").read_bytes())
+        _, header = load_model(tmp_path / "float32.sem")
+        assert header["train"] == {name: getattr(config, name) for name in SAVED_TRAIN_FIELDS}
+
+    def test_integer_alpha_saves_as_a_float(self, tmp_path):
+        encoder = EncoderConfig(kind="unidirectional", layers=1, hidden=3, input_dim=4)
+        save_model(tmp_path / "m.sem", EventModel.initialize(encoder, seed=5),
+                   TrainConfig(encoder=encoder, alpha=1))
+        _, header = load_model(tmp_path / "m.sem")
+        assert type(header["train"]["alpha"]) is float and header["train"]["alpha"] == 1.0
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError):
             load_model(tmp_path / "absent.sem")
