@@ -194,8 +194,8 @@ def _read(node, schema: dict, prefix: str, used: tuple[str, ...]) -> dict:
     is not in ``schema``, a value of the wrong type, or a field without a
     default that is missing below a prefix in ``used``."""
     if not isinstance(node, dict):
-        raise InputError(f"config field {prefix + next(iter(schema))!r}: "
-                         f"{node!r} is not an object")
+        raise InputError(f"config field {prefix[:-1]!r} must be an object, "
+                         f"got {node!r}")
     for key in node:
         if key not in schema:
             raise InputError(f"config field {prefix + key!r} is not a setting")

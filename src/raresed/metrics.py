@@ -11,6 +11,7 @@ before the scores are computed (micro-averaging).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -91,15 +92,13 @@ def f1_score(counts: MetricCounts) -> float:
 
 def check_seconds(value, name: str) -> float:
     """``value`` as a frame shift or a collar in seconds; InputError
-    naming ``name`` unless it is a finite positive number."""
-    try:
-        seconds = float(value)
-    except (TypeError, ValueError):
-        seconds = math.nan
-    if not (math.isfinite(seconds) and seconds > 0):
+    naming ``name`` unless it is a finite positive real number, which a
+    string or a bool is not."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and math.isfinite(value) and value > 0):
         raise InputError(f"{name} must be positive and finite, in seconds; "
                          f"got {value!r}")
-    return seconds
+    return float(value)
 
 
 def detection_to_annotation(det: Detection,

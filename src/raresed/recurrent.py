@@ -40,9 +40,13 @@ Each direction's input projection is one (rows, 3H) gemm into a scratch
 buffer, whose rows the biases are added to on the way into the two. A
 traced run keeps each direction's buffers side by side in one row of
 T*B*3H values, where BPTT, once its carry loop is done, writes the
-(T, B, 3H) gradient rows that the input-side gradients read. A
-trace-free run keeps its buffers step-major, (n, D, B, .), so that one
-step of all D directions is one dense block.
+(T, B, 3H) gradient rows that the input-side gradients read. It keeps
+its states once, as the layer output, which is also the next layer's
+input: BPTT reads direction 1's states as a time-reversed view of it,
+and reverses direction 1's half of the output gradient in place, so
+that one step of both directions is one view. A trace-free run keeps
+its buffers step-major, (n, D, B, .), so that one step of all D
+directions is one dense block.
 
 Training and inference share one forward pass, which takes an optional
 trace:
@@ -200,6 +204,11 @@ class LayerTrace:
     of the layer's D directions is in its own time order: direction 1 runs
     over reversed time.
 
+    The states are kept once, as the layer output ``out``, which is also
+    the next layer's ``inputs``: direction k's states are its k-th
+    H-column half, in input time order, so BPTT reads direction 1's
+    as a time-reversed view.
+
     Row k of ``gates`` holds direction k's gate activations as two dense
     blocks (see _gate_views): its update/reset rows (T, B, 2H), then its
     candidate rows (T, B, H). BPTT reuses the row for the direction's
@@ -207,7 +216,7 @@ class LayerTrace:
     """
 
     inputs: np.ndarray  # (T, B, D_in), in input time order
-    hs: np.ndarray      # (D, T, B, H)
+    out: np.ndarray     # (T, B, D*H), in input time order
     gates: np.ndarray   # (D, T*B*3H)
 
 
@@ -314,14 +323,15 @@ def _layer_run(cells: tuple[GruLayerParams, ...], xs: np.ndarray, keep: bool,
     With ``keep``, the input projections of every step are made at once
     and the gate activations overwrite them in place, in the trace's
     direction-major gate block. For D = 1 the states are the output; for
-    D = 2 they are kept contiguous and in run order, as BPTT's
-    weight-gradient matmuls need, and copied into the two halves of the
-    output. Without ``keep``, projections are made PROJECTION_BLOCK steps
-    at a time into step-major buffers, where one step of the D directions
-    is one dense (D, B, .) block, and nothing is kept. Given the
-    classifier ``w`` (D*H,) as well, it returns the (T, B) logits
-    h_t . w in place of the output, which it never allocates: each
-    block's states are reduced with their direction's half of ``w``.
+    D = 2 the time loop writes them into a run-order buffer, which is
+    copied into the two halves of the output and dropped, so the trace
+    holds the states once. Without ``keep``, projections are made
+    PROJECTION_BLOCK steps at a time into step-major buffers, where one
+    step of the D directions is one dense (D, B, .) block, and nothing
+    is kept. Given the classifier ``w`` (D*H,) as well, it returns the
+    (T, B) logits h_t . w in place of the output, which it never
+    allocates: each block's states are reduced with their direction's
+    half of ``w``.
     """
     t_len, batch, _ = xs.shape
     n_dir, h_dim = len(cells), cells[0].hidden
@@ -345,7 +355,7 @@ def _layer_run(cells: tuple[GruLayerParams, ...], xs: np.ndarray, keep: bool,
         if n_dir == 2:
             out[:, :, :h_dim] = hs[0]
             out[:, :, h_dim:] = hs[1, ::-1]
-        return out, LayerTrace(inputs=xs, hs=hs, gates=gates)
+        return out, LayerTrace(inputs=xs, out=out, gates=gates)
     size = min(t_len, PROJECTION_BLOCK)
     zr, c, states = (np.empty((size, n_dir, batch, width)).swapaxes(0, 1)
                      for width in (2 * h_dim, h_dim, h_dim))
@@ -375,11 +385,23 @@ def _gate_gradients(cells: tuple[GruLayerParams, ...], trace: LayerTrace,
     """BPTT's time loop: writes the recurrent-map gradients into ``grads``
     and returns the gradients on the gate pre-activations as (D, T, B, 3H)
     rows in the trace's spent gate block. Its own buffers are freed on
-    return, before the input-side gradients are made."""
-    n_dir, t_len, batch, h_dim = trace.hs.shape
+    return, before the input-side gradients are made. For D = 2 it
+    reverses direction 1's half of ``d_out`` in place."""
+    n_dir, h_dim = len(cells), cells[0].hidden
+    t_len, batch = trace.out.shape[:2]
+    # Each direction's output gradient in its run's time order: direction
+    # 1's half is reversed in place, so that step t's (D, B, H) block is a
+    # view of row t.
+    d_runs = d_out
+    if n_dir == 2:
+        d_back = d_out[:, :, h_dim:]
+        d_back[:] = d_back[::-1]
+        d_runs = d_out.reshape(t_len, batch, 2, h_dim).swapaxes(1, 2)
     u_zr = _stack_maps([cell.U[:2 * h_dim] for cell in cells])
     u_h = _stack_maps([cell.U[2 * h_dim:] for cell in cells])
-    hs = trace.hs
+    # Direction k's states in its run's time order, as views of the output.
+    hs = [trace.out[::1 if k == 0 else -1, :, k * h_dim:(k + 1) * h_dim]
+          for k in range(n_dir)]
     zr, cs = _gate_views(trace.gates, t_len, batch, h_dim)
     zs, rs = zr[..., :h_dim], zr[..., h_dim:]
 
@@ -398,21 +420,20 @@ def _gate_gradients(cells: tuple[GruLayerParams, ...], trace: LayerTrace,
     d_c *= zs
     np.subtract(1.0, zr, out=d_zr)
     d_az *= zs
-    np.subtract(cs[:, 1:], hs[:, :-1], out=cs[:, 1:])
-    d_az *= cs
-    r_h_prev = np.multiply(hs[:, :-1], rs[:, 1:], out=cs[:, 1:])
+    for k, states in enumerate(hs):
+        np.subtract(cs[k, 1:], states[:-1], out=cs[k, 1:])
+        d_az[k] *= cs[k]
+        np.multiply(states[:-1], rs[k, 1:], out=cs[k, 1:])
+    r_h_prev = cs[:, 1:]
     d_ar[:, 1:] *= r_h_prev
     d_ar[:, 0] = 0.0
     np.subtract(1.0, zs, out=zs)
-    # Per-step views; each direction's output gradient in its run's time
-    # order. dh and the reset path's d(r h_prev) sit side by side in dhr,
-    # so that one multiply scales both gate rows and one the direct
-    # carry terms: eight numpy calls a step. np.dot cannot write into the
-    # strided half of dhr, so that product is always np.matmul. The ufuncs
-    # are bound to locals and take ``out`` positionally, and the carry and
-    # its recurrent product have buffers of their own.
-    d_runs = d_out if n_dir == 1 else np.stack(
-        [d_out[:, :, :h_dim], d_out[::-1, :, h_dim:]], axis=1)
+    # Per-step views. dh and the reset path's d(r h_prev) sit side by side
+    # in dhr, so that one multiply scales both gate rows and one the
+    # direct carry terms: eight numpy calls a step. np.dot cannot write
+    # into the strided half of dhr, so that product is always np.matmul.
+    # The ufuncs are bound to locals and take ``out`` positionally, and
+    # the carry and its recurrent product have buffers of their own.
     steps = zip(*(_steps(a)[::-1] for a in (zr, d_zr, d_c)), d_runs[::-1])
     dhr, direct = np.empty((2,) + u_h.shape[:-2] + (batch, 2 * h_dim))
     dh, drh = dhr[..., :h_dim], dhr[..., h_dim:]
@@ -432,7 +453,14 @@ def _gate_gradients(cells: tuple[GruLayerParams, ...], trace: LayerTrace,
     for k, grad in enumerate(grads):
         np.sum(d_c[k].transpose(1, 2, 0)[..., 1:] @ r_h_prev[k].transpose(1, 0, 2),
                axis=0, out=grad.U[2 * h_dim:])
-        np.sum(d_zr[k].transpose(1, 2, 0)[..., 1:] @ hs[k, :-1].transpose(1, 0, 2),
+        states = hs[k][:-1]
+        if k == 1:
+            # BLAS needs positive strides: direction 1's states go into its
+            # spent update/reset rows, which the copy-back below overwrites.
+            run = zr[1].reshape(-1)[:states.size].reshape(states.shape)
+            run[:] = states
+            states = run
+        np.sum(d_zr[k].transpose(1, 2, 0)[..., 1:] @ states.transpose(1, 0, 2),
                axis=0, out=grad.U[:2 * h_dim])
     # The activations are spent: the gradient rows take their place, in
     # the (T, B, 3H) rows the input-side gradients read.
@@ -451,7 +479,8 @@ def _layer_bptt(cells: tuple[GruLayerParams, ...], trace: LayerTrace,
     ``d_out`` is the loss gradient on the layer output (T, B, D*H).
     Writes the parameter gradients, summed over the batch, into the
     arrays of ``grads`` and returns the gradient on the layer input when
-    requested. Consumes the trace: it overwrites the gate block.
+    requested. Consumes the trace: it overwrites the gate block, and for
+    D = 2 it reverses direction 1's half of ``d_out`` in place.
 
     No product or sum mixes sequences before the batch sum, so a
     sequence's share is the same bits in every batch of two or more
@@ -679,7 +708,9 @@ def encoder_backward(config: EncoderConfig, layers: list[EncoderLayer],
 
     Consumes the trace: each layer's activations are released as soon as
     its BPTT is done, so a batch never holds the deeper layers'
-    activations while the first layer runs.
+    activations while the first layer runs. A bidirectional encoder
+    consumes ``d_hs`` too: its top layer reverses the backward half of
+    it in place. Other kinds leave ``d_hs`` as it was.
     """
     grad = np.empty(config.param_count)
     grads = layer_views(config, grad)

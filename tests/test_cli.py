@@ -270,7 +270,8 @@ class TestConfigChecks:
         argv = config_argv(command, write_config(tmp_path, cfg, "bad.json"), data,
                            tmp_path / "run")
         assert main(argv + flags) == 2
-        assert f"config field '{section}." in capsys.readouterr().err
+        assert (f"config field '{section}' must be an object, got 5"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("command,field,flag,value", [
         ("synth", "data.seed", "--seed", 2**32),

@@ -47,8 +47,9 @@ class TestMatchUtterance:
         assert c.tp == 1
 
     def test_bad_collar(self):
-        # An infinite collar would match onsets any distance apart.
-        for collar in (0.0, -1.0, float("inf"), float("nan")):
+        # An infinite collar would match onsets any distance apart; a
+        # string or a bool is not a number of seconds.
+        for collar in (0.0, -1.0, float("inf"), float("nan"), "0.5", True):
             with pytest.raises(InputError, match="collar"):
                 match_utterance(ann(1.0), ann(1.0), collar=collar)
 

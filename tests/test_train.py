@@ -177,7 +177,8 @@ class TestTrain:
 
     @pytest.mark.parametrize("setting", [
         {"thres0": 1.5}, {"thres0": 0.0}, {"thres1": 1.0}, {"thres1": -0.2},
-        {"thres0": float("nan")}, {"collar_s": 0.0},
+        {"thres0": float("nan")}, {"collar_s": 0.0}, {"collar_s": "0.5"},
+        {"frame_shift_s": True},
     ])
     def test_bad_decision_settings_rejected_up_front(self, setting):
         with pytest.raises(InputError):
