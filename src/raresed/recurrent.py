@@ -42,18 +42,18 @@ traced run keeps each direction's buffers side by side in one row of
 T*B*3H values, where BPTT, once its carry loop is done, writes the
 (T, B, 3H) gradient rows that the input-side gradients read. It keeps
 its states once, as the layer output, which is also the next layer's
-input: BPTT reads direction 1's states as a time-reversed view of it,
-and reverses direction 1's half of the output gradient in place, so
-that one step of both directions is one view. A trace-free run keeps
-its buffers step-major, (n, D, B, .), so that one step of all D
-directions is one dense block.
+input. BPTT runs a layer's directions one after another, so that only
+one direction's whole-run gradient buffers exist at a time; it reads
+direction 1's states and output gradient as time-reversed views and
+writes into neither. A trace-free run keeps its buffers step-major,
+(n, D, B, .), so that one step of all D directions is one dense block.
 
 Training and inference share one forward pass, which takes an optional
 trace:
 
 * ``encoder_forward`` runs it with a trace, which keeps every activation
   that exact backpropagation through time needs; ``encoder_backward``
-  consumes it, stepping each layer's directions back in one loop, and
+  consumes it, stepping each layer's directions back one at a time, and
   returns the parameter gradients, summed over the batch, as one flat
   vector laid out like the parameters (see ``layer_views``).
 * ``encode`` runs it without one, for inference, and returns only the
@@ -222,12 +222,12 @@ class LayerTrace:
 
 def _gate_views(block: np.ndarray, t_len: int, batch: int,
                 h_dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """The update/reset (D, T, B, 2H) and candidate (D, T, B, H) views of
-    a (D, T*B*3H) gate block: each direction's row holds its update/reset
-    rows, then its candidate rows."""
-    n_dir, split = block.shape[0], t_len * batch * 2 * h_dim
-    return (block[:, :split].reshape(n_dir, t_len, batch, 2 * h_dim),
-            block[:, split:].reshape(n_dir, t_len, batch, h_dim))
+    """The update/reset (..., T, B, 2H) and candidate (..., T, B, H) views
+    of a (..., T*B*3H) gate block, a (D, .) block or one direction's row:
+    each row holds its update/reset rows, then its candidate rows."""
+    lead, split = block.shape[:-1], t_len * batch * 2 * h_dim
+    return (block[..., :split].reshape(lead + (t_len, batch, 2 * h_dim)),
+            block[..., split:].reshape(lead + (t_len, batch, h_dim)))
 
 
 def _stack_maps(maps: list[np.ndarray]) -> np.ndarray:
@@ -236,19 +236,6 @@ def _stack_maps(maps: list[np.ndarray]) -> np.ndarray:
     layer steps plain (B, H) arrays. Both give the same bits: each
     direction's product runs on the same contiguous operands."""
     return np.ascontiguousarray(maps[0] if len(maps) == 1 else np.stack(maps))
-
-
-def _steps(a: np.ndarray) -> np.ndarray:
-    """A (D, T, ...) array as views indexed by time step: (T, D, ...), or
-    (T, ...) when D = 1, matching the maps of _stack_maps."""
-    return a[0] if a.shape[0] == 1 else a.swapaxes(0, 1)
-
-
-def _matmul(state: np.ndarray):
-    """The product a step loop uses on ``state``: np.dot for a plain
-    (B, H) state, where it costs less per call than np.matmul, which a
-    stacked (D, B, H) state needs."""
-    return np.dot if state.ndim == 2 else np.matmul
 
 
 def _gru_steps(maps: tuple[np.ndarray, np.ndarray], zr: np.ndarray,
@@ -267,12 +254,16 @@ def _gru_steps(maps: tuple[np.ndarray, np.ndarray], zr: np.ndarray,
     gates are sigmoid(a) = tanh(a / 2) / 2 + 1/2 of the halved
     pre-activation, and the state is h + z (c - h). The ufuncs are bound
     to locals and write their temporaries into three buffers made once,
-    with ``out`` passed positionally, which costs less per call.
+    with ``out`` passed positionally, which costs less per call. A
+    one-cell layer steps plain (B, H) arrays with np.dot, which costs
+    less per call than the np.matmul a stacked (D, B, H) state needs.
     """
     u_zr, u_h = maps
     h_dim = u_h.shape[-1]
-    mm, add, multiply, subtract, tanh = _matmul(h), np.add, np.multiply, np.subtract, np.tanh
-    zr, c, hs = _steps(zr), _steps(c), _steps(hs)
+    mm, add, multiply, subtract, tanh = (np.dot if h.ndim == 2 else np.matmul, np.add,
+                                         np.multiply, np.subtract, np.tanh)
+    # Views indexed by time step: (n, D, ...), or (n, ...) when D = 1.
+    zr, c, hs = (a[0] if len(a) == 1 else a.swapaxes(0, 1) for a in (zr, c, hs))
     a, rh, ch = np.empty(zr.shape[1:]), np.empty(h.shape), np.empty(h.shape)
     for zr_t, z, r, c_t, h_out in zip(zr, zr[..., :h_dim], zr[..., h_dim:], c, hs):
         add(zr_t, mm(h, u_zr, a), a)
@@ -379,30 +370,20 @@ def _layer_run(cells: tuple[GruLayerParams, ...], xs: np.ndarray, keep: bool,
     return out, None
 
 
-def _gate_gradients(cells: tuple[GruLayerParams, ...], trace: LayerTrace,
-                    d_out: np.ndarray,
-                    grads: tuple[GruLayerParams, ...]) -> np.ndarray:
-    """BPTT's time loop: writes the recurrent-map gradients into ``grads``
-    and returns the gradients on the gate pre-activations as (D, T, B, 3H)
-    rows in the trace's spent gate block. Its own buffers are freed on
-    return, before the input-side gradients are made. For D = 2 it
-    reverses direction 1's half of ``d_out`` in place."""
-    n_dir, h_dim = len(cells), cells[0].hidden
-    t_len, batch = trace.out.shape[:2]
-    # Each direction's output gradient in its run's time order: direction
-    # 1's half is reversed in place, so that step t's (D, B, H) block is a
-    # view of row t.
-    d_runs = d_out
-    if n_dir == 2:
-        d_back = d_out[:, :, h_dim:]
-        d_back[:] = d_back[::-1]
-        d_runs = d_out.reshape(t_len, batch, 2, h_dim).swapaxes(1, 2)
-    u_zr = _stack_maps([cell.U[:2 * h_dim] for cell in cells])
-    u_h = _stack_maps([cell.U[2 * h_dim:] for cell in cells])
-    # Direction k's states in its run's time order, as views of the output.
-    hs = [trace.out[::1 if k == 0 else -1, :, k * h_dim:(k + 1) * h_dim]
-          for k in range(n_dir)]
-    zr, cs = _gate_views(trace.gates, t_len, batch, h_dim)
+def _gate_gradients(cell: GruLayerParams, gates: np.ndarray, hs: np.ndarray,
+                    d_run: np.ndarray, grad: GruLayerParams) -> np.ndarray:
+    """BPTT's time loop for one direction of a layer run: ``gates`` is
+    its row of the trace's gate block, and ``hs`` and ``d_run`` are its
+    states and output gradient (T, B, H) in its run's time order (for
+    direction 1, time-reversed views of the layer output and of its
+    gradient). Writes the recurrent-map gradients into ``grad`` and
+    returns the gradients on the gate pre-activations as (T, B, 3H) rows
+    in the spent gate row. Its own buffers are freed on return, before
+    the input-side gradients are made, and ``d_run`` is only read."""
+    t_len, batch, h_dim = hs.shape
+    u_zr = np.ascontiguousarray(cell.U[:2 * h_dim])
+    u_h = np.ascontiguousarray(cell.U[2 * h_dim:])
+    zr, cs = _gate_views(gates, t_len, batch, h_dim)
     zs, rs = zr[..., :h_dim], zr[..., h_dim:]
 
     # Gradients on the update/reset and candidate pre-activations, laid
@@ -420,51 +401,47 @@ def _gate_gradients(cells: tuple[GruLayerParams, ...], trace: LayerTrace,
     d_c *= zs
     np.subtract(1.0, zr, out=d_zr)
     d_az *= zs
-    for k, states in enumerate(hs):
-        np.subtract(cs[k, 1:], states[:-1], out=cs[k, 1:])
-        d_az[k] *= cs[k]
-        np.multiply(states[:-1], rs[k, 1:], out=cs[k, 1:])
-    r_h_prev = cs[:, 1:]
-    d_ar[:, 1:] *= r_h_prev
-    d_ar[:, 0] = 0.0
+    np.subtract(cs[1:], hs[:-1], out=cs[1:])
+    d_az *= cs
+    r_h_prev = np.multiply(hs[:-1], rs[1:], out=cs[1:])
+    d_ar[1:] *= r_h_prev
+    d_ar[0] = 0.0
     np.subtract(1.0, zs, out=zs)
     # Per-step views. dh and the reset path's d(r h_prev) sit side by side
     # in dhr, so that one multiply scales both gate rows and one the
     # direct carry terms: eight numpy calls a step. np.dot cannot write
-    # into the strided half of dhr, so that product is always np.matmul.
+    # into the strided half of dhr, so that product is np.matmul.
     # The ufuncs are bound to locals and take ``out`` positionally, and
     # the carry and its recurrent product have buffers of their own.
-    steps = zip(*(_steps(a)[::-1] for a in (zr, d_zr, d_c)), d_runs[::-1])
-    dhr, direct = np.empty((2,) + u_h.shape[:-2] + (batch, 2 * h_dim))
-    dh, drh = dhr[..., :h_dim], dhr[..., h_dim:]
-    via_z, via_r = direct[..., :h_dim], direct[..., h_dim:]
+    dhr, direct = np.empty((2, batch, 2 * h_dim))
+    dh, drh = dhr[:, :h_dim], dhr[:, h_dim:]
+    via_z, via_r = direct[:, :h_dim], direct[:, h_dim:]
     carry, via_u = np.zeros(dh.shape), np.empty(dh.shape)
-    mm, add, multiply, matmul = _matmul(carry), np.add, np.multiply, np.matmul
-    for zr_t, d_zr_t, d_c_t, d_run in steps:
-        add(d_run, carry, dh)
+    add, multiply, matmul, dot = np.add, np.multiply, np.matmul, np.dot
+    for zr_t, d_zr_t, d_c_t, d_run_t in zip(zr[::-1], d_zr[::-1], d_c[::-1], d_run[::-1]):
+        add(d_run_t, carry, dh)
         matmul(multiply(dh, d_c_t, d_c_t), u_h, drh)
         multiply(dhr, zr_t, direct)
         add(via_z, via_r, carry)
-        add(carry, mm(multiply(dhr, d_zr_t, d_zr_t), u_zr, via_u), carry)
+        add(carry, dot(multiply(dhr, d_zr_t, d_zr_t), u_zr, via_u), carry)
 
     # One matmul over all T*B rows per map, stacked by sequence and then
     # summed over the batch, so no sum mixes sequences before the batch
     # sum. The maps skip step 0, whose previous state is zero.
-    for k, grad in enumerate(grads):
-        np.sum(d_c[k].transpose(1, 2, 0)[..., 1:] @ r_h_prev[k].transpose(1, 0, 2),
-               axis=0, out=grad.U[2 * h_dim:])
-        states = hs[k][:-1]
-        if k == 1:
-            # BLAS needs positive strides: direction 1's states go into its
-            # spent update/reset rows, which the copy-back below overwrites.
-            run = zr[1].reshape(-1)[:states.size].reshape(states.shape)
-            run[:] = states
-            states = run
-        np.sum(d_zr[k].transpose(1, 2, 0)[..., 1:] @ states.transpose(1, 0, 2),
-               axis=0, out=grad.U[:2 * h_dim])
+    np.sum(d_c.transpose(1, 2, 0)[..., 1:] @ r_h_prev.transpose(1, 0, 2),
+           axis=0, out=grad.U[2 * h_dim:])
+    states = hs[:-1]
+    if states.strides[0] < 0:
+        # BLAS needs positive strides: direction 1's states go into its
+        # spent update/reset rows, which the copy-back below overwrites.
+        run = zr.reshape(-1)[:states.size].reshape(states.shape)
+        run[:] = states
+        states = run
+    np.sum(d_zr.transpose(1, 2, 0)[..., 1:] @ states.transpose(1, 0, 2),
+           axis=0, out=grad.U[:2 * h_dim])
     # The activations are spent: the gradient rows take their place, in
     # the (T, B, 3H) rows the input-side gradients read.
-    d_a = trace.gates.reshape(n_dir, t_len, batch, 3 * h_dim)
+    d_a = gates.reshape(t_len, batch, 3 * h_dim)
     d_a[..., :2 * h_dim] = d_zr
     d_a[..., 2 * h_dim:] = d_c
     return d_a
@@ -473,14 +450,14 @@ def _gate_gradients(cells: tuple[GruLayerParams, ...], trace: LayerTrace,
 def _layer_bptt(cells: tuple[GruLayerParams, ...], trace: LayerTrace,
                 d_out: np.ndarray, need_dx: bool,
                 grads: tuple[GruLayerParams, ...]) -> Optional[np.ndarray]:
-    """BPTT through one layer run over a batch, its D directions in one
-    time loop.
+    """BPTT through one layer run over a batch, one direction at a time,
+    so that only one direction's whole-run gradient buffers exist at once.
 
-    ``d_out`` is the loss gradient on the layer output (T, B, D*H).
-    Writes the parameter gradients, summed over the batch, into the
-    arrays of ``grads`` and returns the gradient on the layer input when
-    requested. Consumes the trace: it overwrites the gate block, and for
-    D = 2 it reverses direction 1's half of ``d_out`` in place.
+    ``d_out`` is the loss gradient on the layer output (T, B, D*H), which
+    is only read. Writes the parameter gradients, summed over the batch,
+    into the arrays of ``grads`` and returns the gradient on the layer
+    input when requested. Consumes the trace: it overwrites the gate
+    block.
 
     No product or sum mixes sequences before the batch sum, so a
     sequence's share is the same bits in every batch of two or more
@@ -489,25 +466,34 @@ def _layer_bptt(cells: tuple[GruLayerParams, ...], trace: LayerTrace,
     with the matrix size, and runs the one-row products of a batch of
     one as gemv, which rounds differently.
     """
-    d_a = _gate_gradients(cells, trace, d_out, grads)
-    n_dir, t_len, batch, g = d_a.shape
-    # Each input-side gradient is one matmul over all T*B gradient rows of
-    # a direction, as each direction's input projection was one gemm.
-    for k, grad in enumerate(grads):
-        # Direction 1 ran over reversed time; BLAS needs positive strides.
-        inputs = np.ascontiguousarray(trace.inputs[::1 if k == 0 else -1])
-        np.sum(d_a[k].transpose(1, 2, 0) @ inputs.transpose(1, 0, 2), axis=0,
-               out=grad.W)
-        np.sum(d_a[k].sum(axis=0), axis=0, out=grad.b)
+    t_len, batch = trace.inputs.shape[:2]
+    h_dim = cells[0].hidden
+    d_as = []
+    for k, (cell, grad) in enumerate(zip(cells, grads)):
+        # Direction k's run order: direction 1 ran over reversed time.
+        run, cols = slice(None, None, 1 if k == 0 else -1), slice(k * h_dim, (k + 1) * h_dim)
+        d_a = _gate_gradients(cell, trace.gates[k], trace.out[run, :, cols],
+                              d_out[run, :, cols], grad)
+        # The input map's gradient: one gemm per sequence, added in
+        # sequence order onto zeros, as np.sum over a stack of them adds.
+        # BLAS needs positive strides: each of direction 1's sequences is
+        # copied in run order, one at a time.
+        inputs, product = trace.inputs[run], np.empty(grad.W.shape)
+        grad.W[:] = 0.0
+        for b in range(batch):
+            x = inputs[:, b] if k == 0 else np.ascontiguousarray(inputs[:, b])
+            grad.W += np.matmul(d_a[:, b].T, x, out=product)
+        np.sum(d_a.sum(axis=0), axis=0, out=grad.b)
+        d_as.append(d_a)
     if not need_dx:
         return None
-    rows = t_len * batch
-    dx = (d_a[0].reshape(rows, g) @ cells[0].W).reshape(t_len, batch, -1)
-    if n_dir == 2:
+    rows, g = t_len * batch, 3 * h_dim
+    dx = (d_as[0].reshape(rows, g) @ cells[0].W).reshape(t_len, batch, -1)
+    if len(cells) == 2:
         # Direction 1's share goes into the spent d_a of direction 0: above
         # the first layer D_in = 2H, which fits in its 3H columns.
-        spent = d_a[0].reshape(-1)[:dx.size].reshape(rows, -1)
-        dxb = np.matmul(d_a[1].reshape(rows, g), cells[1].W, out=spent)
+        spent = d_as[0].reshape(-1)[:dx.size].reshape(rows, -1)
+        dxb = np.matmul(d_as[1].reshape(rows, g), cells[1].W, out=spent)
         dx += dxb.reshape(t_len, batch, -1)[::-1]
     return dx
 
@@ -605,7 +591,8 @@ def _upsample_k_backward(d_out: np.ndarray, source_t: int, k: int) -> np.ndarray
 
 @dataclass
 class EncoderTrace:
-    """Everything the encoder backward pass needs."""
+    """Everything the encoder backward pass needs, and the input length,
+    which the benchmark's flop count reads (``bench/layers.py``)."""
 
     input_length: int
     layer_traces: list[LayerTrace] = field(default_factory=list)
@@ -708,9 +695,7 @@ def encoder_backward(config: EncoderConfig, layers: list[EncoderLayer],
 
     Consumes the trace: each layer's activations are released as soon as
     its BPTT is done, so a batch never holds the deeper layers'
-    activations while the first layer runs. A bidirectional encoder
-    consumes ``d_hs`` too: its top layer reverses the backward half of
-    it in place. Other kinds leave ``d_hs`` as it was.
+    activations while the first layer runs. ``d_hs`` is only read.
     """
     grad = np.empty(config.param_count)
     grads = layer_views(config, grad)

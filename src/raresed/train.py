@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-import operator
+import numbers
 import struct
 from dataclasses import asdict, dataclass, field, replace
 from typing import Optional, Sequence
@@ -52,6 +52,13 @@ class TrainConfig:
     frame_shift_s: float = DEFAULT_FRAME_SHIFT_S
 
     def __post_init__(self) -> None:
+        # Each number is stored as a plain int or float, which JSON can write.
+        for name in ("batch_size", "epochs", "seed", "margin"):
+            object.__setattr__(self, name, _number(getattr(self, name), name, int))
+        for name in ("alpha", "stepsize", "thres0", "thres1"):
+            object.__setattr__(self, name, _number(getattr(self, name), name, float))
+        object.__setattr__(self, "collar_s", check_seconds(self.collar_s, "collar"))
+        object.__setattr__(self, "frame_shift_s", check_seconds(self.frame_shift_s, "frame shift"))
         if not (math.isfinite(self.alpha) and self.alpha >= 0):
             raise InputError(f"alpha must be finite and nonnegative, "
                              f"got {self.alpha!r}")
@@ -72,13 +79,16 @@ class TrainConfig:
         if not (0.0 < self.thres0 < 1.0 and 0.0 < self.thres1 < 1.0):
             raise InputError("thresholds thres0 and thres1 must lie strictly "
                              "inside (0, 1)")
-        check_seconds(self.collar_s, "collar")
-        check_seconds(self.frame_shift_s, "frame shift")
-        # Stored as plain ints and floats (numpy scalars too), which JSON can write.
-        for name in ("batch_size", "epochs", "seed", "margin"):
-            object.__setattr__(self, name, operator.index(getattr(self, name)))
-        for name in ("alpha", "stepsize", "thres0", "thres1", "collar_s", "frame_shift_s"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+
+
+def _number(value, name: str, kind: type):
+    """``value`` (a numpy scalar too) as a plain int or float ``kind``; InputError
+    naming the setting unless it is such a number, which a bool or a string is not."""
+    whole = kind is int
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral if whole else numbers.Real):
+        raise InputError(f"{name} must be {'an integer' if whole else 'a real number'}, "
+                         f"got {value!r}")
+    return kind(value)
 
 
 @dataclass(frozen=True)

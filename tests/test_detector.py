@@ -786,3 +786,22 @@ class TestInferMemory:
         pin, slices = INFER_MEMORY_PINS[kind, count, frames]
         assert peak <= pin, peak
         assert encode_slices[1:] == slices
+
+
+# tracemalloc peak in bytes of one bidirectional 2x32 desk minibatch:
+# batch_loss_and_gradients on 10 clips of 150 frames, d = 16, the step
+# that sets the memory of a bidirectional training run. Recorded when
+# BPTT came to run a layer's directions one at a time (10_113_528 before,
+# with both directions' gradient buffers at once). A peak may not rise
+# above its pin.
+TRAINING_MEMORY_PIN = 8_961_256
+
+
+class TestTrainingMemory:
+    def test_bidirectional_desk_minibatch_peak_at_most_its_pin(self):
+        model = small_model(kind="bidirectional", layers=2, hidden=32, input_dim=16)
+        rng = np.random.default_rng(47)
+        batch = [random_utterance(rng, 16, 150, i % 2 == 1, f"u{i}") for i in range(10)]
+        batch_loss_and_gradients(model, batch, 1.0)  # once-only state
+        peak = traced_peak(lambda: batch_loss_and_gradients(model, batch, 1.0))
+        assert peak <= TRAINING_MEMORY_PIN, peak

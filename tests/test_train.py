@@ -188,7 +188,12 @@ class TestTrain:
         {"alpha": float("inf")}, {"alpha": float("nan")}, {"alpha": -1.0},
         {"stepsize": 0.0}, {"stepsize": -1.0}, {"stepsize": float("inf")},
         {"stepsize": float("nan")},
-    ], ids=lambda s: "{}={}".format(*next(iter(s.items()))))
+        # A bool is not taken as 0 or 1, nor a string as the number it spells.
+        *({name: value} for name in ("alpha", "batch_size", "stepsize", "epochs", "seed",
+                                     "thres0", "thres1", "margin")
+          for value in (True, False, "3", "0.5")),
+        *({name: 3.0} for name in ("batch_size", "epochs", "seed", "margin")),
+    ], ids=lambda s: "{}={!r}".format(*next(iter(s.items()))))
     def test_bad_training_settings_rejected_up_front(self, setting):
         name = next(iter(setting))
         with pytest.raises(InputError, match=name):
