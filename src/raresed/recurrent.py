@@ -32,21 +32,22 @@ product over the stacked (D, H, 2H) and (D, H, H) maps, which numpy runs
 as one gemm per direction, so each direction keeps its own sums. A
 unidirectional layer runs the same code with the direction axis dropped.
 
-A layer keeps its gates in two dense buffers, update/reset rows
-(..., B, 2H) and candidate rows (..., B, H), so that the gate rows a
-time step reads and writes, forward and in BPTT, are contiguous blocks;
-only the update and reset halves of a (B, 2H) row are strided views.
-Each direction's input projection is one (rows, 3H) gemm into a scratch
-buffer, whose rows the biases are added to on the way into the two. A
-traced run keeps each direction's buffers side by side in one row of
-T*B*3H values, where BPTT, once its carry loop is done, writes the
-(T, B, 3H) gradient rows that the input-side gradients read. It keeps
-its states once, as the layer output, which is also the next layer's
-input. BPTT runs a layer's directions one after another, so that only
-one direction's whole-run gradient buffers exist at a time; it reads
-direction 1's states and output gradient as time-reversed views and
-writes into neither. A trace-free run keeps its buffers step-major,
-(n, D, B, .), so that one step of all D directions is one dense block.
+A layer run, traced or not, is one time loop over blocks of
+PROJECTION_BLOCK steps. A block's input projections plus biases go into
+two dense gate buffers, update/reset rows (..., B, 2H) and candidate
+rows (..., B, H), so that the gate rows a time step reads and writes,
+forward and in BPTT, are contiguous blocks; only the update and reset
+halves of a (B, 2H) row are strided views. The block's states go into a
+block buffer and from there into the layer output. A traced run keeps
+each direction's gates side by side in one row of T*B*3H values, where
+BPTT, once its carry loop is done, writes the (T, B, 3H) gradient rows
+that the input-side gradients read. It keeps its states once, as the
+layer output, which is also the next layer's input. BPTT runs a layer's
+directions one after another, so that only one direction's whole-run
+gradient buffers exist at a time; it reads direction 1's states and
+output gradient as time-reversed views and writes into neither. A
+trace-free run's gate buffers hold one block, step-major, (n, D, B, .),
+so that one step of all D directions is one dense block.
 
 Training and inference share one forward pass, which takes an optional
 trace:
@@ -58,9 +59,8 @@ trace:
   vector laid out like the parameters (see ``layer_views``).
 * ``encode`` runs it without one, for inference, and returns only the
   frame logits w . h_t for the classifier w, which is all the detector's
-  head reads: both its posteriors are sigmoids of logits. The input
-  projections are made a block of steps at a time and nothing is kept;
-  a unidirectional or bidirectional top layer reduces each block of
+  head reads: both its posteriors are sigmoids of logits. Nothing is
+  kept: a unidirectional or bidirectional top layer reduces each block of
   states with w and never holds its output, and a multiresolution
   encoder sums the upsampled logits of each layer's pooled output.
   ``encode_bytes`` gives the bytes one sequence adds to such a pass.
@@ -211,8 +211,9 @@ class LayerTrace:
 
     Row k of ``gates`` holds direction k's gate activations as two dense
     blocks (see _gate_views): its update/reset rows (T, B, 2H), then its
-    candidate rows (T, B, H). BPTT reuses the row for the direction's
-    (T, B, 3H) gradient rows once it no longer needs the activations.
+    candidate rows (T, B, H), filled a block of steps at a time. BPTT
+    reuses the row for the direction's (T, B, 3H) gradient rows once it
+    no longer needs the activations.
     """
 
     inputs: np.ndarray  # (T, B, D_in), in input time order
@@ -275,54 +276,55 @@ def _gru_steps(maps: tuple[np.ndarray, np.ndarray], zr: np.ndarray,
     return h
 
 
+# Time steps whose input projections a layer run makes at once, traced or
+# not: no run holds a whole-run projection, and training projects as inference does.
+PROJECTION_BLOCK = 16
+
+
 def _project(w_in: np.ndarray, b_in: np.ndarray, xs: np.ndarray, t0: int,
              zr: np.ndarray, c: np.ndarray, scratch: np.ndarray) -> None:
     """Fill ``zr`` (D, n, B, 2H) and ``c`` (D, n, B, H) with the input
     projections plus biases of run steps t0..t0+n-1, for the stacked
     input maps ``w_in`` (D, 3H, D_in) and biases ``b_in`` (D, 3H) with
     their update/reset rows halved: direction 0 reads ``xs`` forward in
-    time, direction 1 backward. Each direction's projection is
-    one (n*B, 3H) gemm into ``scratch``, of its input block in input time
-    order, and the biases are added on the way into ``zr`` and ``c``,
-    direction 1's rows in reversed order. Splitting the gemm by gate block
-    would round some row counts differently."""
+    time, direction 1 backward. Per direction, one gemm into ``scratch``
+    projects the PROJECTION_BLOCK run steps that end at step t0+n-1 (or
+    the whole run, if shorter), so that a short last block has a full
+    block's rows: OpenBLAS rounds a row differently in a product of few
+    rows (gemv for one; with D_in >= 32 a small-matrix kernel up to 1200
+    outputs) or in one split by gate block. The biases are added in
+    place and the block's rows copied out, direction 1's reversed."""
     n_dir, n, batch, zr_cols = zr.shape
-    rows, t_len = n * batch, xs.shape[0]
+    t_len = xs.shape[0]
+    start = max(0, min(t0, t_len - PROJECTION_BLOCK))
+    rows = (t0 + n - start) * batch
     for k in range(n_dir):
-        # Direction 1's steps t0..t0+n-1 are input steps T-t0-n..T-t0-1, reversed.
-        block = xs[t0:t0 + n] if k == 0 else xs[t_len - t0 - n:t_len - t0]
-        projected = np.matmul(block.reshape(rows, -1), w_in[k].T,
-                              out=scratch[:rows]).reshape(n, batch, -1)
+        # Direction 1's steps start..t0+n-1 are input steps T-t0-n..T-start-1, reversed.
+        steps = xs[start:t0 + n] if k == 0 else xs[t_len - t0 - n:t_len - start]
+        projected = np.matmul(steps.reshape(rows, -1), w_in[k].T, out=scratch[:rows])
+        projected += b_in[k]
+        projected = projected.reshape(-1, batch, w_in.shape[1])
         if k == 1:
             projected = projected[::-1]
-        np.add(projected[..., :zr_cols], b_in[k, :zr_cols], out=zr[k])
-        np.add(projected[..., zr_cols:], b_in[k, zr_cols:], out=c[k])
-
-
-# Time steps whose input projections a trace-free run computes at once,
-# so it never holds a whole-sequence (D, T, B, 3H) buffer.
-PROJECTION_BLOCK = 16
+        zr[k] = projected[t0 - start:, :, :zr_cols]
+        c[k] = projected[t0 - start:, :, zr_cols:]
 
 
 def _layer_run(cells: tuple[GruLayerParams, ...], xs: np.ndarray, keep: bool,
                w: Optional[np.ndarray] = None) -> tuple[np.ndarray, Optional[LayerTrace]]:
     """Run a layer's D cells over a (T, B, D_in) batch of equal-length
-    float64 sequences, each from a zero initial state, in one time loop.
-    Returns the (T, B, D*H) layer output, with direction 1's half in
-    input time order, and with ``keep`` the layer's trace.
+    float64 sequences, each from a zero initial state, in one time loop
+    over blocks of PROJECTION_BLOCK steps. Returns the (T, B, D*H) layer
+    output, with direction 1's half in input time order, and with
+    ``keep`` the layer's trace.
 
-    With ``keep``, the input projections of every step are made at once
-    and the gate activations overwrite them in place, in the trace's
-    direction-major gate block. For D = 1 the states are the output; for
-    D = 2 the time loop writes them into a run-order buffer, which is
-    copied into the two halves of the output and dropped, so the trace
-    holds the states once. Without ``keep``, projections are made
-    PROJECTION_BLOCK steps at a time into step-major buffers, where one
-    step of the D directions is one dense (D, B, .) block, and nothing
-    is kept. Given the classifier ``w`` (D*H,) as well, it returns the
-    (T, B) logits h_t . w in place of the output, which it never
-    allocates: each block's states are reduced with their direction's
-    half of ``w``.
+    A block's gate activations overwrite its input projections: with
+    ``keep`` in the block's rows of the trace's gate block, else in
+    step-major block buffers. Its states are copied into each
+    direction's half of the output. Given the classifier ``w`` (D*H,) as
+    well, they are reduced with their direction's half of ``w`` into the
+    (T, B) logits h_t . w, returned in place of the output, which is
+    never allocated.
     """
     t_len, batch, _ = xs.shape
     n_dir, h_dim = len(cells), cells[0].hidden
@@ -336,28 +338,23 @@ def _layer_run(cells: tuple[GruLayerParams, ...], xs: np.ndarray, keep: bool,
     maps = (_stack_maps([0.5 * cell.U[:2 * h_dim].T for cell in cells]),
             _stack_maps([cell.U[2 * h_dim:].T for cell in cells]))
     h = np.zeros(maps[1].shape[:-2] + (batch, h_dim))
+    size = min(t_len, PROJECTION_BLOCK)
     if keep:
-        out = np.empty((t_len, batch, n_dir * h_dim))
         gates = np.empty((n_dir, t_len * batch * 3 * h_dim))
         zr, c = _gate_views(gates, t_len, batch, h_dim)
-        _project(w_in, b_in, xs, 0, zr, c, np.empty((t_len * batch, 3 * h_dim)))
-        hs = out[None] if n_dir == 1 else np.empty((n_dir, t_len, batch, h_dim))
-        _gru_steps(maps, zr, c, h, hs)
-        if n_dir == 2:
-            out[:, :, :h_dim] = hs[0]
-            out[:, :, h_dim:] = hs[1, ::-1]
-        return out, LayerTrace(inputs=xs, out=out, gates=gates)
-    size = min(t_len, PROJECTION_BLOCK)
-    zr, c, states = (np.empty((size, n_dir, batch, width)).swapaxes(0, 1)
-                     for width in (2 * h_dim, h_dim, h_dim))
+    else:
+        zr, c = (np.empty((size, n_dir, batch, width)).swapaxes(0, 1)
+                 for width in (2 * h_dim, h_dim))
+    states = np.empty((size, n_dir, batch, h_dim)).swapaxes(0, 1)
     scratch = np.empty((size * batch, 3 * h_dim))
     out = np.empty((t_len, batch, n_dir * h_dim)) if w is None else np.zeros((t_len, batch))
     for t0 in range(0, t_len, PROJECTION_BLOCK):
         n = min(PROJECTION_BLOCK, t_len - t0)
-        _project(w_in, b_in, xs, t0, zr[:, :n], c[:, :n], scratch)
+        steps = slice(t0, t0 + n) if keep else slice(n)
+        _project(w_in, b_in, xs, t0, zr[:, steps], c[:, steps], scratch)
         # h is the previous block's last row of ``states``; step 0 reads
         # it before it writes row 0.
-        h = _gru_steps(maps, zr[:, :n], c[:, :n], h, states[:, :n])
+        h = _gru_steps(maps, zr[:, steps], c[:, steps], h, states[:, :n])
         for k in range(n_dir):
             # Direction 1's block holds input steps T-t0-n..T-t0-1, reversed.
             at = slice(t0, t0 + n) if k == 0 else slice(t_len - t0 - n, t_len - t0)
@@ -367,7 +364,7 @@ def _layer_run(cells: tuple[GruLayerParams, ...], xs: np.ndarray, keep: bool,
             else:
                 # Both directions add into zeros: s0 + s1 in either order.
                 out[at] += rows @ w[k * h_dim:(k + 1) * h_dim]
-    return out, None
+    return out, LayerTrace(inputs=xs, out=out, gates=gates) if keep else None
 
 
 def _gate_gradients(cell: GruLayerParams, gates: np.ndarray, hs: np.ndarray,

@@ -25,6 +25,7 @@ from raresed.detector import (
 )
 from raresed.numerics import as_f64, sigmoid
 from raresed.recurrent import (
+    PROJECTION_BLOCK,
     EncoderConfig,
     EncoderLayer,
     GruLayerParams,
@@ -84,20 +85,22 @@ def run_bidirectional(fwd: GruLayerParams, bwd: GruLayerParams,
 
 def project(w_in: np.ndarray, b_in: np.ndarray, xs: np.ndarray, t0: int,
             zr: np.ndarray, c: np.ndarray, scratch: np.ndarray) -> None:
-    """recurrent._project in its direct form: per direction one (n*B, 3H)
-    gemm of the cell's own map over its input block in run time order,
-    then the cell's bias, the copy-out into ``zr`` and ``c``, and a
-    halving pass over ``zr``. The cell's map and bias are ``w_in`` and
-    ``b_in`` with their halved update/reset rows doubled, which is exact.
-    ``scratch`` is not used."""
+    """recurrent._project in its direct form: per direction one gemm of
+    the cell's own map over its input steps in run time order, then the
+    cell's bias, the copy-out of the block's rows into ``zr`` and ``c``,
+    and a halving pass over ``zr``. The gemm covers the steps
+    _project's does: the PROJECTION_BLOCK run steps that end with the
+    block's last, or the whole run if it is shorter. The cell's map and
+    bias are ``w_in`` and ``b_in`` with their halved update/reset rows
+    doubled, which is exact. ``scratch`` is not used."""
     n_dir, n, batch, zr_cols = zr.shape
-    rows = n * batch
+    start = max(0, min(t0, xs.shape[0] - PROJECTION_BLOCK))
     unhalve = np.where(np.arange(b_in.shape[1]) < zr_cols, 2.0, 1.0)
     for k in range(n_dir):
-        block = (xs if k == 0 else xs[::-1])[t0:t0 + n]
-        projected = block.reshape(rows, -1) @ (w_in[k] * unhalve[:, None]).T
+        steps = (xs if k == 0 else xs[::-1])[start:t0 + n]
+        projected = steps.reshape(-1, xs.shape[2]) @ (w_in[k] * unhalve[:, None]).T
         projected += b_in[k] * unhalve
-        projected = projected.reshape(n, batch, -1)
+        projected = projected.reshape(-1, batch, b_in.shape[1])[t0 - start:]
         zr[k] = projected[..., :zr_cols]
         c[k] = projected[..., zr_cols:]
     zr *= 0.5

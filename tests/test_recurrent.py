@@ -352,10 +352,10 @@ ENCODE_PINS = {
 
 
 class TestProjection:
-    """The input projection, with halved maps and the biases added on the
-    way into the gate buffers, keeps the bits of the oracle's form, at
-    batch sizes and lengths on both sides of the row counts where
-    OpenBLAS changes how it rounds a (rows, K) @ (K, 96) product."""
+    """The input projection, with halved maps, keeps the bits of the
+    oracle's form, and each block of it the bits of one gemm over the
+    whole run, at batch sizes and lengths on both sides of the row counts
+    where OpenBLAS changes how it rounds a (rows, K) @ (K, 96) product."""
 
     @pytest.mark.parametrize("batch", [1, 2, 10, 11])
     @pytest.mark.parametrize("kind", ["unidirectional", "bidirectional"])
@@ -378,6 +378,35 @@ class TestProjection:
                 want = run()
             assert [a.tobytes() for a in got] == [a.tobytes() for a in want], t_len
 
+    @pytest.mark.parametrize("batch", [1, 2, 10, 11])
+    @pytest.mark.parametrize("kind", ["unidirectional", "bidirectional"])
+    def test_blocks_keep_the_whole_run_bits(self, monkeypatch, kind, batch):
+        # The blocks, a short last one included, keep the bits of one gemm
+        # over all T steps, the projection training had when the gradient
+        # and training pins were recorded.
+        def whole_run(w_in, b_in, xs, t0, zr, c, scratch):
+            n_dir, n, _, zr_cols = zr.shape
+            run_zr, run_c = (np.empty((n_dir, len(xs), batch, width))
+                             for width in (zr_cols, c.shape[-1]))
+            project(w_in, b_in, xs, 0, run_zr, run_c, None)
+            zr[:], c[:] = run_zr[:, t0:t0 + n], run_c[:, t0:t0 + n]
+
+        rng = np.random.default_rng(72)
+        cfg = EncoderConfig(kind=kind, layers=2, hidden=32, input_dim=16)
+        layers = random_layers(cfg, rng)
+        for t_len in (17, 33, 150):
+            xs = rng.standard_normal((t_len, batch, 16))
+
+            def run():
+                features, trace = encoder_forward(cfg, layers, xs)
+                return [features, *(layer.gates for layer in trace.layer_traces)]
+
+            got = run()
+            with monkeypatch.context() as patch:
+                patch.setattr(recurrent, "_project", whole_run)
+                want = run()
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want], t_len
+
 
 class TestEncode:
     """The forward-only logits against the traced features."""
@@ -392,7 +421,7 @@ class TestEncode:
                             multires_bidirectional=bidir)
         layers = random_layers(cfg, rng)
         w = rng.uniform(-1.0, 1.0, cfg.output_dim)
-        # Odd lengths give the pooling a trailing frame; 131 spans three
+        # Odd lengths give the pooling a trailing frame; 131 spans nine
         # projection blocks.
         for t_len in (1, 7, 13, 131):
             xs = rng.standard_normal((t_len, 3, 3))
@@ -500,18 +529,21 @@ class TestTrace:
 
 # tracemalloc peaks in bytes of a depth-2, H 32 encoder on a (300, 10, 16)
 # batch, inputs and output gradient made before tracing starts: a traced
-# forward pass plus BPTT, and a forward-only encode. Recorded when each
-# layer's gates were one interleaved (..., B, 3H) buffer and encode
-# returned the features, not the logits; the traced peaks of the two
-# two-direction cases were re-recorded when a traced layer came to keep
-# its states once, as its output, and again when BPTT came to run one
-# direction at a time. A peak may rise by at most MEMORY_SLACK over its
-# pin.
+# forward pass plus BPTT, the traced forward pass alone, and a
+# forward-only encode. Recorded when each layer's gates were one
+# interleaved (..., B, 3H) buffer and encode returned the features, not
+# the logits; the traced peaks of the two two-direction cases were
+# re-recorded when a traced layer came to keep its states once, as its
+# output, and again when BPTT came to run one direction at a time. The
+# forward peaks, and the traced peaks of the multiresolution cases, set
+# in the forward pass, were recorded when a traced layer came to project
+# a block of steps at a time. A peak may rise by at most MEMORY_SLACK
+# over its pin.
 MEMORY_PINS = {
-    ("unidirectional", False): (9_324_336, 1_819_952),
-    ("bidirectional", False): (15_069_168, 3_588_144),
-    ("multiresolution", False): (7_019_608, 1_921_112),
-    ("multiresolution", True): (12_961_544, 3_588_256),
+    ("unidirectional", False): (9_324_336, 6_430_160, 1_819_952),
+    ("bidirectional", False): (15_069_168, 12_716_960, 3_588_144),
+    ("multiresolution", False): (6_818_272, 6_146_240, 1_921_112),
+    ("multiresolution", True): (12_381_624, 12_030_360, 3_588_256),
 }
 MEMORY_SLACK = 1.05
 
@@ -529,12 +561,15 @@ class TestMemory:
         def train():
             encoder_backward(cfg, layers, encoder_forward(cfg, layers, xs)[1], d_hs)
 
+        def forward():
+            encoder_forward(cfg, layers, xs)
+
         def infer():
             encode(cfg, layers, xs, np.ones(cfg.output_dim))
 
         train()  # first calls may allocate once-only state
         infer()
-        peaks = (traced_peak(train), traced_peak(infer))
+        peaks = (traced_peak(train), traced_peak(forward), traced_peak(infer))
         for peak, pin in zip(peaks, MEMORY_PINS[kind, bidir]):
             assert peak <= MEMORY_SLACK * pin, (peaks, MEMORY_PINS[kind, bidir])
 
