@@ -18,9 +18,9 @@ the cross-entropy of the pooled posterior.
 
 Gradients are fully analytic. The head's gradient on the logits, g_t,
 gives d(loss)/dh_t = g_t w and d(loss)/dw = sum_t g_t h_t; BPTT carries
-it through the recurrent encoder, including the pooling of the
-multi-resolution stack. The test suite checks them against central
-finite differences.
+it, as the factors (g, w), through the recurrent encoder, including the
+pooling of the multi-resolution stack. The test suite checks them
+against central finite differences.
 """
 
 from __future__ import annotations
@@ -163,7 +163,7 @@ def attend(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     every batch, and the same as a batch of one.
     """
     p = sigmoid(logits)
-    denom = p.sum(axis=1) + ATTENTION_EPS
+    denom = np.add.reduce(p, 1) + ATTENTION_EPS
     a = p / denom[:, None]
     p_utt = sigmoid((a[:, None] @ logits[:, :, None])[:, 0, 0])
     return p, p_utt, a, denom
@@ -184,12 +184,12 @@ def head(logits: np.ndarray, y: np.ndarray, scale: np.ndarray,
     The clamp before the logs never enters the gradient.
     """
     p, p_utt, a, denom = attend(logits)
-    u = (a * logits).sum(axis=1)
-    q_utt = np.clip(p_utt, PROB_FLOOR, 1.0 - PROB_FLOOR)
-    q = np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR)
+    u = np.add.reduce(a * logits, 1)
+    q_utt = np.minimum(np.maximum(p_utt, PROB_FLOOR), 1.0 - PROB_FLOOR)
+    q = np.minimum(np.maximum(p, PROB_FLOOR), 1.0 - PROB_FLOOR)
     loss = -(y * np.log(q_utt) + (1.0 - y) * np.log(1.0 - q_utt))
-    loss -= (scale * (labels * np.log(q)
-                      + (1.0 - labels) * np.log(1.0 - q))).sum(axis=1)
+    loss -= np.add.reduce(scale * (labels * np.log(q)
+                                   + (1.0 - labels) * np.log(1.0 - q)), 1)
     g = ((p_utt - y)[:, None] * (a + (logits - u[:, None]) * (p * (1.0 - p))
                                  / denom[:, None])
          + scale * (p - labels))
@@ -200,12 +200,15 @@ def _group_heads(model: EventModel, group: Sequence["Utterance"], alpha: float,
                  margin: int):
     """One recurrence over equal-length utterances, then the head over
     their logits s = h . w. Returns each utterance's loss (B,), the
-    encoder trace, d(loss)/d(encoder output) (T, B, h) and d(loss)/dw.
+    encoder trace, the head's gradient g (B, T) on the logits and
+    d(loss)/dw.
 
-    The head's gradient is rank one: d(loss)/dh_t = g_t w and
-    d(loss)/dw = sum_t g_t h_t, which stacks one share per sequence
-    before summing over the batch, as encoder_backward does. So no
-    product or sum mixes sequences before that batch sum.
+    The head's gradient is rank one: d(loss)/dh_t = g_t w, which
+    encoder_backward takes as the factors (g, w) in place of the dense
+    (T, B, h) array it also accepts, and d(loss)/dw = sum_t g_t h_t,
+    which stacks one share per sequence before summing over the batch,
+    as encoder_backward does. So no product or sum mixes sequences
+    before that batch sum.
     """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
@@ -221,10 +224,8 @@ def _group_heads(model: EventModel, group: Sequence["Utterance"], alpha: float,
             scale[b, window.start - 1:window.stop - 1] = alpha / len(window)
             labels[b, utt.onset - 1:utt.offset] = 1.0
     loss, g = head(seqs @ model.w, y, scale, labels)
-    d_hs = np.empty_like(hs)
-    np.multiply(g.T[:, :, None], model.w, out=d_hs)
-    grad_w = (g[:, None] @ seqs)[:, 0].sum(axis=0)
-    return loss, enc_trace, d_hs, grad_w
+    grad_w = np.add.reduce((g[:, None] @ seqs)[:, 0], 0)
+    return loss, enc_trace, g, grad_w
 
 
 def batch_loss_and_gradients(model: EventModel, batch: Sequence["Utterance"],
@@ -243,10 +244,11 @@ def batch_loss_and_gradients(model: EventModel, batch: Sequence["Utterance"],
     n_enc = model.config.param_count
     grad = np.zeros(model.param_count)
     for group in _length_groups(utt.n_frames for utt in batch):
-        loss, enc_trace, d_hs, grad_w = _group_heads(
+        loss, enc_trace, g, grad_w = _group_heads(
             model, [batch[i] for i in group], alpha, margin)
         total += float(loss.sum())
-        grad[:n_enc] += encoder_backward(model.config, model.layers, enc_trace, d_hs)
+        grad[:n_enc] += encoder_backward(model.config, model.layers, enc_trace,
+                                         (g, model.w))
         grad[n_enc:] += grad_w
     n = len(batch)
     return total / n, grad / n
@@ -305,8 +307,8 @@ def check_dims(clips: Sequence, input_dim: int, what: str) -> None:
 # slices of 6 / 10 / 20 / 40 clips cost 8.8 / 7.0 / 5.5 / 5.0 ms per clip
 # and peak at 5.5 / 9.1 / 18.1 / 36.0 MB of numpy arrays. The desk
 # preset's dev set (100 clips of 150 frames) runs in two slices of 50 and
-# peaks at 4.5 MB (multiresolution) or 7.6 MB (bidirectional); a desk
-# training minibatch peaks at 4.2 or 11.6 MB.
+# peaks at 4.5 MB (multiresolution) or 7.4 MB (bidirectional); a desk
+# training minibatch peaks at 3.8 or 8.2 MB.
 INFER_BYTES = 9 * 2**20
 
 

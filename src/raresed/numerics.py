@@ -30,7 +30,8 @@ def sigmoid(z):
     """
     z = as_f64(z)
     e = np.exp(-np.abs(z))
-    out = np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    out = np.where(z >= 0.0, 1.0 / d, e / d)
     return float(out) if out.ndim == 0 else out
 
 

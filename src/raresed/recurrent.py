@@ -56,7 +56,11 @@ trace:
   that exact backpropagation through time needs; ``encoder_backward``
   consumes it, stepping each layer's directions back one at a time, and
   returns the parameter gradients, summed over the batch, as one flat
-  vector laid out like the parameters (see ``layer_views``).
+  vector laid out like the parameters (see ``layer_views``). It takes
+  the loss gradient on the encoder output in either of two forms: a
+  dense (T, B, output_dim) array, or the factors (g, w) of the rank-one
+  gradient g_t w that the detector's head gives, whose products a top
+  layer forms a block of steps at a time where its BPTT reads them.
 * ``encode`` runs it without one, for inference, and returns only the
   frame logits w . h_t for the classifier w, which is all the detector's
   head reads: both its posteriors are sigmoids of logits. Nothing is
@@ -368,15 +372,17 @@ def _layer_run(cells: tuple[GruLayerParams, ...], xs: np.ndarray, keep: bool,
 
 
 def _gate_gradients(cell: GruLayerParams, gates: np.ndarray, hs: np.ndarray,
-                    d_run: np.ndarray, grad: GruLayerParams) -> np.ndarray:
+                    d_run, grad: GruLayerParams) -> np.ndarray:
     """BPTT's time loop for one direction of a layer run: ``gates`` is
-    its row of the trace's gate block, and ``hs`` and ``d_run`` are its
-    states and output gradient (T, B, H) in its run's time order (for
-    direction 1, time-reversed views of the layer output and of its
-    gradient). Writes the recurrent-map gradients into ``grad`` and
-    returns the gradients on the gate pre-activations as (T, B, 3H) rows
-    in the spent gate row. Its own buffers are freed on return, before
-    the input-side gradients are made, and ``d_run`` is only read."""
+    its row of the trace's gate block, and ``hs`` its states (T, B, H)
+    in its run's time order (for direction 1, a time-reversed view of
+    the layer output). ``d_run``, only read, is its output gradient in
+    the same order: a (T, B, H) array, or the factors (g (T, B), w (H,))
+    of the rank-one gradient g_t w, whose products the carry loop forms
+    PROJECTION_BLOCK steps at a time. Writes the recurrent-map gradients
+    into ``grad`` and returns the gradients on the gate pre-activations
+    as (T, B, 3H) rows in the spent gate row. Its own buffers are freed
+    on return, before the input-side gradients are made."""
     t_len, batch, h_dim = hs.shape
     u_zr = np.ascontiguousarray(cell.U[:2 * h_dim])
     u_h = np.ascontiguousarray(cell.U[2 * h_dim:])
@@ -415,18 +421,31 @@ def _gate_gradients(cell: GruLayerParams, gates: np.ndarray, hs: np.ndarray,
     via_z, via_r = direct[:, :h_dim], direct[:, h_dim:]
     carry, via_u = np.zeros(dh.shape), np.empty(dh.shape)
     add, multiply, matmul, dot = np.add, np.multiply, np.matmul, np.dot
-    for zr_t, d_zr_t, d_c_t, d_run_t in zip(zr[::-1], d_zr[::-1], d_c[::-1], d_run[::-1]):
-        add(d_run_t, carry, dh)
-        matmul(multiply(dh, d_c_t, d_c_t), u_h, drh)
-        multiply(dhr, zr_t, direct)
-        add(via_z, via_r, carry)
-        add(carry, dot(multiply(dhr, d_zr_t, d_zr_t), u_zr, via_u), carry)
+    factors = isinstance(d_run, tuple)
+    if factors:
+        g_run, w_run = d_run
+        d_rows = np.empty((min(t_len, PROJECTION_BLOCK), batch, h_dim))
+    for t0 in reversed(range(0, t_len, PROJECTION_BLOCK)):
+        steps = slice(t0, t0 + PROJECTION_BLOCK)
+        if factors:
+            # The products g_t w_j, one rounding each, as a dense gradient holds them.
+            n = min(PROJECTION_BLOCK, t_len - t0)
+            d_steps = multiply(g_run[steps, :, None], w_run, d_rows[:n])
+        else:
+            d_steps = d_run[steps]
+        for zr_t, d_zr_t, d_c_t, d_run_t in zip(zr[steps][::-1], d_zr[steps][::-1],
+                                                 d_c[steps][::-1], d_steps[::-1]):
+            add(d_run_t, carry, dh)
+            matmul(multiply(dh, d_c_t, d_c_t), u_h, drh)
+            multiply(dhr, zr_t, direct)
+            add(via_z, via_r, carry)
+            add(carry, dot(multiply(dhr, d_zr_t, d_zr_t), u_zr, via_u), carry)
 
     # One matmul over all T*B rows per map, stacked by sequence and then
     # summed over the batch, so no sum mixes sequences before the batch
     # sum. The maps skip step 0, whose previous state is zero.
-    np.sum(d_c.transpose(1, 2, 0)[..., 1:] @ r_h_prev.transpose(1, 0, 2),
-           axis=0, out=grad.U[2 * h_dim:])
+    np.add.reduce(d_c.transpose(1, 2, 0)[..., 1:] @ r_h_prev.transpose(1, 0, 2),
+                  0, out=grad.U[2 * h_dim:])
     states = hs[:-1]
     if states.strides[0] < 0:
         # BLAS needs positive strides: direction 1's states go into its
@@ -434,8 +453,8 @@ def _gate_gradients(cell: GruLayerParams, gates: np.ndarray, hs: np.ndarray,
         run = zr.reshape(-1)[:states.size].reshape(states.shape)
         run[:] = states
         states = run
-    np.sum(d_zr.transpose(1, 2, 0)[..., 1:] @ states.transpose(1, 0, 2),
-           axis=0, out=grad.U[:2 * h_dim])
+    np.add.reduce(d_zr.transpose(1, 2, 0)[..., 1:] @ states.transpose(1, 0, 2),
+                  0, out=grad.U[:2 * h_dim])
     # The activations are spent: the gradient rows take their place, in
     # the (T, B, 3H) rows the input-side gradients read.
     d_a = gates.reshape(t_len, batch, 3 * h_dim)
@@ -445,16 +464,17 @@ def _gate_gradients(cell: GruLayerParams, gates: np.ndarray, hs: np.ndarray,
 
 
 def _layer_bptt(cells: tuple[GruLayerParams, ...], trace: LayerTrace,
-                d_out: np.ndarray, need_dx: bool,
+                d_out, need_dx: bool,
                 grads: tuple[GruLayerParams, ...]) -> Optional[np.ndarray]:
     """BPTT through one layer run over a batch, one direction at a time,
     so that only one direction's whole-run gradient buffers exist at once.
 
-    ``d_out`` is the loss gradient on the layer output (T, B, D*H), which
-    is only read. Writes the parameter gradients, summed over the batch,
-    into the arrays of ``grads`` and returns the gradient on the layer
-    input when requested. Consumes the trace: it overwrites the gate
-    block.
+    ``d_out`` is the loss gradient on the layer output, which is only
+    read: a (T, B, D*H) array, or the factors (g (B, T), w (D*H,)) of the
+    rank-one gradient g_t w (see encoder_backward). Writes the parameter
+    gradients, summed over the batch, into the arrays of ``grads`` and
+    returns the gradient on the layer input when requested. Consumes the
+    trace: it overwrites the gate block.
 
     No product or sum mixes sequences before the batch sum, so a
     sequence's share is the same bits in every batch of two or more
@@ -469,8 +489,12 @@ def _layer_bptt(cells: tuple[GruLayerParams, ...], trace: LayerTrace,
     for k, (cell, grad) in enumerate(zip(cells, grads)):
         # Direction k's run order: direction 1 ran over reversed time.
         run, cols = slice(None, None, 1 if k == 0 else -1), slice(k * h_dim, (k + 1) * h_dim)
-        d_a = _gate_gradients(cell, trace.gates[k], trace.out[run, :, cols],
-                              d_out[run, :, cols], grad)
+        if isinstance(d_out, tuple):
+            g, w = d_out
+            d_run = (g.T[run], w[cols])
+        else:
+            d_run = d_out[run, :, cols]
+        d_a = _gate_gradients(cell, trace.gates[k], trace.out[run, :, cols], d_run, grad)
         # The input map's gradient: one gemm per sequence, added in
         # sequence order onto zeros, as np.sum over a stack of them adds.
         # BLAS needs positive strides: each of direction 1's sequences is
@@ -480,7 +504,7 @@ def _layer_bptt(cells: tuple[GruLayerParams, ...], trace: LayerTrace,
         for b in range(batch):
             x = inputs[:, b] if k == 0 else np.ascontiguousarray(inputs[:, b])
             grad.W += np.matmul(d_a[:, b].T, x, out=product)
-        np.sum(d_a.sum(axis=0), axis=0, out=grad.b)
+        np.add.reduce(np.add.reduce(d_a, 0), 0, out=grad.b)
         d_as.append(d_a)
     if not need_dx:
         return None
@@ -685,14 +709,24 @@ def encode_bytes(config: EncoderConfig, t_len: int) -> int:
 
 
 def encoder_backward(config: EncoderConfig, layers: list[EncoderLayer],
-                     trace: EncoderTrace, d_hs: np.ndarray) -> np.ndarray:
-    """Gradient of all layer parameters given d(loss)/d(encoder output)
-    of shape (T, B, output_dim), summed over the batch, as one
-    (config.param_count,) vector in layer_views order.
+                     trace: EncoderTrace, d_hs) -> np.ndarray:
+    """Gradient of all layer parameters given d(loss)/d(encoder output),
+    summed over the batch, as one (config.param_count,) vector in
+    layer_views order.
+
+    ``d_hs``, which is only read, takes one of two forms: a dense
+    (T, B, output_dim) array, or the factors (g, w) of the rank-one
+    gradient d(loss)/dh_t = g_t w that the detector's head gives, g
+    (B, T) and w (output_dim,). From the factors, a unidirectional or
+    bidirectional top layer forms the products g_t w where its BPTT
+    reads them, a block of steps at a time, and a multiresolution
+    encoder forms the dense array only to sum each layer's spans of it,
+    dropping it before that layer's BPTT. Either way each entry is the
+    one product g_t w_j, so both forms give the same bits.
 
     Consumes the trace: each layer's activations are released as soon as
     its BPTT is done, so a batch never holds the deeper layers'
-    activations while the first layer runs. ``d_hs`` is only read.
+    activations while the first layer runs.
     """
     grad = np.empty(config.param_count)
     grads = layer_views(config, grad)
@@ -702,7 +736,13 @@ def encoder_backward(config: EncoderConfig, layers: list[EncoderLayer],
         if config.kind == "multiresolution":
             # The layer's pooled output feeds the sum and the next layer.
             t_layer = ltr.inputs.shape[0]
-            d_sub = _upsample_k_backward(d_hs, (t_layer + 1) // 2, i + 1)
+            if isinstance(d_hs, tuple):
+                g, w = d_hs
+                d_top = np.multiply(g.T[:, :, None], w)
+            else:
+                d_top = d_hs
+            d_sub = _upsample_k_backward(d_top, (t_layer + 1) // 2, i + 1)
+            del d_top  # not held through the layer's BPTT
             if i < len(layers) - 1:
                 d_sub += d
             d = _subsample2_backward(d_sub, t_layer)

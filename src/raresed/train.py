@@ -137,6 +137,12 @@ def train(config: TrainConfig, trainset: Sequence[Utterance],
     """
     if not trainset or not devset:
         raise InputError("train and dev sets must be nonempty")
+    seen: set[str] = set()
+    for utt in devset:
+        # Dev scoring keys references and detections by id.
+        if utt.id in seen:
+            raise InputError(f"dev set repeats the utterance id {utt.id!r}")
+        seen.add(utt.id)
     if not any(utt.y == 1 for utt in devset):
         raise InputError("dev set holds no positive utterances, so its error "
                          "rate is undefined")

@@ -3,6 +3,8 @@ import ast
 import ctypes
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -1000,6 +1002,48 @@ def test_module_entry_point_runs_the_cli():
                           capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
     assert "usage: raresed" in done.stdout
+
+
+def walkthrough_steps() -> dict[int, list[str]]:
+    """README's "CLI walkthrough" shell block as its numbered steps, each
+    a list of commands with their continuation lines joined."""
+    readme = Path(raresed.__file__).resolve().parents[2] / "README.md"
+    section = readme.read_text().split("\n## CLI walkthrough\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("\n```", 1)[0]
+    steps: dict[int, list[str]] = {}
+    for line in block.replace("\\\n", " ").splitlines():
+        number = re.match(r"# (\d+)\. ", line)
+        if number:
+            steps[int(number[1])] = []
+        elif line.strip():
+            steps[max(steps)].append(line)
+    return steps
+
+
+def test_readme_walkthrough_runs(tmp_path):
+    """Steps 1-4 of the README walkthrough, run verbatim in a fresh
+    directory with `raresed` spelled `python -m raresed`: each command
+    exits 0, and each path it names exists once it is done, every
+    `--out` with its manifest. Step 5, a five-model sweep, is left out."""
+    steps = walkthrough_steps()
+    assert sorted(steps) == [1, 2, 3, 4, 5]
+    assert [c.split()[:2] for c in steps[5]] == [["raresed", "sweep"]]
+    src = str(Path(raresed.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    program = f"{shlex.quote(sys.executable)} -m raresed"
+    for number in range(1, 5):
+        for command in steps[number]:
+            line = re.sub(r"^raresed ", program + " ", command)
+            done = subprocess.run(line, shell=True, cwd=tmp_path, env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, (command, done.stderr)
+            words = shlex.split(command)
+            named = [path for flag, path in zip(words, words[1:])
+                     if flag.startswith("--") or flag == ">"]
+            assert named, command
+            assert all((tmp_path / path).exists() for path in named), command
+            outs = [path for flag, path in zip(words, words[1:]) if flag == "--out"]
+            assert all((tmp_path / out / "manifest.json").is_file() for out in outs)
 
 
 @pytest.mark.parametrize("command,flags", [

@@ -342,6 +342,44 @@ class TestGradients:
             want = want or got
             assert got == want, batch
 
+    @pytest.mark.parametrize("batch", [1, 10])
+    @pytest.mark.parametrize("t_len", [17, 150])
+    @pytest.mark.parametrize("kind,mr_bidir", BATCHED_KINDS)
+    def test_factor_form_gives_the_dense_form_bits(self, monkeypatch, kind, mr_bidir,
+                                                    t_len, batch):
+        # The head passes encoder_backward the factors (g, w) of the
+        # rank-one output gradient, never the (T, B, h) array g_t w. Both
+        # forms hold the same products, so they give the same bytes: in
+        # encoder_backward, and in the loss and gradient of a minibatch
+        # whose encoder_backward is handed the dense form instead.
+        model = small_model(kind=kind, layers=2, hidden=5, mr_bidir=mr_bidir, seed=17)
+        cfg = model.config
+        rng = np.random.default_rng(t_len + batch)
+        xs = rng.standard_normal((t_len, batch, cfg.input_dim))
+        g = rng.standard_normal((batch, t_len))
+        dense = np.multiply(g.T[:, :, None], model.w)
+        got, want = (encoder_backward(cfg, model.layers,
+                                      encoder_forward(cfg, model.layers, xs)[1], d_hs)
+                     for d_hs in ((g, model.w), dense))
+        assert got.tobytes() == want.tobytes()
+
+        minibatch = [random_utterance(rng, cfg.input_dim, t_len, i % 2 == 0, f"u{i}")
+                     for i in range(batch)]
+        loss, grad = batch_loss_and_gradients(model, minibatch, 1.0, 3)
+        passed = []
+
+        def with_dense_gradient(config, layers, trace, d_hs):
+            g, w = d_hs
+            passed.append((g.shape, w is model.w))
+            return encoder_backward(config, layers, trace,
+                                    np.multiply(g.T[:, :, None], w))
+
+        monkeypatch.setattr(detector_module, "encoder_backward", with_dense_gradient)
+        want_loss, want_grad = batch_loss_and_gradients(model, minibatch, 1.0, 3)
+        assert passed == [((batch, t_len), True)]
+        assert (np.float64(loss).tobytes(), grad.tobytes()) == \
+            (np.float64(want_loss).tobytes(), want_grad.tobytes())
+
     def test_batch_permutation_invariance(self):
         rng = np.random.default_rng(13)
         model = small_model(kind="multiresolution", layers=2, seed=14)
@@ -389,7 +427,10 @@ class TestBatchedHead:
         for shape in groups:
             group = [random_utterance(rng, 4, t, positive=pos, id=str(i))
                      for i, (t, pos) in enumerate(shape)]
-            loss, _, d_hs, grad_w = _group_heads(model, group, alpha, margin)
+            loss, _, g, grad_w = _group_heads(model, group, alpha, margin)
+            assert g.shape == (len(group), shape[0][0])
+            # d(loss)/dh_t = g_t w, formed as the dense gradient is.
+            d_hs = np.multiply(g.T[:, :, None], model.w)
             hs = encoder_forward(model.config, model.layers,
                                  detector_module._stack(group))[0]
             want_w = np.zeros_like(model.w)
@@ -408,7 +449,8 @@ class TestBatchedHead:
     def test_sequence_terms_are_the_same_in_every_batch(self, monkeypatch, kind,
                                                         hidden):
         # The head sums over T within each sequence, so one sequence's loss
-        # term and d_hs column do not depend on its batch or its slot.
+        # term and logit gradient row, and so its d_hs = g w column, do not
+        # depend on its batch or its slot.
         model = small_model(kind=kind, layers=2, hidden=hidden, seed=32)
         width = model.config.output_dim
         rng = np.random.default_rng(32)
@@ -424,8 +466,8 @@ class TestBatchedHead:
             group[at] = utt
             monkeypatch.setattr(detector_module, "encoder_forward",
                                 lambda *args: (hs, None))
-            loss, _, d_hs, _ = _group_heads(model, group, 1.0, 2)
-            got = (loss[at].tobytes(), d_hs[:, at].tobytes())
+            loss, _, g, _ = _group_heads(model, group, 1.0, 2)
+            got = (loss[at].tobytes(), g[at].tobytes())
             want = want or got
             assert got == want, batch
 
@@ -788,20 +830,26 @@ class TestInferMemory:
         assert encode_slices[1:] == slices
 
 
-# tracemalloc peak in bytes of one bidirectional 2x32 desk minibatch:
+# tracemalloc peaks in bytes of one 2x32 desk minibatch per encoder case:
 # batch_loss_and_gradients on 10 clips of 150 frames, d = 16, the step
-# that sets the memory of a bidirectional training run. Recorded when
-# BPTT came to run a layer's directions one at a time (10_113_528 before,
-# with both directions' gradient buffers at once). A peak may not rise
-# above its pin.
-TRAINING_MEMORY_PIN = 8_961_256
+# that sets the memory of a training run. Recorded when the head came to
+# pass encoder_backward the factors (g, w) of its output gradient in place
+# of the (T, B, 2H) array g_t w. A peak may not rise above its pin.
+TRAINING_MEMORY_PINS = {
+    ("unidirectional", False): 4_834_048,
+    ("bidirectional", False): 8_230_904,
+    ("multiresolution", False): 3_847_512,
+    ("multiresolution", True): 6_927_480,
+}
 
 
 class TestTrainingMemory:
-    def test_bidirectional_desk_minibatch_peak_at_most_its_pin(self):
-        model = small_model(kind="bidirectional", layers=2, hidden=32, input_dim=16)
+    @pytest.mark.parametrize("kind,mr_bidir", list(TRAINING_MEMORY_PINS))
+    def test_desk_minibatch_peak_at_most_its_pin(self, kind, mr_bidir):
+        model = small_model(kind=kind, layers=2, hidden=32, input_dim=16,
+                            mr_bidir=mr_bidir)
         rng = np.random.default_rng(47)
         batch = [random_utterance(rng, 16, 150, i % 2 == 1, f"u{i}") for i in range(10)]
         batch_loss_and_gradients(model, batch, 1.0)  # once-only state
         peak = traced_peak(lambda: batch_loss_and_gradients(model, batch, 1.0))
-        assert peak <= TRAINING_MEMORY_PIN, peak
+        assert peak <= TRAINING_MEMORY_PINS[kind, mr_bidir], peak

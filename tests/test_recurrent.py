@@ -513,18 +513,23 @@ class TestTrace:
                                             ("multiresolution", False),
                                             ("multiresolution", True)])
     def test_backward_leaves_the_output_gradient_unchanged(self, kind, bidir):
-        # d_hs is read-only, so any write into it raises; every
-        # multiresolution layer reads d_hs again.
+        # The dense gradient and the factors (g, w) are read-only, so any
+        # write into them raises; every multiresolution layer reads them
+        # again.
         rng = np.random.default_rng(53)
         cfg = EncoderConfig(kind=kind, layers=3, hidden=4, input_dim=3,
                             multires_bidirectional=bidir)
         layers = random_layers(cfg, rng)
         xs = rng.standard_normal((11, 2, 3))
         d_hs = rng.standard_normal((11, 2, cfg.output_dim))
-        want = d_hs.tobytes()
-        d_hs.flags.writeable = False
-        encoder_backward(cfg, layers, encoder_forward(cfg, layers, xs)[1], d_hs)
-        assert d_hs.tobytes() == want
+        factors = (rng.standard_normal((2, 11)), rng.standard_normal(cfg.output_dim))
+        for d_out in (d_hs, factors):
+            arrays = d_out if isinstance(d_out, tuple) else (d_out,)
+            want = [a.tobytes() for a in arrays]
+            for a in arrays:
+                a.flags.writeable = False
+            encoder_backward(cfg, layers, encoder_forward(cfg, layers, xs)[1], d_out)
+            assert [a.tobytes() for a in arrays] == want
 
 
 # tracemalloc peaks in bytes of a depth-2, H 32 encoder on a (300, 10, 16)

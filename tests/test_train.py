@@ -163,6 +163,26 @@ class TestTrain:
         with pytest.raises(InputError, match="no positive"):
             train(tiny_config(), trainset, negatives)
 
+    @pytest.mark.parametrize("labels", [(("a", 1), ("a", 0)),
+                                        (("a", 0), ("a", 1), ("b", 1))])
+    def test_dev_set_with_a_repeated_id_rejected_before_training(self, monkeypatch,
+                                                                 labels):
+        # Dev scoring keys references and detections by id: a repeated id
+        # would end an epoch of training in a bare ValueError, or score two
+        # utterances as one.
+        trainset, _ = tiny_sets()
+        devset = [Utterance.positive(uid, np.zeros((6, 50)), 5, 9) if y
+                  else Utterance.negative(uid, np.zeros((6, 50))) for uid, y in labels]
+
+        def no_training(*args):
+            raise AssertionError("trained a minibatch")
+
+        monkeypatch.setattr("raresed.train.batch_loss_and_gradients", no_training)
+        for run in (lambda: train(tiny_config(), trainset, devset),
+                    lambda: alpha_sweep(tiny_config(), [0.5, 1.0], trainset, devset)):
+            with pytest.raises(InputError, match="^dev set repeats the utterance id 'a'$"):
+                run()
+
     def test_dimension_mismatch_rejected(self):
         trainset, devset = tiny_sets(dim=6)
         with pytest.raises(DataMismatchError):
