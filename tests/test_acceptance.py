@@ -6,11 +6,12 @@ lines alongside the pass/fail verdicts.
 
 import hashlib
 import math
+import os
 import time
 
 import numpy as np
 
-from conftest import parse_report, run_desk_pipeline
+from conftest import parse_report, readme_section
 from fdcheck import (
     ABS_TOL,
     REL_TOL,
@@ -18,6 +19,7 @@ from fdcheck import (
     random_utterance,
 )
 from oracles import forward
+from raresed.cli import main
 from raresed.data import LfbeConfig, SynthConfig, lfbe, synth_dataset
 from raresed.detector import Detection, EventModel
 from raresed.metrics import (
@@ -202,9 +204,11 @@ class TestC4C5DeskTraining:
               f"epoch-1 loss {first:.4f}")
 
 
-# sha256 of the desk preset's artefacts at its committed seeds, the same
-# at one and at two BLAS threads. A design change must leave them
-# byte-identical; a change that moves them re-records them and says why.
+# sha256 of the desk preset's artefacts at its committed seeds, as README's
+# walkthrough makes them at one BLAS thread; C7 checks that a rerun at the
+# default thread count gives the same bytes. A design change must leave
+# them byte-identical; a change that moves them re-records them and says
+# why.
 DESK_DIGESTS = {
     ("desk_data", "train"): "063cb3cd4183127f502047fd146ac9aedcac76af55f5b367c6571aabd0481f9f",
     ("desk_data", "dev"): "14c98d68140449f4b21c2684a7bbb4e2862dbf1cf7f7e5de4a99cf416ac66500",
@@ -213,6 +217,7 @@ DESK_DIGESTS = {
     ("desk_run", "model"): "25d4e7fc4f1fe9396b04cbf0721118e198637662c4c23ba3ab58aff75d4ef35c",
     ("desk_run", "report"): "ef7eac900aa36c39b1cc72b9b8de7daa1f9edc7fd655605d3a2c5e68e3688e49",
     ("desk_run", "detections"): "565d39e4df5bce69ccf72c6cece31fd7b896e89e686937de9a1960c536a669e1",
+    ("desk_run", "eval"): "2ee5a4be30ff5759f920dec6d7609aea054351ee2b3ae7ae39b7b192c850ed0a",
 }
 # (dev_er, dev_f1, best) of each epoch of the desk report; best epoch 3.
 DESK_REPORT = ([("0.3389830508474576", "82.45614035087719", "0"),
@@ -233,8 +238,19 @@ class TestDeskArtefactsPinned:
               f"byte-identical, dev ER/F1 of {len(rows)} epochs unchanged")
 
 
+def readme_trend_table() -> dict:
+    """README's "Architecture trend" table: architecture -> (dev ER, dev
+    F1), as written."""
+    rows = [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in readme_section("Architecture trend").splitlines()
+            if line.startswith("|")]
+    assert rows[0] == ["architecture", "dev ER", "dev F1"]
+    return {name: (er, f1) for name, er, f1 in rows[2:]}
+
+
 class TestC6ArchitectureTrend:
-    """Qualitative report only; the ordering is documented, not asserted."""
+    """The figures of README's table are asserted; the ordering is
+    documented, not asserted."""
 
     def test_c6_architecture_trend_report(self, tmp_path):
         # Harder mixing ratio than the desk preset so the architectures
@@ -264,28 +280,42 @@ class TestC6ArchitectureTrend:
         (tmp_path / "architecture_trend.tsv").write_text(table + "\n")
         multires_best = results["multiresolution"].dev_er == min(
             s.dev_er for s in results.values())
-        print("\n[C6] architecture trend report (not hard-asserted):")
+        print("\n[C6] architecture trend report (figures match README; "
+              "ordering not hard-asserted):")
         print(table)
         print(f"[C6] multi-resolution lowest dev ER on this set: "
               f"{multires_best}")
-        for stats in results.values():
-            assert np.isfinite(stats.dev_er) and np.isfinite(stats.dev_f1)
+        assert {kind: (f"{stats.dev_er:.3f}", f"{stats.dev_f1:.1f}")
+                for kind, stats in results.items()} == readme_trend_table()
 
 
 class TestC7Determinism:
-    def test_c7_rerun_is_byte_identical(self, desk_data, desk_run,
-                                        tmp_path_factory):
-        rerun = run_desk_pipeline(desk_data,
-                                  tmp_path_factory.mktemp("desk_rerun"))
-        report_a = desk_run["report"].read_bytes()
-        report_b = rerun["report"].read_bytes()
-        det_a = desk_run["detections"].read_bytes()
-        det_b = rerun["detections"].read_bytes()
-        assert report_a == report_b
-        assert det_a == det_b
-        print(f"\n[C7] determinism PASS: rerun reproduced report.tsv "
-              f"({len(report_a)} bytes) and detections.tsv "
-              f"({len(det_a)} bytes) byte-identically")
+    def test_c7_rerun_is_byte_identical(self, desk_data, desk_run, tmp_path):
+        """Walkthrough steps 2-4 again, in process through cli.main at the
+        default BLAS thread count, on the walkthrough's data. The
+        walkthrough ran at one thread, so where the default is two or more
+        this also checks that the desk bytes do not depend on the thread
+        count."""
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(desk_data["config"]),
+                     "--train-data", str(desk_data["train"]),
+                     "--dev-data", str(desk_data["dev"]), "--out", str(out)]) == 0
+        assert main(["infer", "--model", str(out / "model.sem"),
+                     "--data", str(desk_data["dev"]),
+                     "--out", str(out / "infer")]) == 0
+        assert main(["eval", "--ref", str(desk_data["dev_ref"]),
+                     "--det", str(out / "infer" / "detections.tsv"),
+                     "--out", str(out / "eval")]) == 0
+        rerun = {"model": out / "model.sem", "report": out / "report.tsv",
+                 "detections": out / "infer" / "detections.tsv",
+                 "eval": out / "eval" / "eval.tsv"}
+        for name, path in rerun.items():
+            assert path.read_bytes() == desk_run[name].read_bytes(), name
+        threads = os.environ.get("OPENBLAS_NUM_THREADS",
+                                 f"default, {os.cpu_count()} cores")
+        print(f"\n[C7] determinism PASS: a rerun at BLAS threads ({threads}) "
+              f"reproduced the one-thread walkthrough's "
+              f"{', '.join(path.name for path in rerun.values())} byte-identically")
 
 
 class TestC8LfbeProperties:

@@ -3,6 +3,7 @@ import ast
 import ctypes
 import json
 import os
+import pkgutil
 import re
 import shlex
 import subprocess
@@ -14,6 +15,7 @@ import pytest
 
 import raresed
 import raresed.cli as cli_module
+from conftest import README, readme_section
 from raresed.cli import load_config, main
 from raresed.data import SynthConfig, load_dataset, save_dataset, synth_dataset
 from raresed.detector import EventModel
@@ -1004,46 +1006,49 @@ def test_module_entry_point_runs_the_cli():
     assert "usage: raresed" in done.stdout
 
 
-def walkthrough_steps() -> dict[int, list[str]]:
-    """README's "CLI walkthrough" shell block as its numbered steps, each
-    a list of commands with their continuation lines joined."""
-    readme = Path(raresed.__file__).resolve().parents[2] / "README.md"
-    section = readme.read_text().split("\n## CLI walkthrough\n", 1)[1]
-    block = section.split("```sh\n", 1)[1].split("\n```", 1)[0]
-    steps: dict[int, list[str]] = {}
-    for line in block.replace("\\\n", " ").splitlines():
-        number = re.match(r"# (\d+)\. ", line)
-        if number:
-            steps[int(number[1])] = []
-        elif line.strip():
-            steps[max(steps)].append(line)
-    return steps
-
-
-def test_readme_walkthrough_runs(tmp_path):
-    """Steps 1-4 of the README walkthrough, run verbatim in a fresh
-    directory with `raresed` spelled `python -m raresed`: each command
-    exits 0, and each path it names exists once it is done, every
-    `--out` with its manifest. Step 5, a five-model sweep, is left out."""
-    steps = walkthrough_steps()
+def test_readme_walkthrough_runs(walkthrough):
+    """Steps 1-4 of the README walkthrough, as the session's run made them:
+    each command exited 0, and each path it names exists, every `--out`
+    with its manifest. Step 5, a five-model sweep, is left out."""
+    steps = walkthrough["steps"]
     assert sorted(steps) == [1, 2, 3, 4, 5]
     assert [c.split()[:2] for c in steps[5]] == [["raresed", "sweep"]]
-    src = str(Path(raresed.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
-    program = f"{shlex.quote(sys.executable)} -m raresed"
-    for number in range(1, 5):
-        for command in steps[number]:
-            line = re.sub(r"^raresed ", program + " ", command)
-            done = subprocess.run(line, shell=True, cwd=tmp_path, env=env,
-                                  capture_output=True, text=True, timeout=120)
-            assert done.returncode == 0, (command, done.stderr)
-            words = shlex.split(command)
-            named = [path for flag, path in zip(words, words[1:])
-                     if flag.startswith("--") or flag == ">"]
-            assert named, command
-            assert all((tmp_path / path).exists() for path in named), command
-            outs = [path for flag, path in zip(words, words[1:]) if flag == "--out"]
-            assert all((tmp_path / out / "manifest.json").is_file() for out in outs)
+    runs = walkthrough["runs"]
+    assert [run[:2] for run in runs] == [
+        (number, command) for number in range(1, 5) for command in steps[number]]
+    for _, command, code, stderr in runs:
+        assert code == 0, (command, stderr)
+        words = shlex.split(command)
+        named = [path for flag, path in zip(words, words[1:])
+                 if flag.startswith("--") or flag == ">"]
+        assert named, command
+        assert all((walkthrough["dir"] / path).exists() for path in named), command
+        outs = [path for flag, path in zip(words, words[1:]) if flag == "--out"]
+        assert all((walkthrough["dir"] / out / "manifest.json").is_file()
+                   for out in outs)
+
+
+def test_readme_performance_names_and_citations_resolve():
+    """Every backticked `raresed.`-qualified name in README "Performance"
+    is an attribute of the package, and every CHANGES.md entry it cites
+    as `CHANGES.md: "<the entry's first words>"` exists, so a rename
+    fails here instead of leaving a stale sentence."""
+    section = readme_section("Performance")
+    names = sorted({name for span in re.findall(r"`([^`]+)`", section)
+                    for name in re.findall(r"\braresed(?:\.\w+)+", span)})
+    assert len(names) >= 3, names
+    missing = []
+    for name in names:
+        try:
+            pkgutil.resolve_name(name)
+        except (ImportError, AttributeError):
+            missing.append(name)
+    assert missing == []
+    cited = re.findall(r'CHANGES\.md: "([^"]+)"', " ".join(section.split()))
+    assert cited
+    entries = (README.parent / "CHANGES.md").read_text().splitlines()
+    assert [title for title in cited
+            if not any(entry.startswith(f"- {title}") for entry in entries)] == []
 
 
 @pytest.mark.parametrize("command,flags", [

@@ -789,14 +789,14 @@ class TestBatchedInfer:
 # states, the detections and one clip's head.
 INFER_SLACK = 2**18
 # tracemalloc peaks in bytes of infer with a depth-2, H 32 model on
-# d = 16 clips, recorded while infer encoded INFER_FRAMES = 8192 frames
-# at a time into features, with the slices INFER_BYTES cuts: the desk dev
-# set (100 clips of 150 frames) and the long-infer clips (40 of 1304
-# frames). A peak may not rise above its pin.
+# d = 16 clips, with the slices INFER_BYTES cuts: the desk dev set (100
+# clips of 150 frames) and the long-infer clips (40 of 1304 frames).
+# Recorded, with no slack, when infer kept only each slice's frame logits
+# and each block loop's buffers. A peak may not rise above its pin.
 INFER_MEMORY_PINS = {
-    ("multiresolution", 100, 150): (6_639_712, [(150, 50)] * 2),
-    ("bidirectional", 100, 150): (12_290_664, [(150, 50)] * 2),
-    ("bidirectional", 40, 1304): (9_421_656, [(1304, 10)] * 4),
+    ("multiresolution", 100, 150): (4_551_120, [(150, 50)] * 2),
+    ("bidirectional", 100, 150): (7_430_728, [(150, 50)] * 2),
+    ("bidirectional", 40, 1304): (9_131_912, [(1304, 10)] * 4),
 }
 
 
