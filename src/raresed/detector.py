@@ -308,7 +308,7 @@ def check_dims(clips: Sequence, input_dim: int, what: str) -> None:
 # and peak at 5.5 / 9.1 / 18.1 / 36.0 MB of numpy arrays. The desk
 # preset's dev set (100 clips of 150 frames) runs in two slices of 50 and
 # peaks at 4.5 MB (multiresolution) or 7.4 MB (bidirectional); a desk
-# training minibatch peaks at 3.8 or 8.2 MB.
+# training minibatch peaks at 3.5 or 7.8 MB.
 INFER_BYTES = 9 * 2**20
 
 

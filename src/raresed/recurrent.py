@@ -39,12 +39,16 @@ rows (..., B, H), so that the gate rows a time step reads and writes,
 forward and in BPTT, are contiguous blocks; only the update and reset
 halves of a (B, 2H) row are strided views. The block's states go into a
 block buffer and from there into the layer output. A traced run keeps
-each direction's gates side by side in one row of T*B*3H values, where
-BPTT, once its carry loop is done, writes the (T, B, 3H) gradient rows
-that the input-side gradients read. It keeps its states once, as the
-layer output, which is also the next layer's input. BPTT runs a layer's
-directions one after another, so that only one direction's whole-run
-gradient buffers exist at a time; it reads direction 1's states and
+each direction's gates side by side in one row of T*B*3H values. BPTT's
+carry loop writes each step's update/reset gradient row over the
+update/reset row it has just read, and once the recurrent-map gradients
+are made, interleaves those rows in place with the candidate gradients
+into the (T, B, 3H) rows that the input-side gradients read. So the one
+whole-run buffer BPTT adds to a direction is its candidate gradient
+plane, H values a step. A traced run keeps its states once, as the layer
+output, which is also the next layer's input. BPTT runs a layer's
+directions one after another, so that only one direction's candidate
+gradient plane exists at a time; it reads direction 1's states and
 output gradient as time-reversed views and writes into neither. A
 trace-free run's gate buffers hold one block, step-major, (n, D, B, .),
 so that one step of all D directions is one dense block.
@@ -216,8 +220,10 @@ class LayerTrace:
     Row k of ``gates`` holds direction k's gate activations as two dense
     blocks (see _gate_views): its update/reset rows (T, B, 2H), then its
     candidate rows (T, B, H), filled a block of steps at a time. BPTT
-    reuses the row for the direction's (T, B, 3H) gradient rows once it
-    no longer needs the activations.
+    writes each step's update/reset gradients over the step's
+    update/reset row once it has read it, and then rebuilds the whole row
+    in place as the direction's (T, B, 3H) gradient rows (see
+    _gate_gradients).
     """
 
     inputs: np.ndarray  # (T, B, D_in), in input time order
@@ -381,35 +387,30 @@ def _gate_gradients(cell: GruLayerParams, gates: np.ndarray, hs: np.ndarray,
     of the rank-one gradient g_t w, whose products the carry loop forms
     PROJECTION_BLOCK steps at a time. Writes the recurrent-map gradients
     into ``grad`` and returns the gradients on the gate pre-activations
-    as (T, B, 3H) rows in the spent gate row. Its own buffers are freed
-    on return, before the input-side gradients are made."""
+    as (T, B, 3H) rows in the spent gate row. Its one whole-run buffer,
+    the candidate gradient plane (T, B, H), and its block-sized scratch
+    are freed on return, before the input-side gradients are made."""
     t_len, batch, h_dim = hs.shape
     u_zr = np.ascontiguousarray(cell.U[:2 * h_dim])
     u_h = np.ascontiguousarray(cell.U[2 * h_dim:])
     zr, cs = _gate_views(gates, t_len, batch, h_dim)
     zs, rs = zr[..., :h_dim], zr[..., h_dim:]
 
-    # Gradients on the update/reset and candidate pre-activations, laid
-    # out like the trace's gates. The factors that do not depend on the
-    # carry come first, once over the whole run: d_zr and d_c hold
-    # (c - h_prev) z(1 - z), h_prev r(1 - r) and z(1 - c^2) until each
-    # step scales its row into the gradient (h_prev is zero at step 0).
-    # The trace's candidate rows end as r h_prev, which the gradient of
-    # U_h reads, and its update rows as 1 - z, so that its update/reset
-    # rows hold the direct carry factors [1 - z | r].
-    d_zr, d_c = np.empty(zr.shape), np.empty(cs.shape)
-    d_az, d_ar = d_zr[..., :h_dim], d_zr[..., h_dim:]
+    # The factors that do not depend on the carry come first. d_c holds
+    # z(1 - c^2) over the whole run until each step scales its row into
+    # the candidate gradient. A block's update/reset factors
+    # (c - h_prev) z(1 - z) and h_prev r(1 - r) go into ``zr_block`` just
+    # before its steps (h_prev is zero at step 0). The block's candidate
+    # rows end as r h_prev, which the gradient of U_h reads, and its
+    # update rows as 1 - z, so that its update/reset rows hold the direct
+    # carry factors [1 - z | r] that each step reads before it writes its
+    # update/reset gradient row there.
+    d_c = np.empty(cs.shape)
     np.multiply(cs, cs, out=d_c)
     np.subtract(1.0, d_c, out=d_c)
     d_c *= zs
-    np.subtract(1.0, zr, out=d_zr)
-    d_az *= zs
-    np.subtract(cs[1:], hs[:-1], out=cs[1:])
-    d_az *= cs
-    r_h_prev = np.multiply(hs[:-1], rs[1:], out=cs[1:])
-    d_ar[1:] *= r_h_prev
-    d_ar[0] = 0.0
-    np.subtract(1.0, zs, out=zs)
+    size = min(t_len, PROJECTION_BLOCK)
+    zr_block = np.empty((size, batch, 2 * h_dim))
     # Per-step views. dh and the reset path's d(r h_prev) sit side by side
     # in dhr, so that one multiply scales both gate rows and one the
     # direct carry terms: eight numpy calls a step. np.dot cannot write
@@ -420,46 +421,70 @@ def _gate_gradients(cell: GruLayerParams, gates: np.ndarray, hs: np.ndarray,
     dh, drh = dhr[:, :h_dim], dhr[:, h_dim:]
     via_z, via_r = direct[:, :h_dim], direct[:, h_dim:]
     carry, via_u = np.zeros(dh.shape), np.empty(dh.shape)
-    add, multiply, matmul, dot = np.add, np.multiply, np.matmul, np.dot
+    add, multiply, subtract, matmul, dot = (np.add, np.multiply, np.subtract,
+                                            np.matmul, np.dot)
     factors = isinstance(d_run, tuple)
     if factors:
         g_run, w_run = d_run
-        d_rows = np.empty((min(t_len, PROJECTION_BLOCK), batch, h_dim))
+        d_rows = np.empty((size, batch, h_dim))
     for t0 in reversed(range(0, t_len, PROJECTION_BLOCK)):
-        steps = slice(t0, t0 + PROJECTION_BLOCK)
+        n = min(PROJECTION_BLOCK, t_len - t0)
+        steps = slice(t0, t0 + n)
+        # Step t's previous state is hs[t - 1]; step 0 has none, so the
+        # rows from ``skip`` on are those of steps with one.
+        skip = 0 if t0 else 1
+        prev, f, z, c = hs[t0 + skip - 1:t0 + n - 1], zr_block[:n], zs[steps], cs[steps]
+        f_z, f_r, c_prev = f[..., :h_dim], f[..., h_dim:], c[skip:]
+        subtract(1.0, zr[steps], f)
+        multiply(f_z, z, f_z)
+        subtract(c_prev, prev, c_prev)
+        multiply(f_z, c, f_z)
+        multiply(prev, rs[t0 + skip:t0 + n], c_prev)
+        multiply(f_r[skip:], c_prev, f_r[skip:])
+        if skip:
+            f_r[0] = 0.0
+        subtract(1.0, z, z)
         if factors:
             # The products g_t w_j, one rounding each, as a dense gradient holds them.
-            n = min(PROJECTION_BLOCK, t_len - t0)
             d_steps = multiply(g_run[steps, :, None], w_run, d_rows[:n])
         else:
             d_steps = d_run[steps]
-        for zr_t, d_zr_t, d_c_t, d_run_t in zip(zr[steps][::-1], d_zr[steps][::-1],
-                                                 d_c[steps][::-1], d_steps[::-1]):
+        for zr_t, f_t, d_c_t, d_run_t in zip(zr[steps][::-1], f[::-1],
+                                             d_c[steps][::-1], d_steps[::-1]):
             add(d_run_t, carry, dh)
             matmul(multiply(dh, d_c_t, d_c_t), u_h, drh)
             multiply(dhr, zr_t, direct)
             add(via_z, via_r, carry)
-            add(carry, dot(multiply(dhr, d_zr_t, d_zr_t), u_zr, via_u), carry)
+            add(carry, dot(multiply(dhr, f_t, zr_t), u_zr, via_u), carry)
 
     # One matmul over all T*B rows per map, stacked by sequence and then
     # summed over the batch, so no sum mixes sequences before the batch
     # sum. The maps skip step 0, whose previous state is zero.
-    np.add.reduce(d_c.transpose(1, 2, 0)[..., 1:] @ r_h_prev.transpose(1, 0, 2),
+    np.add.reduce(d_c.transpose(1, 2, 0)[..., 1:] @ cs[1:].transpose(1, 0, 2),
                   0, out=grad.U[2 * h_dim:])
     states = hs[:-1]
     if states.strides[0] < 0:
         # BLAS needs positive strides: direction 1's states go into its
-        # spent update/reset rows, which the copy-back below overwrites.
-        run = zr.reshape(-1)[:states.size].reshape(states.shape)
-        run[:] = states
-        states = run
-    np.add.reduce(d_zr.transpose(1, 2, 0)[..., 1:] @ states.transpose(1, 0, 2),
+        # candidate rows, spent once the gradient of U_h has read them.
+        cs[:-1] = states
+        states = cs[:-1]
+    np.add.reduce(zr.transpose(1, 2, 0)[..., 1:] @ states.transpose(1, 0, 2),
                   0, out=grad.U[:2 * h_dim])
-    # The activations are spent: the gradient rows take their place, in
-    # the (T, B, 3H) rows the input-side gradients read.
+    # The gradient rows take the place of the spent gates, interleaved
+    # into the (T, B, 3H) rows the input-side gradients read. Row t moves
+    # from value 2tBH to 3tBH, so, taken from the last block back, no row
+    # is overwritten before it has moved; a block of n rows from step t0
+    # overlaps its own destination when t0 < 2n, and moves through the
+    # scratch.
     d_a = gates.reshape(t_len, batch, 3 * h_dim)
-    d_a[..., :2 * h_dim] = d_zr
-    d_a[..., 2 * h_dim:] = d_c
+    for t0 in reversed(range(0, t_len, PROJECTION_BLOCK)):
+        steps = slice(t0, t0 + PROJECTION_BLOCK)
+        rows = zr[steps]
+        if t0 < 2 * len(rows):
+            zr_block[:len(rows)] = rows
+            rows = zr_block[:len(rows)]
+        d_a[steps, :, :2 * h_dim] = rows
+        d_a[steps, :, 2 * h_dim:] = d_c[steps]
     return d_a
 
 
@@ -467,7 +492,7 @@ def _layer_bptt(cells: tuple[GruLayerParams, ...], trace: LayerTrace,
                 d_out, need_dx: bool,
                 grads: tuple[GruLayerParams, ...]) -> Optional[np.ndarray]:
     """BPTT through one layer run over a batch, one direction at a time,
-    so that only one direction's whole-run gradient buffers exist at once.
+    so that only one direction's candidate gradient plane exists at once.
 
     ``d_out`` is the loss gradient on the layer output, which is only
     read: a (T, B, D*H) array, or the factors (g (B, T), w (D*H,)) of the
@@ -590,19 +615,42 @@ def _pairwise_sum(a: np.ndarray) -> np.ndarray:
     return _pairwise_sum(a[:, :half]) + _pairwise_sum(a[:, half:])
 
 
-def _upsample_k_backward(d_out: np.ndarray, source_t: int, k: int) -> np.ndarray:
+def _upsample_k_backward(d_out: np.ndarray, source_t: int, k: int,
+                         out: Optional[np.ndarray] = None) -> np.ndarray:
     """The gradient of _add_upsampled: d_out summed over each 2^k-frame
-    span, the last span possibly shorter. Each span adds its first frame
-    to the pairwise sum of the rest, as np.add.reduceat does, so the sums
-    are its bits, with whole spans summed as one reshaped view."""
+    span, the last span possibly shorter, into ``out`` if given. Each span
+    adds its first frame to the pairwise sum of the rest, as
+    np.add.reduceat does, so the sums are its bits, with whole spans
+    summed as one reshaped view."""
     span = 2 ** k
     whole = d_out.shape[0] // span
-    d_in = np.empty((source_t,) + d_out.shape[1:])
+    d_in = np.empty((source_t,) + d_out.shape[1:]) if out is None else out
     spans = d_out[:whole * span].reshape((whole, span) + d_out.shape[1:])
     np.add(spans[:, 0], _pairwise_sum(spans[:, 1:]), out=d_in[:whole])
     if source_t > whole:
         tail = d_out[whole * span:]
         d_in[whole] = tail[0] if len(tail) == 1 else tail[0] + _pairwise_sum(tail[None, 1:])[0]
+    return d_in
+
+
+def _stream_backward(d_hs, source_t: int, k: int) -> np.ndarray:
+    """The gradient on a multiresolution layer's pooled output, of
+    ``source_t`` frames, from the encoder output gradient ``d_hs`` in
+    either form (see encoder_backward): its sum over each 2^k-frame span.
+    From the factors, the products g_t w are formed PROJECTION_BLOCK
+    spans at a time; spans are summed independently, so the blocks keep
+    the bits of one whole-run sum."""
+    if not isinstance(d_hs, tuple):
+        return _upsample_k_backward(d_hs, source_t, k)
+    g, w = d_hs[0].T, d_hs[1]
+    span = 2 ** k
+    products = np.empty((min(len(g), PROJECTION_BLOCK * span),) + g.shape[1:] + w.shape)
+    d_in = np.empty((source_t,) + products.shape[1:])
+    for s0 in range(0, source_t, PROJECTION_BLOCK):
+        rows, block = g[s0 * span:(s0 + PROJECTION_BLOCK) * span], d_in[s0:s0 + PROJECTION_BLOCK]
+        # The products g_t w_j, one rounding each, as a dense gradient holds them.
+        part = np.multiply(rows[:, :, None], w, out=products[:len(rows)])
+        _upsample_k_backward(part, len(block), k, block)
     return d_in
 
 
@@ -720,9 +768,9 @@ def encoder_backward(config: EncoderConfig, layers: list[EncoderLayer],
     (B, T) and w (output_dim,). From the factors, a unidirectional or
     bidirectional top layer forms the products g_t w where its BPTT
     reads them, a block of steps at a time, and a multiresolution
-    encoder forms the dense array only to sum each layer's spans of it,
-    dropping it before that layer's BPTT. Either way each entry is the
-    one product g_t w_j, so both forms give the same bits.
+    encoder forms them a block of each layer's spans at a time, to sum
+    the spans (see _stream_backward). Either way each entry is the one
+    product g_t w_j, so both forms give the same bits.
 
     Consumes the trace: each layer's activations are released as soon as
     its BPTT is done, so a batch never holds the deeper layers'
@@ -736,13 +784,7 @@ def encoder_backward(config: EncoderConfig, layers: list[EncoderLayer],
         if config.kind == "multiresolution":
             # The layer's pooled output feeds the sum and the next layer.
             t_layer = ltr.inputs.shape[0]
-            if isinstance(d_hs, tuple):
-                g, w = d_hs
-                d_top = np.multiply(g.T[:, :, None], w)
-            else:
-                d_top = d_hs
-            d_sub = _upsample_k_backward(d_top, (t_layer + 1) // 2, i + 1)
-            del d_top  # not held through the layer's BPTT
+            d_sub = _stream_backward(d_hs, (t_layer + 1) // 2, i + 1)
             if i < len(layers) - 1:
                 d_sub += d
             d = _subsample2_backward(d_sub, t_layer)

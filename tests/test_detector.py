@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import pin_cases, traced_peak
+from conftest import PEAK_SLACK, pin_cases, traced_peak
 from fdcheck import assert_gradients_match, batch_loss, random_utterance
 from oracles import (
     ForwardTrace,
@@ -832,14 +832,17 @@ class TestInferMemory:
 
 # tracemalloc peaks in bytes of one 2x32 desk minibatch per encoder case:
 # batch_loss_and_gradients on 10 clips of 150 frames, d = 16, the step
-# that sets the memory of a training run. Recorded when the head came to
-# pass encoder_backward the factors (g, w) of its output gradient in place
-# of the (T, B, 2H) array g_t w. A peak may not rise above its pin.
+# that sets the memory of a training run. Recorded at the highest peak
+# seen, each test run alone and in the suite, when BPTT came to write its
+# update/reset gradients into the spent trace rows and the
+# multiresolution layers to form the products g_t w of the head's factors
+# a block of spans at a time, which lowered each peak by 0.32-0.68 MB. A
+# peak may rise at most PEAK_SLACK above its pin.
 TRAINING_MEMORY_PINS = {
-    ("unidirectional", False): 4_834_048,
-    ("bidirectional", False): 8_230_904,
-    ("multiresolution", False): 3_847_512,
-    ("multiresolution", True): 6_927_480,
+    ("unidirectional", False): 4_148_688,
+    ("bidirectional", False): 7_762_128,
+    ("multiresolution", False): 3_531_792,
+    ("multiresolution", True): 6_606_632,
 }
 
 
@@ -852,4 +855,4 @@ class TestTrainingMemory:
         batch = [random_utterance(rng, 16, 150, i % 2 == 1, f"u{i}") for i in range(10)]
         batch_loss_and_gradients(model, batch, 1.0)  # once-only state
         peak = traced_peak(lambda: batch_loss_and_gradients(model, batch, 1.0))
-        assert peak <= TRAINING_MEMORY_PINS[kind, mr_bidir], peak
+        assert peak <= TRAINING_MEMORY_PINS[kind, mr_bidir] + PEAK_SLACK, peak
