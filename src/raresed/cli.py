@@ -25,7 +25,7 @@ from typing import Optional, get_args, get_origin, get_type_hints
 from . import __version__
 from .data import SynthConfig, load_dataset, save_dataset, synth_dataset
 from .detector import DEFAULT_THRESHOLD, infer
-from .errors import DataMismatchError, InputError, open_input, write_atomic
+from .errors import DataMismatchError, InputError, open_input, write_text
 from .metrics import (
     DEFAULT_COLLAR_S,
     DEFAULT_FRAME_SHIFT_S,
@@ -33,6 +33,7 @@ from .metrics import (
     detection_to_annotation,
     evaluate_annotations,
     format_annotations,
+    format_table,
     read_annotations,
 )
 from .recurrent import EncoderConfig
@@ -263,8 +264,8 @@ def cmd_synth(args, paths: dict[str, str]):
     }
     for name, dataset in datasets.items():
         records = save_dataset(paths[name], dataset)
-        with write_atomic(paths[f"{name}_ref"], "w", encoding="utf-8") as fh:
-            fh.write(format_annotations(reference_annotations(records, frame_shift)))
+        write_text(paths[f"{name}_ref"],
+                   format_annotations(reference_annotations(records, frame_shift)))
     return cfg, train_cfg.seed, (f"wrote {train_cfg.count} train / {dev_cfg.count} "
                                  f"dev utterances to {args.out}")
 
@@ -288,8 +289,7 @@ def cmd_train(args, paths: dict[str, str]):
     cfg, tc, trainset, devset = _train_inputs(args)
     report = train(tc, trainset, devset)
     save_model(paths["model"], best_model(report), tc)
-    with write_atomic(paths["report"], "w", encoding="utf-8") as fh:
-        fh.write(format_report(report))
+    write_text(paths["report"], format_report(report))
     if not report.epochs:
         return cfg, tc.seed, "epoch budget 0: keeping the initialized model"
     stats = report.epochs[report.best_epoch - 1]
@@ -313,8 +313,7 @@ def cmd_infer(args, paths: dict[str, str]):
     found = infer(model, dataset, thres0, thres1)
     detections = {utt.id: detection_to_annotation(det, frame_shift)
                   for utt, det in zip(dataset, found)}
-    with write_atomic(paths["detections"], "w", encoding="utf-8") as fh:
-        fh.write(format_annotations(detections))
+    write_text(paths["detections"], format_annotations(detections))
     present = sum(1 for ann in detections.values() if ann is not None)
     return ({"thres0": thres0, "thres1": thres1, "frame_shift_s": frame_shift},
             trained.get("seed"),
@@ -329,17 +328,9 @@ def cmd_eval(args, paths: dict[str, str]):
         er, f1, counts = evaluate_annotations(refs, dets, collar)
     except ValueError as exc:  # the reference holds no events
         raise InputError(f"{args.ref}: {exc}")
-    table = (
-        "metric\tvalue\n"
-        f"er\t{er!r}\n"
-        f"f1\t{f1!r}\n"
-        f"tp\t{counts.tp}\n"
-        f"insertions\t{counts.fp}\n"
-        f"deletions\t{counts.fn}\n"
-        f"n_ref\t{counts.n_ref}\n"
-    )
-    with write_atomic(paths["eval"], "w", encoding="utf-8") as fh:
-        fh.write(table)
+    write_text(paths["eval"], format_table("metric\tvalue", [
+        ("er", er), ("f1", f1), ("tp", counts.tp), ("insertions", counts.fp),
+        ("deletions", counts.fn), ("n_ref", counts.n_ref)]))
     return {"collar_s": collar}, None, (f"ER {er:.4f}  F1 {f1:.2f}  (TP {counts.tp}, "
                                         f"I {counts.fp}, D {counts.fn}, N {counts.n_ref})")
 
@@ -353,12 +344,9 @@ def cmd_sweep(args, paths: dict[str, str]):
         raise InputError("--alpha-grid named no values")
     cfg, tc, trainset, devset = _train_inputs(args)
     rows = alpha_sweep(tc, grid, trainset, devset)
-    lines = ["alpha\tbest_epoch\tdev_er\tdev_f1"]
-    for row in rows:
-        lines.append(f"{row['alpha']!r}\t{row['best_epoch']}"
-                     f"\t{row['dev_er']!r}\t{row['dev_f1']!r}")
-    with write_atomic(paths["sweep"], "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(paths["sweep"], format_table(
+        "alpha\tbest_epoch\tdev_er\tdev_f1",
+        [(row["alpha"], row["best_epoch"], row["dev_er"], row["dev_f1"]) for row in rows]))
     return cfg, tc.seed, "\n".join(
         f"alpha {row['alpha']:g}: dev ER {row['dev_er']:.4f}, "
         f"dev F1 {row['dev_f1']:.2f} (epoch {row['best_epoch']})" for row in rows)
@@ -420,8 +408,7 @@ def _run(args) -> None:
         "artifact_version": __version__,
         "duration_s": time.monotonic() - started,
     }
-    with write_atomic(manifest_path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_text(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     print(summary)
     print(f"manifest: {manifest_path}")
 

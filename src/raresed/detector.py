@@ -303,12 +303,9 @@ def check_dims(clips: Sequence, input_dim: int, what: str) -> None:
 # cut into the fewest slices of at most max(1, INFER_BYTES //
 # encode_bytes(config, T)) clips, with sizes that differ by at most one.
 # 9 MiB holds 10 bidirectional 2x32 clips of 1304 frames (d = 16, 0.89 MB
-# each): measured with infer on 40 of them, one BLAS thread, 2-core VM,
-# slices of 6 / 10 / 20 / 40 clips cost 8.8 / 7.0 / 5.5 / 5.0 ms per clip
-# and peak at 5.5 / 9.1 / 18.1 / 36.0 MB of numpy arrays. The desk
-# preset's dev set (100 clips of 150 frames) runs in two slices of 50 and
-# peaks at 4.5 MB (multiresolution) or 7.4 MB (bidirectional); a desk
-# training minibatch peaks at 3.5 or 7.8 MB.
+# each), and the desk dev set in two slices; doubling a slice doubles its
+# peak but saves far less of the time a clip takes. The measured trade is
+# in README "Performance", under "Inference".
 INFER_BYTES = 9 * 2**20
 
 

@@ -1,4 +1,5 @@
-"""Exception types, and the two helpers that open every file the package uses.
+"""Exception types, and the helpers that open every file the package uses:
+open_input, write_atomic, and write_text for each UTF-8 text artefact.
 
 The CLI maps InputError to exit code 2 and DataMismatchError to exit
 code 3; everything else is a programming error and propagates.
@@ -46,3 +47,9 @@ def write_atomic(path, mode="wb", **kw):
             raise
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc.strerror}")
+
+
+def write_text(path, text: str) -> None:
+    """``text`` written to ``path`` as UTF-8 by write_atomic."""
+    with write_atomic(path, "w", encoding="utf-8") as fh:
+        fh.write(text)

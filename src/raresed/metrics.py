@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .detector import Detection
 from .errors import DataMismatchError, InputError, ParseError, open_input
@@ -136,24 +136,27 @@ def evaluate_dataset(references: Mapping[str, Optional[EventAnnotation]],
     return evaluate_annotations(references, converted, collar)
 
 
+def format_table(header: str, rows: Iterable[Iterable]) -> str:
+    """Every ``*.tsv`` the package writes: the ``header`` line, then each
+    row's fields, as ``str()`` writes them (a float in its shortest
+    round-trip form), joined by tabs; each line ends in a newline."""
+    lines = [header, *("\t".join(map(str, row)) for row in rows)]
+    return "\n".join(lines) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # Annotation files: tab-separated, one record per utterance.
 # Columns: id, label (0/1), onset seconds, offset seconds (blank when
-# label is 0). Floats are written with shortest round-trip repr.
+# label is 0).
 # ---------------------------------------------------------------------------
 
 ANNOTATION_HEADER = "id\tlabel\tonset_s\toffset_s"
 
 
 def format_annotations(records: Mapping[str, Optional[EventAnnotation]]) -> str:
-    lines = [ANNOTATION_HEADER]
-    for uid in records:
-        ann = records[uid]
-        if ann is None:
-            lines.append(f"{uid}\t0\t\t")
-        else:
-            lines.append(f"{uid}\t1\t{ann.onset!r}\t{ann.offset!r}")
-    return "\n".join(lines) + "\n"
+    return format_table(ANNOTATION_HEADER, (
+        (uid, 0, "", "") if ann is None else (uid, 1, ann.onset, ann.offset)
+        for uid, ann in records.items()))
 
 
 def read_annotations(path) -> dict[str, Optional[EventAnnotation]]:

@@ -29,6 +29,7 @@ from .metrics import (
     check_seconds,
     detection_to_annotation,
     evaluate_dataset,
+    format_table,
 )
 from .numerics import AdamState, adam_step
 from .recurrent import EncoderConfig
@@ -298,10 +299,7 @@ REPORT_HEADER = "epoch\ttrain_loss\tdev_er\tdev_f1\tbest"
 
 
 def format_report(report: TrainReport) -> str:
-    lines = [REPORT_HEADER]
-    for i, stats in enumerate(report.epochs, start=1):
-        best = 1 if i == report.best_epoch else 0
-        lines.append(f"{i}\t{stats.train_loss!r}\t{stats.dev_er!r}"
-                     f"\t{stats.dev_f1!r}\t{best}")
-    return "\n".join(lines) + "\n"
+    return format_table(REPORT_HEADER, (
+        (i, stats.train_loss, stats.dev_er, stats.dev_f1, int(i == report.best_epoch))
+        for i, stats in enumerate(report.epochs, start=1)))
 

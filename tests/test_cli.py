@@ -1,6 +1,7 @@
 import argparse
 import ast
 import ctypes
+import hashlib
 import json
 import os
 import pkgutil
@@ -776,6 +777,18 @@ class TestSweepCommand:
                          "--out", str(out), "--alpha-grid", "0.5,1.0"]) == 0
             blobs.append((out / "sweep.tsv").read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_two_alpha_table_bytes_pinned(self, tmp_path):
+        # No desk digest covers sweep.tsv: this pins its bytes for the
+        # tiny config, as recorded before the table writers were merged.
+        config, data = synth_tiny(tmp_path)
+        out = tmp_path / "sw"
+        assert main(["sweep", "--config", config,
+                     "--train-data", str(data / "train.sed"),
+                     "--dev-data", str(data / "dev.sed"),
+                     "--out", str(out), "--alpha-grid", "0.5,1.0"]) == 0
+        assert hashlib.sha256((out / "sweep.tsv").read_bytes()).hexdigest() == (
+            "0f078d971a82f9a3f3d77d2ba9c3aeade65f79aa397fe385661c558a820ace6e")
 
     def test_bad_grid_exits_2(self, tmp_path):
         config, data = synth_tiny(tmp_path)

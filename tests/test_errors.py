@@ -8,7 +8,7 @@ import pytest
 import raresed
 from raresed.data import SynthConfig, save_dataset, synth_dataset
 from raresed.detector import EventModel
-from raresed.errors import InputError, write_atomic
+from raresed.errors import InputError, write_atomic, write_text
 from raresed.recurrent import EncoderConfig
 from raresed.train import save_model
 
@@ -55,7 +55,8 @@ def test_failed_writes_leave_no_tmp_and_records_name_the_final_file(tmp_path):
     held = tmp_path / "held"  # a directory where a file should go
     held.mkdir()
     for write in (lambda: save_dataset(held, utts),
-                  lambda: save_model(held, model)):
+                  lambda: save_model(held, model),
+                  lambda: write_text(held, "text\n")):
         with pytest.raises(InputError, match=f"^cannot write {held}: Is a directory$"):
             write()
     with pytest.raises(InputError, match=f"^cannot write {held}: Is a directory$"):
@@ -72,3 +73,10 @@ def test_failed_writes_leave_no_tmp_and_records_name_the_final_file(tmp_path):
     for record, utt in zip(records, utts, strict=True):
         assert np.array_equal(record.features, utt.features)
     assert list(tmp_path.rglob("*.tmp")) == []
+
+
+def test_write_text_writes_utf8_bytes_as_given(tmp_path):
+    path = tmp_path / "t.tsv"
+    write_text(path, "é\tx\r\n1\n")
+    assert path.read_bytes() == "é\tx\r\n1\n".encode("utf-8")
+    assert [p.name for p in tmp_path.iterdir()] == ["t.tsv"]

@@ -12,6 +12,7 @@ from raresed.metrics import (
     evaluate_dataset,
     f1_score,
     format_annotations,
+    format_table,
     match_utterance,
     read_annotations,
 )
@@ -186,13 +187,33 @@ class TestEvaluate:
                 assert f1_score(counts) == pytest.approx(expected_f1, abs=1e-12)
 
 
+class TestFormatTable:
+    def test_header_only(self):
+        assert format_table("a\tb", []) == "a\tb\n"
+
+    def test_negative_annotation_row_ends_in_two_tabs(self):
+        text = format_table("id\tlabel\tonset_s\toffset_s", [("u0", 0, "", "")])
+        assert text == "id\tlabel\tonset_s\toffset_s\nu0\t0\t\t\n"
+
+    def test_float_in_shortest_round_trip_form(self):
+        value = 0.1 + 0.2
+        text = format_table("x", [(value,)])
+        assert text == "x\n0.30000000000000004\n"
+        assert float(text.splitlines()[1]) == value
+
+    def test_int_fields(self):
+        assert format_table("i\tj", [(1, -20), (0, 3)]) == "i\tj\n1\t-20\n0\t3\n"
+
+
 class TestAnnotationFiles:
     def test_round_trip(self, tmp_path):
         records = {"u0": None, "u1": ann(2.2769999999999997, 3.427),
-                   "u2": ann(0.0, 0.0)}
+                   "u2": ann(0.0, 0.0), "u3": ann(0.1 + 0.2, 2.5)}
         path = tmp_path / "ref.tsv"
-        path.write_text(format_annotations(records))
+        text = format_annotations(records)
+        path.write_text(text)
         assert read_annotations(path) == records
+        assert format_annotations(read_annotations(path)) == text
 
     def test_format_is_stable(self):
         text = format_annotations({"a": None, "b": ann(1.5, 2.0)})
