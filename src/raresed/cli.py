@@ -25,7 +25,7 @@ from typing import Optional, get_args, get_origin, get_type_hints
 from . import __version__
 from .data import SynthConfig, load_dataset, save_dataset, synth_dataset
 from .detector import DEFAULT_THRESHOLD, infer
-from .errors import DataMismatchError, InputError, open_input, write_text
+from .errors import DataMismatchError, InputError, check_setting, open_input, write_text
 from .metrics import (
     DEFAULT_COLLAR_S,
     DEFAULT_FRAME_SHIFT_S,
@@ -127,7 +127,7 @@ def load_config(path: Optional[str]) -> dict:
     preset_name = user.pop("preset", None)
     if preset_name is None:
         return user
-    if _checked(preset_name, str, "preset") not in PRESETS:
+    if check_setting(preset_name, str, "config field 'preset'") not in PRESETS:
         raise InputError(
             f"unknown preset {preset_name!r}; available: {', '.join(sorted(PRESETS))}"
         )
@@ -152,42 +152,13 @@ SCHEMA = {
     "eval": {name: _TRAIN_FIELDS[name] for name in ("collar_s", "frame_shift_s")},
 }
 
-_KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false",
-               str: "a string", list: "a list"}
-
-
-def _checked(value, kind, name: str):
-    """``value`` as a ``kind``, uncoerced (a list for a tuple): InputError
-    naming the field otherwise."""
-    if get_origin(kind) is tuple:
-        items, kinds = _checked(value, list, name), get_args(kind)
-        if ... not in kinds and len(items) != len(kinds):
-            raise InputError(f"config field {name!r} must hold {len(kinds)} "
-                             f"values, got {value!r}")
-        return tuple(_checked(x, kinds[0], name) for x in items)
-    if kind is bool:
-        ok = isinstance(value, bool)
-    elif isinstance(value, bool):
-        ok = False
-    elif kind is int:
-        ok = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    elif kind is float:
-        ok = isinstance(value, (int, float))
-    else:
-        ok = isinstance(value, kind)
-    if not ok:
-        raise InputError(f"config field {name!r} must be {_KIND_NAMES[kind]}, "
-                         f"got {value!r}")
-    try:
-        value = kind(value)
-    except OverflowError:
-        raise InputError(f"config field {name!r} is out of range: {value!r}")
-    # Integer settings are counts, sizes and seeds: 2**32 bounds each far
-    # beyond any run, and every count and size fits the u32 fields of the
-    # .sed layout.
-    if kind is int and not -2**32 < value < 2**32:
-        raise InputError(f"config field {name!r} is out of range: {value!r}")
-    return value
+def _from_json(value, kind):
+    """``value`` as read from JSON for a field of type ``kind``: JSON has one
+    kind of number, so a number with an integral value serves an integer field."""
+    if get_origin(kind) is tuple and isinstance(value, list):
+        return [_from_json(x, get_args(kind)[0]) for x in value]
+    whole = kind is int and isinstance(value, float) and value.is_integer()
+    return int(value) if whole else value
 
 
 def _read(node, schema: dict, prefix: str, used: tuple[str, ...]) -> dict:
@@ -206,7 +177,8 @@ def _read(node, schema: dict, prefix: str, used: tuple[str, ...]) -> dict:
         if isinstance(spec, dict):  # a section
             out[name] = _read(node.get(name, {}), spec, dotted + ".", used)
         elif name in node:
-            out[name] = _checked(node[name], spec[0], dotted)
+            out[name] = check_setting(_from_json(node[name], spec[0]), spec[0],
+                                      f"config field {dotted!r}")
         elif spec[1] is not dataclasses.MISSING:
             out[name] = spec[1]
         elif dotted.startswith(used):
@@ -238,10 +210,7 @@ def _synth_configs(settings: dict) -> tuple[SynthConfig, SynthConfig]:
 
 def _train_config(settings: dict, input_dim: int) -> TrainConfig:
     train = dict(settings["train"])
-    try:
-        encoder = EncoderConfig(input_dim=input_dim, **train.pop("encoder"))
-    except ValueError as exc:
-        raise InputError(f"bad train configuration: {exc}")
+    encoder = EncoderConfig(input_dim=input_dim, **train.pop("encoder"))
     return TrainConfig(encoder=encoder, **train, **settings["eval"])
 
 

@@ -18,6 +18,7 @@ log with a 1e-10 floor.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 import struct
 from collections.abc import Sequence
@@ -26,7 +27,7 @@ from typing import BinaryIO, Optional
 
 import numpy as np
 
-from .errors import InputError, ParseError, open_input, write_atomic
+from .errors import InputError, ParseError, check_fields, open_input, write_atomic
 from .numerics import as_f64
 
 LOG_FLOOR = 1e-10
@@ -63,6 +64,10 @@ class Utterance:
         if not np.all(np.isfinite(self.features)):
             raise ValueError("features contain non-finite entries")
         bounds = (self.onset, self.offset)
+        # Each is written as an integer field of a .sed record.
+        for name, value in (("label", self.y), ("onset", self.onset), ("offset", self.offset)):
+            if value is not None and not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.y not in (0, 1):
             raise ValueError(f"bad label byte {self.y}: a label is 0 or 1")
         if self.y == 0 and bounds != (None, None):
@@ -115,12 +120,10 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.count < 0:
-            raise InputError("utterance count must be nonnegative")
-        for name in ("seed", "background_seed"):
+        check_fields(self)
+        for name in ("count", "seed", "background_seed"):
             if getattr(self, name) < 0:
-                raise InputError(f"{name} must be nonnegative, "
-                                 f"got {getattr(self, name)!r}")
+                raise InputError(f"{name} must be nonnegative, got {getattr(self, name)!r}")
         if not 0.0 <= self.positive_fraction <= 1.0:
             raise InputError("positive fraction must lie in [0, 1]")
         if self.frames < 1 or self.dim < 1:

@@ -11,12 +11,11 @@ before the scores are computed (micro-averaging).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from .detector import Detection
-from .errors import DataMismatchError, InputError, ParseError, open_input
+from .errors import DataMismatchError, InputError, ParseError, check_setting, open_input
 
 DEFAULT_COLLAR_S = 0.5
 DEFAULT_FRAME_SHIFT_S = 0.023
@@ -91,14 +90,14 @@ def f1_score(counts: MetricCounts) -> float:
 
 
 def check_seconds(value, name: str) -> float:
-    """``value`` as a frame shift or a collar in seconds; InputError
-    naming ``name`` unless it is a finite positive real number, which a
-    string or a bool is not."""
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not (real and math.isfinite(value) and value > 0):
+    """``value`` as a frame shift or a collar in seconds: a number, by
+    check_setting, that is finite and positive; InputError naming ``name``
+    otherwise."""
+    value = check_setting(value, float, name)
+    if not (math.isfinite(value) and value > 0):
         raise InputError(f"{name} must be positive and finite, in seconds; "
                          f"got {value!r}")
-    return float(value)
+    return value
 
 
 def detection_to_annotation(det: Detection,

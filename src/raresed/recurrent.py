@@ -81,6 +81,7 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import InputError, check_fields
 from .numerics import as_f64
 
 ENCODER_KINDS = ("unidirectional", "bidirectional", "multiresolution")
@@ -128,20 +129,12 @@ class EncoderConfig:
     multires_bidirectional: bool = False
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.kind not in ENCODER_KINDS:
-            raise ValueError(f"unknown encoder kind {self.kind!r}")
+            raise InputError(f"unknown encoder kind {self.kind!r}")
         for name in ("layers", "hidden", "input_dim"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise TypeError(f"{name} must be an integer, not {value!r}")
-            object.__setattr__(self, name, int(value))  # a plain int, which JSON can write
-        if not isinstance(self.multires_bidirectional, bool):
-            raise TypeError(f"multires_bidirectional must be a bool, not "
-                            f"{self.multires_bidirectional!r}")
-        if self.layers < 1:
-            raise ValueError("need at least one layer")
-        if self.hidden < 1 or self.input_dim < 1:
-            raise ValueError("hidden size and input dim must be positive")
+            if getattr(self, name) < 1:
+                raise InputError(f"{name} must be positive, got {getattr(self, name)!r}")
 
     @property
     def directions(self) -> int:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import struct
 from dataclasses import asdict, dataclass, field, replace
 from typing import Optional, Sequence
@@ -20,7 +19,7 @@ import numpy as np
 from .data import Utterance
 from .detector import (DEFAULT_THRESHOLD, DEFAULT_WINDOW_MARGIN, Detection,
                        EventModel, batch_loss_and_gradients, check_dims, infer)
-from .errors import InputError, ParseError, open_input, write_atomic
+from .errors import InputError, ParseError, check_fields, open_input, write_atomic
 from .metrics import (
     DEFAULT_COLLAR_S,
     DEFAULT_FRAME_SHIFT_S,
@@ -53,13 +52,9 @@ class TrainConfig:
     frame_shift_s: float = DEFAULT_FRAME_SHIFT_S
 
     def __post_init__(self) -> None:
-        # Each number is stored as a plain int or float, which JSON can write.
-        for name in ("batch_size", "epochs", "seed", "margin"):
-            object.__setattr__(self, name, _number(getattr(self, name), name, int))
-        for name in ("alpha", "stepsize", "thres0", "thres1"):
-            object.__setattr__(self, name, _number(getattr(self, name), name, float))
-        object.__setattr__(self, "collar_s", check_seconds(self.collar_s, "collar"))
-        object.__setattr__(self, "frame_shift_s", check_seconds(self.frame_shift_s, "frame shift"))
+        check_fields(self)
+        check_seconds(self.collar_s, "collar")
+        check_seconds(self.frame_shift_s, "frame shift")
         if not (math.isfinite(self.alpha) and self.alpha >= 0):
             raise InputError(f"alpha must be finite and nonnegative, "
                              f"got {self.alpha!r}")
@@ -71,25 +66,12 @@ class TrainConfig:
         if self.encoder.param_count >= 2**32:
             raise InputError(f"an encoder of {self.encoder.param_count} "
                              f"parameters is too large (2**32 or more)")
-        if self.seed < 0:
-            raise InputError(f"seed must be nonnegative, got {self.seed!r}")
-        if self.margin < 0:
-            raise InputError("frame-window margin must be nonnegative")
-        if self.epochs < 0:
-            raise InputError("epoch budget must be nonnegative")
+        for name in ("epochs", "seed", "margin"):
+            if getattr(self, name) < 0:
+                raise InputError(f"{name} must be nonnegative, got {getattr(self, name)!r}")
         if not (0.0 < self.thres0 < 1.0 and 0.0 < self.thres1 < 1.0):
             raise InputError("thresholds thres0 and thres1 must lie strictly "
                              "inside (0, 1)")
-
-
-def _number(value, name: str, kind: type):
-    """``value`` (a numpy scalar too) as a plain int or float ``kind``; InputError
-    naming the setting unless it is such a number, which a bool or a string is not."""
-    whole = kind is int
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral if whole else numbers.Real):
-        raise InputError(f"{name} must be {'an integer' if whole else 'a real number'}, "
-                         f"got {value!r}")
-    return kind(value)
 
 
 @dataclass(frozen=True)
@@ -265,16 +247,16 @@ def load_model(path) -> tuple[EventModel, dict]:
         if asdict(config) != header["encoder"]:
             raise ValueError("encoder must give every EncoderConfig field")
         want = config.param_count + config.output_dim
-        # Inference falls back on the saved thresholds.
-        for name in ("thres0", "thres1"):
-            if not 0.0 < header.get("train", {}).get(name, DEFAULT_THRESHOLD) < 1.0:
-                raise ValueError(f"{name} must lie strictly inside (0, 1)")
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, InputError) as exc:
         raise ParseError(f"{path}: bad model header: {exc}")
     (count,) = struct.unpack_from("<Q", blob, pos)
     if count != want:
         raise ParseError(f"{path}: header promises {want} parameters, "
                          f"parameter count field says {count}")
+    try:  # the saved train settings; inference falls back on their thresholds
+        TrainConfig(encoder=config, **header.get("train", {}))
+    except (InputError, TypeError) as exc:
+        raise ParseError(f"{path}: bad model header: {exc}")
     pos += 8
     if len(blob) < pos + count * 8:
         raise ParseError(f"{path}: truncated parameter block: {count} "

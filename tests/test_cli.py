@@ -3,6 +3,7 @@ import ast
 import ctypes
 import hashlib
 import json
+import math
 import os
 import pkgutil
 import re
@@ -229,7 +230,7 @@ class TestConfigChecks:
 
     def test_integral_numbers_serve_for_integers_and_floats(self, tmp_path):
         cfg = json.loads(json.dumps(TINY))
-        cfg["data"].update(train_count=10.0, frames=30.0)
+        cfg["data"].update(train_count=10.0, frames=30.0, duration_frames=[5.0, 10.0])
         cfg["train"].update(alpha=1, epochs=1.0, stepsize=0.002, thres0=0.5)
         cfg["eval"]["collar_s"] = 1
         config = write_config(tmp_path, cfg, "integral.json")
@@ -242,6 +243,15 @@ class TestConfigChecks:
                      "--train-data", str(data / "train.sed"),
                      "--dev-data", str(data / "dev.sed"),
                      "--out", str(tmp_path / "run")]) == 0
+
+    def test_float_field_keeps_negative_zero(self, tmp_path):
+        # Only an integer field takes a whole float as an integer.
+        text = json.dumps(TINY).replace('"alpha": 1.0', '"alpha": -0.0')
+        path = tmp_path / "zero.json"
+        path.write_text(text)
+        settings = cli_module._read(load_config(str(path)), cli_module.SCHEMA, "", ())
+        config = cli_module._train_config(settings, input_dim=5)
+        assert math.copysign(1.0, config.alpha) == -1.0
 
     @pytest.mark.parametrize("command", ["synth", "train"])
     def test_section_that_is_not_an_object_exits_2(self, tmp_path, capsys, command):

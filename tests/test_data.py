@@ -69,6 +69,14 @@ class TestUtterance:
             Utterance(id="u", features=np.zeros((2, 5)), y=y, onset=onset,
                       offset=offset)
 
+    @pytest.mark.parametrize("y,onset,offset,name", [
+        (1.0, 1, 2, "label"), (0.0, None, None, "label"), (1, 1.0, 2, "onset"),
+        (1, 1, np.float64(2), "offset")])
+    def test_float_label_or_boundary_rejected(self, y, onset, offset, name):
+        # A .sed record stores each as an integer, which a float cannot fill.
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            Utterance("u", np.zeros((2, 5)), y, onset, offset)
+
     def test_event_may_fill_the_last_frame(self):
         utt = Utterance.positive("p", np.zeros((2, 5)), onset=5, offset=5)
         assert (utt.onset, utt.offset, utt.n_frames) == (5, 5, 5)

@@ -1,6 +1,8 @@
 import ast
+import dataclasses
 from collections.abc import Sequence
 from pathlib import Path
+from typing import get_origin, get_type_hints
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from raresed.data import SynthConfig, save_dataset, synth_dataset
 from raresed.detector import EventModel
 from raresed.errors import InputError, write_atomic, write_text
 from raresed.recurrent import EncoderConfig
-from raresed.train import save_model
+from raresed.train import TrainConfig, save_model
 
 
 def test_files_open_only_through_the_errors_helpers():
@@ -80,3 +82,49 @@ def test_write_text_writes_utf8_bytes_as_given(tmp_path):
     write_text(path, "é\tx\r\n1\n")
     assert path.read_bytes() == "é\tx\r\n1\n".encode("utf-8")
     assert [p.name for p in tmp_path.iterdir()] == ["t.tsv"]
+
+
+# A valid instance's arguments for each config dataclass.
+CONFIGS = {
+    SynthConfig: dict(count=4, positive_fraction=0.5, frames=50, dim=3),
+    EncoderConfig: dict(kind="unidirectional", layers=1, hidden=2, input_dim=3),
+    TrainConfig: dict(encoder=EncoderConfig(kind="unidirectional", layers=1,
+                                            hidden=2, input_dim=3)),
+}
+FIELDS = [pytest.param(cls, field.name, get_type_hints(cls)[field.name],
+                       id=f"{cls.__name__}.{field.name}")
+          for cls in CONFIGS for field in dataclasses.fields(cls)]
+
+
+class TestCheckFields:
+    """Every field of every config dataclass is checked by one rule,
+    check_setting, and stored as the plain value its type hint names."""
+
+    @pytest.mark.parametrize("cls,name,kind", FIELDS)
+    def test_wrong_kind_rejected_naming_the_field(self, cls, name, kind):
+        # A bool is not a number, nor a string the value it spells, nor a
+        # whole float or a number beyond 2**32 an integer.
+        bad = [1 if kind is bool else True, "1"]
+        if kind is int:
+            bad += [2.5, 3.0, 2**32]
+        for value in bad:
+            with pytest.raises(InputError, match=name):
+                cls(**{**CONFIGS[cls], name: value})
+
+    @pytest.mark.parametrize("cls,name,kind", [
+        case for case in FIELDS if case.values[2] in (int, float)
+        or get_origin(case.values[2]) is tuple])
+    def test_numpy_and_list_values_stored_plainly(self, cls, name, kind):
+        value = getattr(cls(**CONFIGS[cls]), name)
+        numpy = {int: np.int64, float: np.float32}
+        if kind in numpy:
+            config = cls(**{**CONFIGS[cls], name: numpy[kind](value)})
+            assert type(getattr(config, name)) is kind
+            assert getattr(config, name) == numpy[kind](value)
+        else:
+            items = [numpy[type(x)](x) for x in value]
+            config = cls(**{**CONFIGS[cls], name: items})
+            assert getattr(config, name) == value
+            assert type(getattr(config, name)) is tuple
+            assert [type(x) for x in getattr(config, name)] == [type(x) for x in value]
+        hash(config)

@@ -13,6 +13,7 @@ from oracles import (
     run_unidirectional,
     upsample_replicate,
 )
+from raresed.errors import InputError
 from raresed.recurrent import (
     EncoderConfig,
     EncoderLayer,
@@ -653,19 +654,19 @@ class TestMemory:
 
 class TestConfigValidation:
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match="kind"):
             EncoderConfig(kind="quadridirectional", layers=1, hidden=2, input_dim=2)
 
     def test_positive_sizes(self):
-        with pytest.raises(ValueError):
-            EncoderConfig(kind="unidirectional", layers=0, hidden=2, input_dim=2)
-        with pytest.raises(ValueError):
-            EncoderConfig(kind="unidirectional", layers=1, hidden=0, input_dim=2)
+        for name in ("layers", "hidden", "input_dim"):
+            with pytest.raises(InputError, match=name):
+                EncoderConfig(**{"kind": "unidirectional", "layers": 1, "hidden": 2,
+                                 "input_dim": 2, name: 0})
 
     def test_sizes_must_be_integers(self):
         for bad in (dict(layers=2.0), dict(layers=True), dict(hidden=3.0),
                     dict(input_dim=np.float64(2)), dict(multires_bidirectional=1)):
-            with pytest.raises(TypeError):
+            with pytest.raises(InputError, match=next(iter(bad))):
                 EncoderConfig(**{"kind": "multiresolution", "layers": 1,
                                  "hidden": 2, "input_dim": 2, **bad})
         cfg = EncoderConfig(kind="unidirectional", layers=np.int64(2),

@@ -428,9 +428,8 @@ class TestModelIO:
         with pytest.raises(ParseError, match="bad model header"):
             load_model(path)
 
-    @pytest.mark.parametrize("name,value", [("thres0", 1.5), ("thres1", 0.0)])
-    def test_saved_threshold_outside_unit_interval_rejected(self, tmp_path,
-                                                            name, value):
+    def _saved_with_train_setting(self, tmp_path, name, value):
+        """A trained snapshot whose header's train setting ``name`` holds ``value``."""
         encoder = EncoderConfig(kind="unidirectional", layers=1, hidden=1,
                                 input_dim=1)
         path = tmp_path / "m.sem"
@@ -443,8 +442,18 @@ class TestModelIO:
         text = json.dumps(header).encode()
         path.write_bytes(blob[:8] + struct.pack("<I", len(text)) + text
                          + blob[12 + size:])
+        return path
+
+    @pytest.mark.parametrize("name,value", [("thres0", 1.5), ("thres1", 0.0)])
+    def test_saved_threshold_outside_unit_interval_rejected(self, tmp_path,
+                                                            name, value):
         with pytest.raises(ParseError, match=name):
-            load_model(path)
+            load_model(self._saved_with_train_setting(tmp_path, name, value))
+
+    @pytest.mark.parametrize("name,value", [("batch_size", "x"), ("alpah", 1.0)])
+    def test_bad_saved_train_setting_rejected(self, tmp_path, name, value):
+        with pytest.raises(ParseError, match=f"bad model header: .*{name}"):
+            load_model(self._saved_with_train_setting(tmp_path, name, value))
 
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
