@@ -8,7 +8,7 @@ from .detector import Detection, EventModel, infer
 from .metrics import EventAnnotation, MetricCounts, error_rate, evaluate_dataset, f1_score
 from .numerics import AdamState, adam_step, sigmoid
 from .recurrent import EncoderConfig, GruLayerParams
-from .train import TrainConfig, TrainReport, alpha_sweep
+from .train import TrainConfig, TrainState, alpha_sweep
 
 __all__ = [
     "AdamState",
@@ -21,7 +21,7 @@ __all__ = [
     "MetricCounts",
     "SynthConfig",
     "TrainConfig",
-    "TrainReport",
+    "TrainState",
     "Utterance",
     "adam_step",
     "alpha_sweep",

@@ -24,7 +24,7 @@ from typing import Optional, get_args, get_origin, get_type_hints
 
 from . import __version__
 from .data import SynthConfig, load_dataset, save_dataset, synth_dataset
-from .detector import DEFAULT_THRESHOLD, infer
+from .detector import DEFAULT_THRESHOLD, check_threshold, infer
 from .errors import DataMismatchError, InputError, check_setting, open_input, write_text
 from .metrics import (
     DEFAULT_COLLAR_S,
@@ -256,22 +256,20 @@ def _train_inputs(args):
 
 def cmd_train(args, paths: dict[str, str]):
     cfg, tc, trainset, devset = _train_inputs(args)
-    report = train(tc, trainset, devset)
-    save_model(paths["model"], best_model(report), tc)
-    write_text(paths["report"], format_report(report))
-    if not report.epochs:
+    state = train(tc, trainset, devset)
+    save_model(paths["model"], best_model(state), tc)
+    write_text(paths["report"], format_report(state))
+    if not state.epochs:
         return cfg, tc.seed, "epoch budget 0: keeping the initialized model"
-    stats = report.epochs[report.best_epoch - 1]
-    return cfg, tc.seed, (f"best epoch {report.best_epoch}: dev ER {stats.dev_er:.4f}, "
+    stats = state.epochs[state.best_epoch - 1]
+    return cfg, tc.seed, (f"best epoch {state.best_epoch}: dev ER {stats.dev_er:.4f}, "
                           f"dev F1 {stats.dev_f1:.2f}")
 
 
 def cmd_infer(args, paths: dict[str, str]):
     for name in ("thres0", "thres1"):
-        value = getattr(args, name)
-        if value is not None and not 0.0 < value < 1.0:
-            raise InputError(f"--{name} must lie strictly inside (0, 1), "
-                             f"got {value!r}")
+        if getattr(args, name) is not None:
+            check_threshold(getattr(args, name), f"--{name}")
     frame_shift = check_seconds(args.frame_shift, "--frame-shift")
     model, header = load_model(args.model)
     trained = header.get("train", {})

@@ -30,7 +30,7 @@ from typing import Iterable, Optional, Sequence, TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DataMismatchError
+from .errors import DataMismatchError, InputError
 from .numerics import as_f64, sigmoid
 from .recurrent import (
     EncoderConfig,
@@ -210,8 +210,6 @@ def _group_heads(model: EventModel, group: Sequence["Utterance"], alpha: float,
     as encoder_backward does. So no product or sum mixes sequences
     before that batch sum.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
     hs, enc_trace = encoder_forward(model.config, model.layers, _stack(group))
     t_len, count = hs.shape[:2]
     seqs = hs.transpose(1, 0, 2)  # (B, T, h) view
@@ -240,6 +238,8 @@ def batch_loss_and_gradients(model: EventModel, batch: Sequence["Utterance"],
     """
     if not batch:
         raise ValueError("batch must be nonempty")
+    if alpha < 0:
+        raise ValueError("alpha must be nonnegative")
     total = 0.0
     n_enc = model.config.param_count
     grad = np.zeros(model.param_count)
@@ -274,11 +274,9 @@ def decide_detection(p_utt: float, frame_p: np.ndarray,
 
     No event when the utterance posterior is <= thres0. Otherwise the
     frame posteriors are binarized at thres1 and the longest run of 1's
-    (earliest on ties) gives the boundaries; if no frame clears thres1
-    the single highest-posterior frame is returned.
+    (earliest on ties) gives the boundaries, or the highest-posterior
+    frame alone when none clears thres1. infer checks the thresholds.
     """
-    if not (0.0 < thres0 < 1.0 and 0.0 < thres1 < 1.0):
-        raise ValueError("thresholds must lie strictly inside (0, 1)")
     frame_p = as_f64(frame_p)
     if p_utt <= thres0:
         return Detection(present=False)
@@ -287,6 +285,12 @@ def decide_detection(p_utt: float, frame_p: np.ndarray,
         t = int(np.argmax(frame_p))
         return Detection(present=True, onset=t + 1, offset=t + 1)
     return Detection(present=True, onset=run[0] + 1, offset=run[1] + 1)
+
+
+def check_threshold(value, name: str) -> None:
+    """InputError naming ``name`` unless 0 < ``value`` < 1."""
+    if not 0.0 < value < 1.0:
+        raise InputError(f"{name} must lie strictly inside (0, 1), got {value!r}")
 
 
 def check_dims(clips: Sequence, input_dim: int, what: str) -> None:
@@ -314,8 +318,9 @@ def infer(model: EventModel, clips: Sequence, thres0: float = DEFAULT_THRESHOLD,
     """Detections for a sequence of clips, in input order. A clip is an
     utterance or a stored record: anything with ``id``, ``dim``,
     ``n_frames`` and ``features``. A record's features are read from its
-    file only while its slice is stacked. A clip whose dimension is not
-    the model's raises DataMismatchError before any is encoded.
+    file only while its slice is stacked. A threshold outside (0, 1), or
+    a clip of another dimension than the model's, raises before any is
+    encoded (InputError, DataMismatchError).
 
     Clips of equal frame count are run together, in slices of at most
     INFER_BYTES, through the forward-only encoder, which returns only
@@ -323,6 +328,8 @@ def infer(model: EventModel, clips: Sequence, thres0: float = DEFAULT_THRESHOLD,
     head (attend) gives each slice's posteriors, and each clip gets the
     two-level thresholding rule.
     """
+    check_threshold(thres0, "thres0")
+    check_threshold(thres1, "thres1")
     check_dims(clips, model.config.input_dim, "utterance")
     detections: list[Optional[Detection]] = [None] * len(clips)
     for group in _length_groups(clip.n_frames for clip in clips):

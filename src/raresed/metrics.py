@@ -53,25 +53,13 @@ class MetricCounts:
 def match_utterance(reference: Optional[EventAnnotation],
                     system: Optional[EventAnnotation],
                     collar: float = DEFAULT_COLLAR_S) -> MetricCounts:
-    """Score one utterance under the onset-only condition."""
-    check_seconds(collar, "collar")
-    counts = MetricCounts()
-    if reference is not None:
-        counts.n_ref = 1
-    if reference is None and system is None:
-        return counts
-    if reference is not None and system is None:
-        counts.fn = 1
-        return counts
-    if reference is None and system is not None:
-        counts.fp = 1
-        return counts
-    if abs(system.onset - reference.onset) <= collar:
-        counts.tp = 1
-    else:
-        counts.fn = 1
-        counts.fp = 1
-    return counts
+    """Score one utterance under the onset-only condition; the collar is
+    checked by evaluate_annotations."""
+    hit = (reference is not None and system is not None
+           and abs(system.onset - reference.onset) <= collar)
+    return MetricCounts(tp=int(hit), fp=int(system is not None and not hit),
+                        fn=int(reference is not None and not hit),
+                        n_ref=int(reference is not None))
 
 
 def error_rate(counts: MetricCounts) -> float:
@@ -113,6 +101,7 @@ def evaluate_annotations(references: Mapping[str, Optional[EventAnnotation]],
                          detections: Mapping[str, Optional[EventAnnotation]],
                          collar: float = DEFAULT_COLLAR_S) -> tuple[float, float, MetricCounts]:
     """Micro-averaged (ER, F1, counts) over id-aligned annotation maps."""
+    collar = check_seconds(collar, "collar")
     missing = sorted(set(references) ^ set(detections))
     if missing:
         raise DataMismatchError(

@@ -2,8 +2,10 @@
 development scoring, early stopping on dev error rate, and alpha sweeps.
 
 Determinism contract: identical (config, data) yields a bit-identical
-report. Initialization and epoch shuffling use separate substreams of
-the config seed; the last partial minibatch is kept.
+TrainState after every epoch (its model, ADAM state, shuffle generator,
+epoch stats and best snapshot), and so a bit-identical report.
+Initialization and epoch shuffling use separate substreams of the
+config seed; the last partial minibatch is kept.
 """
 
 from __future__ import annotations
@@ -11,14 +13,15 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .data import Utterance
 from .detector import (DEFAULT_THRESHOLD, DEFAULT_WINDOW_MARGIN, Detection,
-                       EventModel, batch_loss_and_gradients, check_dims, infer)
+                       EventModel, batch_loss_and_gradients, check_dims,
+                       check_threshold, infer)
 from .errors import InputError, ParseError, check_fields, open_input, write_atomic
 from .metrics import (
     DEFAULT_COLLAR_S,
@@ -69,9 +72,8 @@ class TrainConfig:
         for name in ("epochs", "seed", "margin"):
             if getattr(self, name) < 0:
                 raise InputError(f"{name} must be nonnegative, got {getattr(self, name)!r}")
-        if not (0.0 < self.thres0 < 1.0 and 0.0 < self.thres1 < 1.0):
-            raise InputError("thresholds thres0 and thres1 must lie strictly "
-                             "inside (0, 1)")
+        check_threshold(self.thres0, "thres0")
+        check_threshold(self.thres1, "thres1")
 
 
 @dataclass(frozen=True)
@@ -82,11 +84,18 @@ class EpochStats:
 
 
 @dataclass
-class TrainReport:
+class TrainState:
+    """What a run carries from one epoch to the next. ``best_params`` is
+    from the epoch with the lowest dev ER, ``epochs[best_epoch - 1].dev_er``
+    (earliest on ties); while no epoch has run, ``best_epoch`` is 0 and
+    ``best_params`` the initialized model."""
     config: TrainConfig
-    epochs: list[EpochStats] = field(default_factory=list)
-    best_epoch: int = 0  # 1-based; 0 when no epoch ran
-    best_params: Optional[np.ndarray] = None
+    model: EventModel
+    adam: AdamState
+    shuffle_rng: np.random.Generator
+    epochs: list[EpochStats]
+    best_epoch: int
+    best_params: np.ndarray
 
 
 def reference_annotations(dataset: Sequence[Utterance],
@@ -109,15 +118,10 @@ def evaluate_model(model: EventModel, dataset: Sequence[Utterance],
     return evaluate_dataset(refs, detections, frame_shift_s, collar_s)
 
 
-def train(config: TrainConfig, trainset: Sequence[Utterance],
-          devset: Sequence[Utterance]) -> TrainReport:
-    """Minibatched ADAM with per-epoch dev scoring and early stopping.
-
-    The returned snapshot is from the epoch with the lowest dev ER
-    (earliest on ties); with an epoch budget of 0 it is the initialized
-    model. From a loaded `.sed`, features are read one minibatch, or one
-    dev slice, at a time.
-    """
+def start_training(config: TrainConfig, trainset: Sequence[Utterance],
+                   devset: Sequence[Utterance]) -> TrainState:
+    """The state before epoch 1, once the sets are checked: an
+    initialized model, fresh ADAM moments and the shuffle generator."""
     if not trainset or not devset:
         raise InputError("train and dev sets must be nonempty")
     seen: set[str] = set()
@@ -132,43 +136,59 @@ def train(config: TrainConfig, trainset: Sequence[Utterance],
     check_dims(trainset, config.encoder.input_dim, "train utterance")
     check_dims(devset, config.encoder.input_dim, "dev utterance")
 
-    model = EventModel.initialize(config.encoder,
-                                  _substream_seed(config.seed, 0))
+    model = EventModel.initialize(config.encoder, _substream_seed(config.seed, 0))
     adam = AdamState.fresh(model.param_count, stepsize=config.stepsize)
-    shuffle_rng = np.random.default_rng(
-        np.random.SeedSequence(config.seed, spawn_key=(1,)))
-
-    report = TrainReport(config=config, best_params=model.flatten())
-    best_er = np.inf
-    for epoch in range(1, config.epochs + 1):
-        order = shuffle_rng.permutation(len(trainset))
-        loss_sum = 0.0
-        for b_start in range(0, len(order), config.batch_size):
-            batch = [trainset[i] for i in order[b_start:b_start + config.batch_size]]
-            loss, grad = batch_loss_and_gradients(model, batch, config.alpha,
-                                                  config.margin)
-            if not np.isfinite(loss):
-                raise InputError(
-                    f"non-finite loss at epoch {epoch}, batch "
-                    f"{b_start // config.batch_size + 1}: training diverged; "
-                    f"check train.stepsize ({config.stepsize!r}), train.alpha "
-                    f"({config.alpha!r}) and the input features")
-            loss_sum += loss * len(batch)
-            adam_step(model.params, grad, adam)
-        dev_er, dev_f1, _ = evaluate_model(model, devset, config.thres0,
-                                           config.thres1, config.frame_shift_s,
-                                           config.collar_s)
-        report.epochs.append(EpochStats(train_loss=loss_sum / len(trainset),
-                                        dev_er=dev_er, dev_f1=dev_f1))
-        if dev_er < best_er:
-            best_er = dev_er
-            report.best_epoch = epoch
-            report.best_params = model.flatten()
-    return report
+    shuffle_rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1,)))
+    return TrainState(config, model, adam, shuffle_rng, [], 0, model.flatten())
 
 
-def best_model(report: TrainReport) -> EventModel:
-    return EventModel(report.config.encoder, report.best_params.copy())
+def train_epoch(state: TrainState, trainset: Sequence[Utterance],
+                devset: Sequence[Utterance]) -> EpochStats:
+    """One epoch on the sets start_training checked: a shuffle, an ADAM
+    step per minibatch, dev scoring, and a new best snapshot when the
+    dev ER is lower than every earlier epoch's."""
+    config, model = state.config, state.model
+    epoch = len(state.epochs) + 1
+    order = state.shuffle_rng.permutation(len(trainset))
+    loss_sum = 0.0
+    for b_start in range(0, len(order), config.batch_size):
+        batch = [trainset[i] for i in order[b_start:b_start + config.batch_size]]
+        loss, grad = batch_loss_and_gradients(model, batch, config.alpha,
+                                              config.margin)
+        if not np.isfinite(loss):
+            raise InputError(
+                f"non-finite loss at epoch {epoch}, batch "
+                f"{b_start // config.batch_size + 1}: training diverged; "
+                f"check train.stepsize ({config.stepsize!r}), train.alpha "
+                f"({config.alpha!r}) and the input features")
+        loss_sum += loss * len(batch)
+        adam_step(model.params, grad, state.adam)
+    dev_er, dev_f1, _ = evaluate_model(model, devset, config.thres0,
+                                       config.thres1, config.frame_shift_s,
+                                       config.collar_s)
+    stats = EpochStats(train_loss=loss_sum / len(trainset), dev_er=dev_er,
+                       dev_f1=dev_f1)
+    state.epochs.append(stats)
+    if not state.best_epoch or dev_er < state.epochs[state.best_epoch - 1].dev_er:
+        state.best_epoch = epoch
+        state.best_params = model.flatten()
+    return stats
+
+
+def train(config: TrainConfig, trainset: Sequence[Utterance],
+          devset: Sequence[Utterance]) -> TrainState:
+    """Minibatched ADAM with per-epoch dev scoring and early stopping:
+    start_training, then config.epochs calls of train_epoch. From a
+    loaded `.sed`, features are read one minibatch, or one dev slice, at
+    a time."""
+    state = start_training(config, trainset, devset)
+    for _ in range(config.epochs):
+        train_epoch(state, trainset, devset)
+    return state
+
+
+def best_model(state: TrainState) -> EventModel:
+    return EventModel(state.config.encoder, state.best_params.copy())
 
 
 def alpha_sweep(config: TrainConfig, grid: Sequence[float],
@@ -184,9 +204,9 @@ def alpha_sweep(config: TrainConfig, grid: Sequence[float],
     configs = [replace(config, alpha=float(alpha)) for alpha in sorted(grid)]
     rows = []
     for cfg in configs:
-        report = train(cfg, trainset, devset)
-        stats = report.epochs[report.best_epoch - 1]
-        rows.append({"alpha": cfg.alpha, "best_epoch": report.best_epoch,
+        state = train(cfg, trainset, devset)
+        stats = state.epochs[state.best_epoch - 1]
+        rows.append({"alpha": cfg.alpha, "best_epoch": state.best_epoch,
                      "dev_er": stats.dev_er, "dev_f1": stats.dev_f1})
     return rows
 
@@ -280,8 +300,8 @@ def load_model(path) -> tuple[EventModel, dict]:
 REPORT_HEADER = "epoch\ttrain_loss\tdev_er\tdev_f1\tbest"
 
 
-def format_report(report: TrainReport) -> str:
+def format_report(state: TrainState) -> str:
     return format_table(REPORT_HEADER, (
-        (i, stats.train_loss, stats.dev_er, stats.dev_f1, int(i == report.best_epoch))
-        for i, stats in enumerate(report.epochs, start=1)))
+        (i, stats.train_loss, stats.dev_er, stats.dev_f1, int(i == state.best_epoch))
+        for i, stats in enumerate(state.epochs, start=1)))
 

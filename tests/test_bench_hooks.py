@@ -6,6 +6,7 @@ it fail the suite instead."""
 import ast
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -14,6 +15,7 @@ import pytest
 
 import raresed.cli  # noqa: F401  (loads every module the spans name)
 from fdcheck import random_utterance
+from raresed.cli import main
 from raresed.detector import EventModel, batch_loss_and_gradients
 from raresed.recurrent import EncoderConfig
 
@@ -115,3 +117,39 @@ def test_tiny_grad_workload_sets_up_runs_and_verifies(monkeypatch, tmp_path):
     assert done.units == done.attempted == len(workload.reference) > 0
     workload.verify()
     assert workload.quality["fd_worst_rel_err"] < workload.REL_TOL
+
+
+def test_traced_training_counts_each_span_once_per_call(monkeypatch, tmp_path):
+    # The traced run's per-layer figures are only right if training calls
+    # each wrapped function through the attribute SPANS names: a call that
+    # bypasses it drops out of the counts, and one wrapped twice doubles.
+    epochs, train_count, batch_size, dev_count = 2, 11, 5, 6
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "data": {"train_count": train_count, "dev_count": dev_count, "frames": 20,
+                 "dim": 4, "positive_fraction": 0.5, "ebr_db": [12.0],
+                 "duration_frames": [4, 8], "seed": 5},
+        "train": {"batch_size": batch_size, "stepsize": 0.002, "epochs": epochs,
+                  "seed": 5, "margin": 5,
+                  "encoder": {"kind": "multiresolution", "layers": 1, "hidden": 3}},
+    }))
+    data = tmp_path / "data"
+    assert main(["synth", "--config", str(config), "--out", str(data)]) == 0
+    tracer = load_bench(monkeypatch, "layers").install()
+    try:
+        assert main(["train", "--config", str(config), "--train-data", str(data / "train.sed"),
+                     "--dev-data", str(data / "dev.sed"), "--out", str(tmp_path / "run")]) == 0
+    finally:
+        tracer.uninstall()
+    calls = {span: figures["calls"] for span, figures in tracer.snapshot().items()}
+    minibatches = -(-train_count // batch_size)
+    assert {span: calls.get(span) for span in (
+        "train.loop", "detector.loss_grad", "numerics.adam", "train.dev_eval",
+        "detector.infer", "detector.decide")} == {
+        "train.loop": 1,
+        "detector.loss_grad": epochs * minibatches,
+        "numerics.adam": epochs * minibatches,
+        "train.dev_eval": epochs,
+        "detector.infer": epochs,
+        "detector.decide": epochs * dev_count,
+    }

@@ -30,7 +30,7 @@ from raresed.detector import (
     _longest_true_run,
     infer,
 )
-from raresed.errors import DataMismatchError
+from raresed.errors import DataMismatchError, InputError
 from raresed.recurrent import (
     EncoderConfig,
     encode_bytes,
@@ -394,6 +394,16 @@ class TestGradients:
         with pytest.raises(ValueError):
             batch_loss_and_gradients(small_model(), [], alpha=1.0)
 
+    def test_negative_alpha_rejected_before_any_group_runs(self, monkeypatch):
+        def no_forward(*args):
+            raise AssertionError("a length group ran")
+
+        monkeypatch.setattr(detector_module, "encoder_forward", no_forward)
+        rng = np.random.default_rng(16)
+        batch = [random_utterance(rng, 4, t, positive=True, id=str(t)) for t in (5, 7)]
+        with pytest.raises(ValueError, match="alpha"):
+            batch_loss_and_gradients(small_model(), batch, alpha=-0.1)
+
     def test_loss_and_grad_agree_with_total_loss(self):
         model = small_model(seed=15)
         rng = np.random.default_rng(14)
@@ -615,10 +625,12 @@ class TestDecision:
         assert (det.onset, det.offset) == (2, 2)
 
     def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            decide_detection(0.9, np.array([0.5]), thres0=0.0)
-        with pytest.raises(ValueError):
-            decide_detection(0.9, np.array([0.5]), thres1=1.0)
+        # infer checks the thresholds once per call, not per clip.
+        clips = as_clips([np.full((4, 1), 0.5)])
+        with pytest.raises(InputError, match="thres0"):
+            infer(small_model(), clips, thres0=0.0)
+        with pytest.raises(InputError, match="thres1"):
+            infer(small_model(), clips, thres1=1.0)
 
     def test_detection_invariants(self):
         with pytest.raises(ValueError):

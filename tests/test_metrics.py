@@ -47,13 +47,6 @@ class TestMatchUtterance:
         c = match_utterance(ann(3.0), ann(3.5), collar=0.5)
         assert c.tp == 1
 
-    def test_bad_collar(self):
-        # An infinite collar would match onsets any distance apart; a
-        # string or a bool is not a number of seconds.
-        for collar in (0.0, -1.0, float("inf"), float("nan"), "0.5", True):
-            with pytest.raises(InputError, match="collar"):
-                match_utterance(ann(1.0), ann(1.0), collar=collar)
-
 
 class TestScores:
     def test_perfect_error_rate(self):
@@ -118,6 +111,13 @@ class TestEvaluate:
         er, f1, counts = evaluate_dataset(refs, dets, frame_shift_s=0.023)
         assert counts.tp == 1 and counts.fp == 0 and counts.fn == 0
         assert er == 0.0 and f1 == 100.0
+
+    def test_bad_collar(self):
+        # An infinite collar would match onsets any distance apart; a
+        # string or a bool is not a number of seconds.
+        for collar in (0.0, -1.0, float("inf"), float("nan"), "0.5", True):
+            with pytest.raises(InputError, match="collar"):
+                evaluate_annotations({"u": ann(1.0)}, {"u": ann(1.0)}, collar=collar)
 
     def test_id_mismatch_rejected(self):
         with pytest.raises(DataMismatchError, match="u1"):

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import struct
@@ -16,10 +17,13 @@ from raresed.data import SynthConfig, Utterance, load_dataset, save_dataset, syn
 from raresed.detector import EventModel, decide_detection, frame_window, infer
 from raresed.errors import DataMismatchError, InputError, ParseError
 from raresed.metrics import evaluate_dataset
+from raresed.numerics import AdamState
 from raresed.recurrent import EncoderConfig, encode_bytes
 from raresed.train import (
     SAVED_TRAIN_FIELDS,
+    EpochStats,
     TrainConfig,
+    TrainState,
     alpha_sweep,
     best_model,
     evaluate_model,
@@ -27,7 +31,9 @@ from raresed.train import (
     load_model,
     reference_annotations,
     save_model,
+    start_training,
     train,
+    train_epoch,
 )
 
 
@@ -226,6 +232,60 @@ class TestTrain:
         best = next(r for r in rows if r["best"] == "1")
         assert float(best["dev_er"]) <= 0.25
         assert float(best["dev_f1"]) >= 85.0
+
+
+ENCODER_CASES = [("unidirectional", False), ("bidirectional", False),
+                 ("multiresolution", False), ("multiresolution", True)]
+
+
+def json_fields(state: TrainState) -> dict:
+    """The state's fields that are not arrays, as JSON would hold them."""
+    return {"rng": state.shuffle_rng.bit_generator.state, "t": state.adam.t,
+            "stepsize": state.adam.stepsize,
+            "epochs": [asdict(stats) for stats in state.epochs],
+            "best_epoch": state.best_epoch}
+
+
+def state_bytes(state: TrainState) -> tuple:
+    return (state.best_params.tobytes(), state.model.params.tobytes(),
+            format_report(state).encode(), state.adam.m.tobytes(),
+            state.adam.v.tobytes(), state.adam.t, state.shuffle_rng.bit_generator.state)
+
+
+class TestTrainState:
+    @pytest.mark.parametrize("kind,mr_bidir", ENCODER_CASES)
+    def test_epoch_calls_give_the_bits_of_train(self, kind, mr_bidir):
+        encoder = EncoderConfig(kind=kind, layers=2, hidden=32, input_dim=16,
+                                multires_bidirectional=mr_bidir)
+        config = tiny_config(dim=16, epochs=3, encoder=encoder)
+        trainset, devset = tiny_sets(count=20, dev=10, frames=40, dim=16)
+        state = start_training(config, trainset, devset)
+        stats = [train_epoch(state, trainset, devset) for _ in range(3)]
+        assert stats == state.epochs
+        assert state_bytes(state) == state_bytes(train(config, trainset, devset))
+
+    def test_state_round_trips_through_json_arrays_apart(self):
+        trainset, devset = tiny_sets()
+        config = tiny_config(epochs=3)
+        state = start_training(config, trainset, devset)
+        train_epoch(state, trainset, devset)
+        fields = json.loads(json.dumps(json_fields(state)))
+        assert fields == json_fields(state)
+        rng = np.random.default_rng(0)
+        rng.bit_generator.state = fields["rng"]
+        # A state rebuilt from the JSON fields and copies of the arrays
+        # draws the same next permutation and trains on to the same bits.
+        resumed = TrainState(
+            config, EventModel(config.encoder, state.model.params.copy()),
+            AdamState(state.adam.m.copy(), state.adam.v.copy(), fields["t"],
+                      fields["stepsize"]),
+            rng, [EpochStats(**stats) for stats in fields["epochs"]],
+            fields["best_epoch"], state.best_params.copy())
+        assert np.array_equal(copy.deepcopy(rng).permutation(len(trainset)),
+                              copy.deepcopy(state.shuffle_rng).permutation(len(trainset)))
+        for _ in range(2):
+            train_epoch(resumed, trainset, devset)
+        assert state_bytes(resumed) == state_bytes(train(config, trainset, devset))
 
 
 class TestAlphaSweep:
