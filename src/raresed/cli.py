@@ -20,12 +20,13 @@ import json
 import os
 import sys
 import time
-from typing import Optional, get_args, get_origin, get_type_hints
+from typing import Optional, get_args, get_origin
 
 from . import __version__
 from .data import SynthConfig, load_dataset, save_dataset, synth_dataset
 from .detector import DEFAULT_THRESHOLD, check_threshold, infer
-from .errors import DataMismatchError, InputError, check_setting, open_input, write_text
+from .errors import (DataMismatchError, InputError, check_setting, open_input,
+                     typed_fields, write_text)
 from .metrics import (
     DEFAULT_COLLAR_S,
     DEFAULT_FRAME_SHIFT_S,
@@ -41,6 +42,7 @@ from .train import (
     TrainConfig,
     alpha_sweep,
     best_model,
+    check_scorable,
     format_report,
     load_model,
     reference_annotations,
@@ -136,8 +138,7 @@ def load_config(path: Optional[str]) -> dict:
 
 def _fields(cls, *skip: str) -> dict:
     """{name: (type, default)} of the dataclass ``cls``'s fields but ``skip``."""
-    types = get_type_hints(cls)
-    return {f.name: (types[f.name], f.default) for f in dataclasses.fields(cls)
+    return {f.name: (kind, f.default) for f, kind in typed_fields(cls)
             if f.name not in skip}
 
 
@@ -241,16 +242,11 @@ def cmd_synth(args, paths: dict[str, str]):
 
 def _train_inputs(args):
     """The config, its TrainConfig, and the train and dev sets, rejected
-    before training when they cannot be scored: an empty train set, or a
-    dev set with no positive utterance (its error rate is undefined)."""
+    by check_scorable, naming their files, before the config is built."""
     cfg, settings = _resolved_config(args, "train", "eval")
     trainset = load_dataset(args.train_data)
     devset = load_dataset(args.dev_data)
-    if not trainset:
-        raise InputError(f"{args.train_data} holds no utterances")
-    if not any(utt.y == 1 for utt in devset):
-        raise InputError(f"{args.dev_data} holds no positive utterances; "
-                         f"the dev error rate is undefined without them")
+    check_scorable(trainset, devset, args.train_data, args.dev_data)
     return cfg, _train_config(settings, trainset[0].dim), trainset, devset
 
 

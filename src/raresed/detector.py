@@ -306,11 +306,14 @@ def check_dims(clips: Sequence, input_dim: int, what: str) -> None:
 # recurrent.encode_bytes counts them: each equal-length group of clips is
 # cut into the fewest slices of at most max(1, INFER_BYTES //
 # encode_bytes(config, T)) clips, with sizes that differ by at most one.
-# 9 MiB holds 10 bidirectional 2x32 clips of 1304 frames (d = 16, 0.89 MB
-# each), and the desk dev set in two slices; doubling a slice doubles its
-# peak but saves far less of the time a clip takes. The measured trade is
-# in README "Performance", under "Inference".
-INFER_BYTES = 9 * 2**20
+# The clips of a slice share each step's numpy calls, so a wider slice
+# takes less time a clip and holds more memory. 19 MiB is the least whole
+# MiB that holds four clips of the fullscale encoder (multiresolution
+# 4x256, d = 64, 1304 frames, 4.93 MB each), whose step products then run
+# on four rows, not as gemv. It holds 22 bidirectional 2x32 clips of 1304
+# frames (d = 16, 0.89 MB each), and the desk dev set in one slice. The
+# measured curve is in README "Performance", under "Inference".
+INFER_BYTES = 19 * 2**20
 
 
 def infer(model: EventModel, clips: Sequence, thres0: float = DEFAULT_THRESHOLD,

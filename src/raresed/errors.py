@@ -8,6 +8,7 @@ code 3; everything else is a programming error and propagates.
 """
 
 import dataclasses
+import functools
 import numbers
 import os
 from contextlib import contextmanager
@@ -61,13 +62,21 @@ def check_setting(value, kind, name: str):
     return value
 
 
+@functools.cache
+def typed_fields(cls) -> tuple:
+    """(field, type hint) of each field of the dataclass ``cls``, resolved
+    once per class: get_type_hints evaluates every annotation anew, which
+    costs more than the rest of a config's construction."""
+    hints = get_type_hints(cls)
+    return tuple((field, hints[field.name]) for field in dataclasses.fields(cls))
+
+
 def check_fields(config) -> None:
     """Each field of the frozen dataclass ``config`` replaced by
     check_setting of its value, as its type hint says, named by the field."""
-    hints = get_type_hints(type(config))
-    for field in dataclasses.fields(config):
+    for field, kind in typed_fields(type(config)):
         object.__setattr__(config, field.name, check_setting(
-            getattr(config, field.name), hints[field.name], field.name))
+            getattr(config, field.name), kind, field.name))
 
 
 def open_input(path, mode="rb", **kw):

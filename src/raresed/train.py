@@ -118,21 +118,29 @@ def evaluate_model(model: EventModel, dataset: Sequence[Utterance],
     return evaluate_dataset(refs, detections, frame_shift_s, collar_s)
 
 
+def check_scorable(trainset: Sequence[Utterance], devset: Sequence[Utterance],
+                   train_name: str, dev_name: str) -> None:
+    """InputError unless the train set, named ``train_name``, holds an
+    utterance and the dev set, named ``dev_name``, a positive one: the dev
+    error rate is undefined without one."""
+    if not trainset:
+        raise InputError(f"{train_name} holds no utterances")
+    if not any(utt.y == 1 for utt in devset):
+        raise InputError(f"{dev_name} holds no positive utterances; "
+                         f"the dev error rate is undefined without them")
+
+
 def start_training(config: TrainConfig, trainset: Sequence[Utterance],
                    devset: Sequence[Utterance]) -> TrainState:
     """The state before epoch 1, once the sets are checked: an
     initialized model, fresh ADAM moments and the shuffle generator."""
-    if not trainset or not devset:
-        raise InputError("train and dev sets must be nonempty")
+    check_scorable(trainset, devset, "train set", "dev set")
     seen: set[str] = set()
     for utt in devset:
         # Dev scoring keys references and detections by id.
         if utt.id in seen:
             raise InputError(f"dev set repeats the utterance id {utt.id!r}")
         seen.add(utt.id)
-    if not any(utt.y == 1 for utt in devset):
-        raise InputError("dev set holds no positive utterances, so its error "
-                         "rate is undefined")
     check_dims(trainset, config.encoder.input_dim, "train utterance")
     check_dims(devset, config.encoder.input_dim, "dev utterance")
 

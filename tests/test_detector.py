@@ -18,6 +18,7 @@ from oracles import (
     utterance_posterior,
 )
 import raresed.detector as detector_module
+from raresed.cli import PRESETS
 from raresed.data import Utterance
 from raresed.detector import (
     INFER_BYTES,
@@ -785,6 +786,29 @@ class TestBatchedInfer:
                for d in infer(model, clips)]
         assert got == INFER_PINS[kind, mr_bidir, shape]
 
+    @pytest.mark.parametrize("kind,mr_bidir,count,frames", [
+        ("unidirectional", False, 100, 150), ("bidirectional", False, 100, 150),
+        ("multiresolution", False, 100, 150), ("multiresolution", True, 100, 150),
+        ("bidirectional", False, 40, 1304)])
+    def test_slice_width_moves_no_detection(self, monkeypatch, encode_slices,
+                                            kind, mr_bidir, count, frames):
+        # A clip's logits may move by up to 6e-16 with the rows its slice
+        # holds, but its detection may not.
+        model = small_model(kind=kind, layers=2, hidden=32, input_dim=16,
+                            seed=50, mr_bidir=mr_bidir)
+        rng = np.random.default_rng(50)
+        clips = as_clips(3.0 * rng.standard_normal((16, frames)) for _ in range(count))
+        found = []
+        for width in (10, 20, 40):
+            monkeypatch.setattr(detector_module, "INFER_BYTES",
+                                width * encode_bytes(model.config, frames))
+            encode_slices.clear()
+            found.append(infer(model, clips))
+            sizes = [b for _, b in encode_slices]
+            assert len(sizes) == -(-count // width) and max(sizes) <= width
+        assert found[0] == found[1] == found[2]
+        assert any(d.present for d in found[0]) and not all(d.present for d in found[0])
+
     def test_empty_and_bad_shapes(self, encode_slices):
         model = small_model(seed=43)
         assert infer(model, []) == []
@@ -803,12 +827,12 @@ INFER_SLACK = 2**18
 # tracemalloc peaks in bytes of infer with a depth-2, H 32 model on
 # d = 16 clips, with the slices INFER_BYTES cuts: the desk dev set (100
 # clips of 150 frames) and the long-infer clips (40 of 1304 frames).
-# Recorded when infer kept only each slice's frame logits and each block
-# loop's buffers. A peak may rise at most PEAK_SLACK above its pin.
+# Recorded when INFER_BYTES went from 9 to 19 MiB, which doubled the
+# clips a slice holds. A peak may rise at most PEAK_SLACK above its pin.
 INFER_MEMORY_PINS = {
-    ("multiresolution", 100, 150): (4_551_120, [(150, 50)] * 2),
-    ("bidirectional", 100, 150): (7_430_728, [(150, 50)] * 2),
-    ("bidirectional", 40, 1304): (9_131_912, [(1304, 10)] * 4),
+    ("multiresolution", 100, 150): (9_019_176, [(150, 100)]),
+    ("bidirectional", 100, 150): (14_690_600, [(150, 100)]),
+    ("bidirectional", 40, 1304): (18_036_008, [(1304, 20)] * 2),
 }
 
 
@@ -818,6 +842,16 @@ def infer_peak(model, clips) -> int:
 
 
 class TestInferMemory:
+    def test_budget_holds_the_slices_it_was_sized_for(self):
+        # Four fullscale clips, so that its step products run on four rows,
+        # not as gemv; twenty 1304-frame bidirectional 2x32 clips, which the
+        # long-infer benchmark ran at a quarter more clips a second than ten.
+        data, train = PRESETS["fullscale"]["data"], PRESETS["fullscale"]["train"]
+        fullscale = EncoderConfig(**train["encoder"], input_dim=data["dim"])
+        assert INFER_BYTES // encode_bytes(fullscale, data["frames"]) >= 4
+        long = EncoderConfig(kind="bidirectional", layers=2, hidden=32, input_dim=16)
+        assert INFER_BYTES // encode_bytes(long, 1304) >= 20
+
     @pytest.mark.parametrize("frames", [150, 1304])
     @pytest.mark.parametrize("kind,mr_bidir", [("unidirectional", False),
                                                ("bidirectional", False),

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import raresed
+import raresed.errors as errors_module
 from raresed.data import SynthConfig, save_dataset, synth_dataset
 from raresed.detector import EventModel
 from raresed.errors import InputError, write_atomic, write_text
@@ -128,3 +129,20 @@ class TestCheckFields:
             assert type(getattr(config, name)) is tuple
             assert [type(x) for x in getattr(config, name)] == [type(x) for x in value]
         hash(config)
+
+
+def test_each_config_class_resolves_its_type_hints_at_most_once(monkeypatch):
+    # get_type_hints costs more than the rest of a config's construction.
+    calls = []
+
+    def counted(cls):
+        calls.append(cls)
+        return get_type_hints(cls)
+
+    monkeypatch.setattr(errors_module, "get_type_hints", counted)
+    errors_module.typed_fields.cache_clear()
+    for cls, kwargs in CONFIGS.items():
+        for _ in range(3):
+            cls(**kwargs)
+    assert set(calls) <= set(CONFIGS)
+    assert all(calls.count(cls) <= 1 for cls in CONFIGS), calls

@@ -326,8 +326,8 @@ class TestEncoderShapes:
 
 # (hidden, input_dim, frames, batch) of each encode pin: "small" spans
 # nine projection blocks, "desk" is a desk-size batch at the desk preset's
-# hidden width and "long" one inference slice of 1304-frame clips at the
-# desk preset's input width (see detector.INFER_BYTES).
+# hidden width and "long" ten 1304-frame clips at the desk preset's input
+# width, the inference slice detector.INFER_BYTES cut when it was 9 MiB.
 ENCODE_SHAPES = {"small": (4, 3, 131, 3), "desk": (32, 40, 150, 10),
                  "long": (32, 16, 1304, 10)}
 ENCODE_PINS = {
